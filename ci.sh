@@ -19,6 +19,12 @@ cargo test -q
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== feasible-optimal search: streaming == materialise-and-sort =="
+# Named explicitly because tier-1's bare `cargo test -q` covers only the
+# root package: the streaming search must return the reference's mapping
+# and throughput bits on truncated windows, give-ups and the paper programs.
+cargo test -q -p pipemap-machine --test feasible_equivalence
+
 echo "== solver equivalence under forced thread counts =="
 # The differential suite must hold regardless of the worker-pool size the
 # environment imposes; 1 exercises the serial fallback, 4 oversubscribes
@@ -43,6 +49,22 @@ echo "== executor stress smoke: sustained load for 2s =="
 # nonzero when the pipeline completes no datasets, so success here means
 # the data plane actually moved traffic under sustained load.
 ./target/release/pipemap load micro --duration 2s
+
+echo "== radar smoke: auto_map's feasible-optimal search stays under 100 MiB =="
+# `demo radar` runs auto_map, hence feasible_optimal, on the radar program
+# (examples/radar_tracking.rs is the same path). Materialising its 4M
+# candidate window took 770 MiB; the streaming search peaks near 20 MiB.
+# ru_maxrss of the reaped child is what `/usr/bin/time -v` prints as
+# "Maximum resident set size"; python3 is already a dependency of this
+# script and GNU time is not installed everywhere it runs.
+python3 - <<'EOF'
+import resource, subprocess
+subprocess.run(["./target/release/pipemap", "demo", "radar"],
+               stdout=subprocess.DEVNULL, check=True)
+mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert mib <= 100, "demo radar peaked at %.0f MiB (limit 100)" % mib
+print("radar smoke: peak rss %.1f MiB" % mib)
+EOF
 
 echo "== doctor smoke: traced load run diagnosed drift-free =="
 # Record sampled journeys from a short fft-hist load run, then have the

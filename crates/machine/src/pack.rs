@@ -69,11 +69,25 @@ pub fn shapes(area: usize, rows: usize, cols: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// A group of interchangeable instances: one area, its legal shapes
+/// (computed once, not per search node), and how many are still unplaced.
+struct Group {
+    area: usize,
+    shapes: Vec<(usize, usize)>,
+    unplaced: usize,
+}
+
 struct Packer {
     rows: usize,
     cols: usize,
     /// One bitmask per row; bit `c` set means cell occupied.
     grid: Vec<u64>,
+    /// Distinct areas, largest first.
+    groups: Vec<Group>,
+    /// Sum of the groups' `unplaced`.
+    unplaced: usize,
+    /// `(area, row, col, h, w)` of the rectangles placed so far.
+    placements: Vec<(usize, usize, usize, usize, usize)>,
     nodes: u64,
     budget: u64,
 }
@@ -108,39 +122,37 @@ impl Packer {
         None
     }
 
-    /// `remaining[a]` = count of unplaced instances of area `a`.
-    fn solve(
-        &mut self,
-        remaining: &mut Vec<(usize, usize)>, // (area, count), sorted desc by area
-        placements: &mut Vec<(usize, usize, usize, usize, usize)>, // (area, row, col, h, w)
-    ) -> bool {
+    fn solve(&mut self) -> bool {
         self.nodes += 1;
         if self.nodes > self.budget {
             return false;
         }
-        if remaining.iter().all(|&(_, c)| c == 0) {
+        if self.unplaced == 0 {
             return true;
         }
         let Some((row, col)) = self.first_free() else {
             return false; // items remain but the grid is full
         };
-        for i in 0..remaining.len() {
-            let (area, count) = remaining[i];
-            if count == 0 {
+        for g in 0..self.groups.len() {
+            if self.groups[g].unplaced == 0 {
                 continue;
             }
-            for (h, w) in shapes(area, self.rows, self.cols) {
+            let area = self.groups[g].area;
+            for s in 0..self.groups[g].shapes.len() {
+                let (h, w) = self.groups[g].shapes[s];
                 if !self.fits(row, col, h, w) {
                     continue;
                 }
                 self.set(row, col, h, w, true);
-                remaining[i].1 -= 1;
-                placements.push((area, row, col, h, w));
-                if self.solve(remaining, placements) {
+                self.groups[g].unplaced -= 1;
+                self.unplaced -= 1;
+                self.placements.push((area, row, col, h, w));
+                if self.solve() {
                     return true;
                 }
-                placements.pop();
-                remaining[i].1 += 1;
+                self.placements.pop();
+                self.unplaced += 1;
+                self.groups[g].unplaced += 1;
                 self.set(row, col, h, w, false);
             }
         }
@@ -148,7 +160,7 @@ impl Packer {
         // cell permanently empty is allowed only if no instance could ever
         // use it, which we approximate by masking it off and recursing.)
         self.set(row, col, 1, 1, true);
-        let ok = self.solve(remaining, placements);
+        let ok = self.solve();
         self.set(row, col, 1, 1, false);
         ok
     }
@@ -162,20 +174,25 @@ pub fn pack_rectangles(request: &PackRequest) -> Option<Vec<Placement>> {
     if total > request.rows * request.cols {
         return None;
     }
-    // Any area with no legal shape is immediately infeasible.
-    for &a in &request.areas {
-        if a == 0 || shapes(a, request.rows, request.cols).is_empty() {
-            return None;
-        }
-    }
     // Group identical areas (instances are interchangeable).
-    let mut groups: Vec<(usize, usize)> = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
     let mut sorted = request.areas.clone();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
     for a in sorted {
         match groups.last_mut() {
-            Some(g) if g.0 == a => g.1 += 1,
-            _ => groups.push((a, 1)),
+            Some(g) if g.area == a => g.unplaced += 1,
+            _ => {
+                let shapes = shapes(a, request.rows, request.cols);
+                // Any area with no legal shape is immediately infeasible.
+                if shapes.is_empty() {
+                    return None;
+                }
+                groups.push(Group {
+                    area: a,
+                    shapes,
+                    unplaced: 1,
+                });
+            }
         }
     }
 
@@ -183,11 +200,13 @@ pub fn pack_rectangles(request: &PackRequest) -> Option<Vec<Placement>> {
         rows: request.rows,
         cols: request.cols,
         grid: vec![0; request.rows],
+        groups,
+        unplaced: request.areas.len(),
+        placements: Vec::with_capacity(request.areas.len()),
         nodes: 0,
         budget: request.node_budget,
     };
-    let mut placements = Vec::new();
-    if !packer.solve(&mut groups, &mut placements) {
+    if !packer.solve() {
         return None;
     }
 
@@ -197,7 +216,8 @@ pub fn pack_rectangles(request: &PackRequest) -> Option<Vec<Placement>> {
     for (i, &a) in request.areas.iter().enumerate() {
         by_area.entry(a).or_default().push(i);
     }
-    let out = placements
+    let out = packer
+        .placements
         .into_iter()
         .map(|(area, row, col, h, w)| {
             let item = by_area.get_mut(&area).unwrap().pop().unwrap();
@@ -318,6 +338,32 @@ mod tests {
         let areas = vec![3, 3, 6];
         let ps = pack_rectangles(&PackRequest::new(4, 4, areas.clone())).unwrap();
         assert_valid(4, 4, &areas, &ps);
+    }
+
+    /// Smallest node budget under which `areas` pack on 8×8.
+    fn min_budget(areas: &[usize]) -> u64 {
+        (1..)
+            .find(|&node_budget| {
+                let request = PackRequest {
+                    node_budget,
+                    ..PackRequest::new(8, 8, areas.to_vec())
+                };
+                pack_rectangles(&request).is_some()
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn node_accounting_is_pinned() {
+        // A budget-exhausted search reads as "practically infeasible", so
+        // the order nodes are visited in and what counts as a node decide
+        // which mappings `feasible_optimal` returns. These are the counts
+        // of the original packer; a faster packer must reproduce them.
+        assert_eq!(min_budget(&[20, 14, 14]), 134);
+        assert_eq!(min_budget(&[6; 10]), 13);
+        let mut table1 = vec![3; 8];
+        table1.extend([4; 10]);
+        assert_eq!(min_budget(&table1), 19);
     }
 
     #[test]

@@ -222,12 +222,15 @@ fn simulate_serve_exposes_openmetrics_over_http() {
         .unwrap_or_else(|| panic!("no address in {line:?}"))
         .to_string();
 
-    // Poll until the run has published its counters (the simulation is
-    // fast; the server holds the registry open afterwards).
+    // Poll until the run has published its counters and, a moment later,
+    // its histograms (the simulation is fast; the server holds the
+    // registry open afterwards).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     let body = loop {
         let resp = http_get(&addr, "/metrics");
-        if resp.contains("pipemap_sim_datasets_completed_total") {
+        if resp.contains("pipemap_sim_datasets_completed_total")
+            && resp.lines().any(|l| l.ends_with(" histogram"))
+        {
             break resp;
         }
         assert!(
