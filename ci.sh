@@ -1,7 +1,25 @@
 #!/usr/bin/env bash
-# Local CI: formatting, lints, and the tier-1 build+test gate.
+# Local CI: formatting, lints, the tier-1 build+test gate, the benchmark's
+# own checks, and end-to-end smokes of the `pipemap` binary.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "== Rust lines per crate (src / tests) =="
+python3 - <<'EOF'
+import glob, os
+
+def lines(crate, sub):
+    files = glob.glob(os.path.join(crate, sub, "**", "*.rs"), recursive=True)
+    return sum(sum(1 for _ in open(f)) for f in files)
+
+crates = ["."] + sorted(glob.glob("crates/*") + glob.glob("crates/shims/*")) + ["benchmark"]
+rows = [(c, lines(c, "src"), lines(c, "tests"))
+        for c in crates if os.path.isfile(os.path.join(c, "Cargo.toml"))]
+total = ("total", sum(r[1] for r in rows), sum(r[2] for r in rows))
+print("%-24s %7s %7s" % ("crate", "src", "tests"))
+for c, src, tests in rows + [total]:
+    print("%-24s %7d %7d" % (c, src, tests))
+EOF
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -10,20 +28,25 @@ echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: release build + tests =="
-# --workspace matters: the repo root is itself a package, so a bare
-# `cargo build` would build only the root lib and leave the `pipemap`
-# binary the smoke steps below run stale (or missing on a clean tree).
-cargo build --release --workspace
+cargo build --release
 cargo test -q
 
-echo "== workspace tests =="
-cargo test --workspace -q
-
-echo "== feasible-optimal search: streaming == materialise-and-sort =="
-# Named explicitly because tier-1's bare `cargo test -q` covers only the
-# root package: the streaming search must return the reference's mapping
-# and throughput bits on truncated windows, give-ups and the paper programs.
-cargo test -q -p pipemap-machine --test feasible_equivalence
+echo "== benchmark: its own tests and the frozen seed-1 planning answers =="
+# The benchmark is a standalone package; building it into the root target/
+# reuses the workspace build. On seed 1 each planning workload compares its
+# answers bit for bit with benchmark/expected/seed_1.txt, so a solver change
+# that moves an optimum fails here as "correct": false.
+export CARGO_TARGET_DIR=target
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+for WORKLOAD in plan_cold plan_replan plan_automap; do
+    RESULT=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$WORKLOAD" --seed 1 --seconds 1 | tail -n 1)
+    case "$RESULT" in
+        '{"correct": true,'*) echo "benchmark $WORKLOAD seed 1: correct" ;;
+        *) echo "benchmark $WORKLOAD seed 1 failed its checks: $RESULT" >&2; exit 1 ;;
+    esac
+done
+unset CARGO_TARGET_DIR
 
 echo "== solver equivalence under forced thread counts =="
 # The differential suite must hold regardless of the worker-pool size the

@@ -762,20 +762,11 @@ pub fn dp_assignment_provenance_on(
     Ok((solution, assignment, prov))
 }
 
-/// Per-stage cell statistics of a *pruned* assignment solve — the "what
-/// did pruning skip" half of the `pipemap explain` heatmap (the exact
-/// half comes from [`dp_assignment_provenance`]'s unpruned counts). The
-/// solve itself is bit-identical to [`dp_assignment_with`]; only the
-/// statistics are kept.
-pub fn dp_assignment_pruned_stats(
-    problem: &Problem,
-    opts: &SolveOptions,
-) -> Result<Vec<StageCells>, SolveError> {
-    let table = CostTable::build(problem);
-    dp_assignment_pruned_stats_on(problem, &table, opts)
-}
-
-/// [`dp_assignment_pruned_stats`] against a caller-supplied cost table.
+/// Per-stage cell statistics of a *pruned* assignment solve against a
+/// caller-supplied cost table — the "what did pruning skip" half of the
+/// `pipemap explain` heatmap (the exact half comes from
+/// [`dp_assignment_provenance`]'s unpruned counts). The solve itself is
+/// bit-identical to [`dp_assignment_with`]; only the statistics are kept.
 pub fn dp_assignment_pruned_stats_on(
     problem: &Problem,
     table: &CostTable,

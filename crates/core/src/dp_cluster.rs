@@ -234,8 +234,9 @@ impl NeAxis {
     }
 }
 
-/// `r / f` with the solver's conventions: a zero-cost module is infinitely
-/// fast.
+/// `r / f` with the solvers' conventions: a zero-cost module is infinitely
+/// fast, an infinitely slow one contributes throughput 0 (`r` is a
+/// finite replica count).
 #[inline]
 pub(crate) fn cluster_thr(r: f64, f: f64) -> f64 {
     if f <= 0.0 {
@@ -373,17 +374,7 @@ pub fn dp_mapping(problem: &Problem) -> Result<Solution, SolveError> {
 /// returns bit-identical results; the options only trade wall-clock time.
 pub fn dp_mapping_with(problem: &Problem, opts: &SolveOptions) -> Result<Solution, SolveError> {
     let ctx = SolveCtx::new(problem);
-    dp_mapping_ctx(problem, &ctx, opts)
-}
-
-/// [`dp_mapping_with`] against a shared [`SolveCtx`], reusing its cost
-/// table and cached suffix bounds across entry points.
-pub fn dp_mapping_ctx(
-    problem: &Problem,
-    ctx: &SolveCtx,
-    opts: &SolveOptions,
-) -> Result<Solution, SolveError> {
-    run_cluster_dp_with_fallback(problem, ctx, opts, false, None).map(|run| run.solution)
+    run_cluster_dp_with_fallback(problem, &ctx, opts, false, None).map(|run| run.solution)
 }
 
 /// [`run_cluster_dp`] with a defensive retry: an admissible incumbent can
@@ -443,20 +434,11 @@ pub fn dp_mapping_provenance_ctx(
     ))
 }
 
-/// Per-stage cell statistics of a *pruned* cluster solve — the "what did
-/// pruning skip" half of the `pipemap explain` heatmap (the exact half
-/// comes from [`dp_mapping_provenance`]'s unpruned counts). The solve
-/// itself is bit-identical to [`dp_mapping_with`]; only the statistics
-/// are kept.
-pub fn dp_mapping_pruned_stats(
-    problem: &Problem,
-    opts: &SolveOptions,
-) -> Result<Vec<StageCells>, SolveError> {
-    let ctx = SolveCtx::new(problem);
-    dp_mapping_pruned_stats_ctx(problem, &ctx, opts)
-}
-
-/// [`dp_mapping_pruned_stats`] against a shared [`SolveCtx`].
+/// Per-stage cell statistics of a *pruned* cluster solve against a shared
+/// [`SolveCtx`] — the "what did pruning skip" half of the `pipemap
+/// explain` heatmap (the exact half comes from
+/// [`dp_mapping_provenance`]'s unpruned counts). The solve itself is
+/// bit-identical to [`dp_mapping_with`]; only the statistics are kept.
 pub fn dp_mapping_pruned_stats_ctx(
     problem: &Problem,
     ctx: &SolveCtx,

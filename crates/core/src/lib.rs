@@ -50,12 +50,11 @@ pub use brute::{brute_force_assignment, brute_force_mapping};
 pub use cluster::{cluster_heuristic, contract_chain, ContractedProblem};
 pub use dp::{
     dp_assignment, dp_assignment_provenance, dp_assignment_provenance_on,
-    dp_assignment_pruned_stats, dp_assignment_pruned_stats_on, dp_assignment_with, DpStage,
-    DpTrace,
+    dp_assignment_pruned_stats_on, dp_assignment_with, DpStage, DpTrace,
 };
 pub use dp_cluster::{
-    dp_mapping, dp_mapping_ctx, dp_mapping_provenance, dp_mapping_provenance_ctx,
-    dp_mapping_pruned_stats, dp_mapping_pruned_stats_ctx, dp_mapping_with, SolveCtx,
+    dp_mapping, dp_mapping_provenance, dp_mapping_provenance_ctx, dp_mapping_pruned_stats_ctx,
+    dp_mapping_with, SolveCtx,
 };
 pub use dp_free::dp_mapping_free;
 pub use greedy::{

@@ -40,6 +40,7 @@ use pipemap_model::Procs;
 
 use crate::cluster::contract_chain;
 use crate::dp::{self, DpTrace};
+use crate::dp_cluster::cluster_thr;
 use crate::options::SolveOptions;
 use crate::solution::SolveError;
 
@@ -217,19 +218,6 @@ impl MarginReport {
             .iter()
             .map(|s| s.exec_up)
             .fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// `r / f` with the solvers' conventions: a zero-cost module is infinitely
-/// fast, an infinitely slow one contributes throughput 0.
-#[inline]
-pub(crate) fn thr(r: f64, f: f64) -> f64 {
-    if f <= 0.0 {
-        f64::INFINITY
-    } else if f.is_infinite() {
-        0.0
-    } else {
-        r / f
     }
 }
 
@@ -440,7 +428,7 @@ fn build_suffix(table: &CostTable, info: &[ModInfo], k: usize, p: usize) -> Vec<
                 let oi = own.idx_of[inst];
                 let cin = table.ecom(j - 1, pinst, inst);
                 if j + 1 == k {
-                    let v = thr(r, table.exec(j, inst) + cin);
+                    let v = cluster_thr(r, table.exec(j, inst) + cin);
                     for bud in pj..=p {
                         let cell = &mut value[(bud * n_own + oi) * n_prev + pi];
                         if v > *cell {
@@ -454,7 +442,9 @@ fn build_suffix(table: &CostTable, info: &[ModInfo], k: usize, p: usize) -> Vec<
                     let own_thr: Vec<f64> = info[j + 1]
                         .insts
                         .iter()
-                        .map(|&ni| thr(r, table.exec(j, inst) + cin + table.ecom(j, inst, ni)))
+                        .map(|&ni| {
+                            cluster_thr(r, table.exec(j, inst) + cin + table.ecom(j, inst, ni))
+                        })
                         .collect();
                     for bud in pj..=p {
                         let bud2 = bud - pj;
@@ -595,7 +585,7 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
         .collect();
     let thr_mod: Vec<f64> = breakdowns
         .iter()
-        .map(|b| thr(b.replicas as f64, b.total()))
+        .map(|b| cluster_thr(b.replicas as f64, b.total()))
         .collect();
     let overall = thr_mod.iter().fold(f64::INFINITY, |a, &b| a.min(b));
     let bottleneck = thr_mod
@@ -971,7 +961,7 @@ pub(crate) fn harvest_assignment(
                 if sub == f64::NEG_INFINITY {
                     continue;
                 }
-                let own = thr(r, (e + table.ecom(j - 1, inst(j - 1, q), im)) + eout);
+                let own = cluster_thr(r, (e + table.ecom(j - 1, inst(j - 1, q), im)) + eout);
                 let cand = sub.min(own);
                 if cand > alt_val {
                     alt_val = cand;

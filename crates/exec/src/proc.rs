@@ -1820,7 +1820,8 @@ pub struct WireLoadOptions {
     /// Offered arrival rate (data sets/s); `None` feeds as fast as the
     /// pipeline accepts (closed loop).
     pub rate: Option<f64>,
-    /// Stop offering after this long.
+    /// Stop offering after this long. With both limits set, the first
+    /// one reached stops the run; with neither, it runs for 2 s.
     pub duration: Option<Duration>,
     /// Stop after this many offered data sets.
     pub max_datasets: Option<u64>,
@@ -1870,7 +1871,10 @@ pub fn run_wire_load(
     let mut offered: u64 = 0;
     let mut rejected: u64 = 0;
     let mut shed: u64 = 0;
-    let duration = opts.duration.unwrap_or(Duration::from_secs(2));
+    let duration = match (opts.duration, opts.max_datasets) {
+        (None, None) => Some(Duration::from_secs(2)),
+        (duration, _) => duration,
+    };
     let start = Instant::now();
 
     let run = {
@@ -1886,12 +1890,9 @@ pub fn run_wire_load(
                 let mut tokens: f64 = 1.0;
                 let mut last_refill = Instant::now();
                 loop {
-                    if let Some(max) = opts.max_datasets {
-                        if *offered >= max {
-                            break;
-                        }
-                    }
-                    if opts.max_datasets.is_none() && start.elapsed() >= duration {
+                    if opts.max_datasets.is_some_and(|max| *offered >= max)
+                        || duration.is_some_and(|d| start.elapsed() >= d)
+                    {
                         break;
                     }
                     // Pace the *offered* arrivals; shedding and

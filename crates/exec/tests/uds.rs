@@ -13,11 +13,12 @@
 //! never what arrives.
 //!
 //! A second test kills a mid-chain worker partway through a stream and
-//! asserts the run returns a clean error instead of hanging.
+//! asserts the run returns a clean error instead of hanging; a third
+//! checks that a load's count and duration limits combine.
 
 use pipemap_exec::{
-    run_pipeline, run_wire_pipeline, Data, PipelinePlan, StagePlan, WireKernel, WirePlan,
-    WireStagePlan,
+    run_pipeline, run_wire_load, run_wire_pipeline, Data, PipelinePlan, StagePlan, WireKernel,
+    WireLoadOptions, WirePlan, WireStagePlan,
 };
 use proptest::prelude::*;
 
@@ -289,6 +290,37 @@ fn killed_worker_with_telemetry_marks_series_stale() {
         stale.iter().any(|(_, v)| *v == 1.0),
         "crashed worker's series must be marked stale, got {stale:?}"
     );
+}
+
+/// A count and a duration combine: whichever is reached first stops the
+/// load. Paced at 1000/s, the 150 ms limit comes long before the
+/// 2000th data set; a generous count still stops the other way round.
+#[test]
+fn wire_load_stops_at_the_first_limit_reached() {
+    set_worker_bin();
+    let plan = wire_plan(&kernel_chain(&[1]), &[1], 1, 4, 2);
+    let run = |duration_ms: u64, max_datasets: u64| {
+        let opts = WireLoadOptions {
+            rate: Some(1000.0),
+            duration: Some(std::time::Duration::from_millis(duration_ms)),
+            max_datasets: Some(max_datasets),
+            ..WireLoadOptions::default()
+        };
+        let r = run_wire_load(
+            &plan,
+            |i, buf| buf.extend(input_bytes(5, i as usize, 8)),
+            opts,
+        )
+        .expect("wire load");
+        assert_eq!(r.completed, r.offered, "every offered data set completes");
+        r.offered
+    };
+    let offered = run(150, 2000);
+    assert!(
+        offered < 1000,
+        "duration ignored: ran to {offered} data sets"
+    );
+    assert_eq!(run(10_000, 40), 40);
 }
 
 /// A worker that dies mid-stream must surface as a clean error — never

@@ -1,28 +1,21 @@
-//! `pipemap` — command-line automatic mapping tool.
-//!
-//! ```text
-//! pipemap map <spec-file> [--greedy-only] [--latency-floor <thr>]
-//! pipemap demo <fft-hist-256|fft-hist-512|radar|stereo> [--systolic]
-//! pipemap template
-//! ```
-//!
-//! `map` reads a pipeline description (see `pipemap template` for the
-//! format), finds the optimal and greedy mappings, and prints them.
-//! `demo` runs the full paper methodology (profile → fit → map →
-//! constrain → simulate) on one of the built-in applications.
+//! `pipemap` — the command-line automatic mapping tool. Its commands and
+//! flags are documented once, in `USAGE` (`pipemap --help`).
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use pipemap_apps::{fft_hist, radar, stereo, FftHistConfig, RadarConfig, StereoConfig};
+use pipemap_chain::{Mapping, Problem};
 use pipemap_core::{
     best_latency_mapping, cluster_heuristic, dp_mapping, dp_mapping_free, min_procs_mapping,
     GreedyOptions,
 };
 use pipemap_machine::MachineConfig;
 use pipemap_obs::{FlightRecorder, MetricsServer, RecorderConfig};
+use pipemap_profile::TransportCalibration;
 use pipemap_tool::bench::{compare_bench, git_sha, run_bench_suite, validate_bench, BenchOptions};
-use pipemap_tool::spec::parse_spec;
+use pipemap_tool::spec::{parse_mapping, parse_spec};
 use pipemap_tool::{
     auto_map, demo_report_json, map_report_json, mapping_json, render_mapping, render_report,
     simulate_report_json, MapperOptions,
@@ -242,143 +235,196 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("__worker") {
         std::process::exit(pipemap_exec::worker_main(&args[1..]));
     }
-    match args.first().map(String::as_str) {
-        Some("map") => cmd_map(&args[1..]),
-        Some("calibrate") => cmd_calibrate(&args[1..]),
-        Some("explain") => cmd_explain(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("demo") => cmd_demo(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("load") => cmd_load(&args[1..]),
-        Some("doctor") => cmd_doctor(&args[1..]),
-        Some("resolve") => cmd_resolve(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
-        Some("fit") => cmd_fit(&args[1..]),
-        Some("template") => {
-            print!("{TEMPLATE}");
-            ExitCode::SUCCESS
-        }
-        Some("--help") | Some("-h") | None => {
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
+        Some("map") => cmd_map(rest),
+        Some("calibrate") => cmd_calibrate(rest),
+        Some("explain") => cmd_explain(rest),
+        Some("simulate") => cmd_simulate(rest),
+        Some("demo") => cmd_demo(rest),
+        Some("bench") => cmd_bench(rest),
+        Some("load") => cmd_load(rest),
+        Some("doctor") => cmd_doctor(rest),
+        Some("resolve") => cmd_resolve(rest),
+        Some("top") => cmd_top(rest),
+        Some("fit") => cmd_fit(rest),
+        Some("template") => Cli::new(rest).positionals().map(|[]| print!("{TEMPLATE}")),
+        Some("--help" | "-h") | None => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Some(other) => {
-            eprintln!("unknown command '{other}'\n\n{USAGE}");
+        Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn cmd_map(args: &[String]) -> ExitCode {
-    let mut file = None;
-    let mut greedy_only = false;
-    let mut latency_floor: Option<f64> = None;
-    let mut procs_target: Option<f64> = None;
-    let mut report_fmt: Option<String> = None;
-    let mut calibration_file: Option<String> = None;
-    let mut edge_bytes: Option<Vec<f64>> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--greedy-only" => greedy_only = true,
-            "--calibration" => match it.next() {
-                Some(v) => calibration_file = Some(v.clone()),
-                None => {
-                    eprintln!("--calibration needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--edge-bytes" => {
-                let parsed: Option<Vec<f64>> = it
-                    .next()
-                    .and_then(|v| v.split(',').map(|b| b.trim().parse::<f64>().ok()).collect());
-                match parsed {
-                    Some(v) if !v.is_empty() && v.iter().all(|b| *b >= 0.0) => {
-                        edge_bytes = Some(v);
-                    }
-                    _ => {
-                        eprintln!("--edge-bytes needs a comma-separated byte list like 8192,1024");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--report" => match it.next() {
-                Some(v) => report_fmt = Some(v.clone()),
-                None => {
-                    eprintln!("--report needs a format (json)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--latency-floor" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => latency_floor = Some(v),
-                None => {
-                    eprintln!("--latency-floor needs a numeric throughput");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--min-procs" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => procs_target = Some(v),
-                None => {
-                    eprintln!("--min-procs needs a numeric throughput target");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if file.is_none() => file = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                return ExitCode::FAILURE;
-            }
+/// Cursor over one command's arguments. [`Cli::flag`] hands out the flags
+/// in order and sets the positionals aside, so flags may come before or
+/// after them; a flag's value is the argument right after it, whatever it
+/// looks like.
+struct Cli<'a> {
+    args: std::slice::Iter<'a, String>,
+    positionals: Vec<&'a str>,
+}
+
+impl<'a> Cli<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Self {
+            args: args.iter(),
+            positionals: Vec::new(),
         }
     }
-    let Some(file) = file else {
-        eprintln!("map needs a spec file\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            return ExitCode::FAILURE;
+
+    /// The next argument starting with `-`, or `None` once all are read.
+    fn flag(&mut self) -> Option<&'a str> {
+        for a in self.args.by_ref() {
+            if a.starts_with('-') {
+                return Some(a.as_str());
+            }
+            self.positionals.push(a);
         }
-    };
-    let mut problem = match parse_spec(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{file}:{e}");
-            return ExitCode::FAILURE;
+        None
+    }
+
+    /// The value after `flag`, converted by `convert`; `"{flag} needs
+    /// {hint}"` when it is missing or `convert` refuses it.
+    fn value_with<T>(
+        &mut self,
+        flag: &str,
+        hint: &str,
+        convert: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        self.args
+            .next()
+            .and_then(|v| convert(v))
+            .ok_or_else(|| format!("{flag} needs {hint}"))
+    }
+
+    fn value(&mut self, flag: &str, hint: &str) -> Result<String, String> {
+        self.value_with(flag, hint, |v| Some(v.to_string()))
+    }
+
+    fn parse<T: FromStr>(&mut self, flag: &str, hint: &str) -> Result<T, String> {
+        self.value_with(flag, hint, |v| v.parse().ok())
+    }
+
+    /// [`Cli::parse`], refusing the values `ok` rejects.
+    fn parse_if<T: FromStr>(
+        &mut self,
+        flag: &str,
+        hint: &str,
+        ok: impl FnOnce(&T) -> bool,
+    ) -> Result<T, String> {
+        self.value_with(flag, hint, |v| v.parse().ok().filter(ok))
+    }
+
+    /// A count of at least one.
+    fn count<T: FromStr + PartialOrd + From<u8>>(&mut self, flag: &str) -> Result<T, String> {
+        self.parse_if(flag, "an integer >= 1", |n| *n >= T::from(1))
+    }
+
+    /// `--report json`, the one report format.
+    fn report(&mut self, flag: &str) -> Result<bool, String> {
+        match self.value(flag, "a format (json)")?.as_str() {
+            "json" => Ok(true),
+            other => Err(format!("unsupported report format '{other}' (only 'json')")),
         }
-    };
+    }
+
+    /// The positionals, padded with `None` to `N`, once the flags are
+    /// taken: a flag left over or a positional beyond `N` is unexpected.
+    fn positionals<const N: usize>(mut self) -> Result<[Option<&'a str>; N], String> {
+        if let Some(flag) = self.flag() {
+            return Err(unexpected(flag));
+        }
+        match self.positionals.get(N) {
+            Some(extra) => Err(unexpected(extra)),
+            None => Ok(std::array::from_fn(|i| self.positionals.get(i).copied())),
+        }
+    }
+}
+
+fn unexpected(arg: &str) -> String {
+    format!("unexpected argument '{arg}'")
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+fn write(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Read and parse a spec file; a parse error reads `file:line ...`.
+fn read_spec(file: &str) -> Result<Problem, String> {
+    parse_spec(&read(file)?).map_err(|e| format!("{file}:{e}"))
+}
+
+/// Parse a mapping like `0-0:8x3,1-2:10x4` and check it fits `problem`.
+fn valid_mapping(problem: &Problem, text: &str) -> Result<Mapping, String> {
+    let mapping = parse_mapping(text).map_err(|e| format!("bad mapping: {e}"))?;
+    pipemap_chain::validate(problem, &mapping)
+        .map_err(|e| format!("mapping invalid for this problem: {e}"))?;
+    Ok(mapping)
+}
+
+/// A comma-separated list; `None` if any item does not parse.
+fn parse_list<T: FromStr>(text: &str) -> Option<Vec<T>> {
+    text.split(',').map(|b| b.trim().parse().ok()).collect()
+}
+
+fn cmd_map(args: &[String]) -> Result<(), String> {
+    let mut cli = Cli::new(args);
+    let (mut greedy_only, mut json) = (false, false);
+    let (mut latency_floor, mut procs_target): (Option<f64>, Option<f64>) = (None, None);
+    let (mut calibration, mut edge_bytes) = (None, None);
+    while let Some(flag) = cli.flag() {
+        match flag {
+            "--greedy-only" => greedy_only = true,
+            "--report" => json = cli.report(flag)?,
+            "--calibration" => calibration = Some(cli.value(flag, "a file path")?),
+            "--edge-bytes" => {
+                let hint = "a comma-separated byte list like 8192,1024";
+                edge_bytes = Some(cli.value_with(flag, hint, |v| {
+                    parse_list::<f64>(v).filter(|b| b.iter().all(|b| *b >= 0.0))
+                })?);
+            }
+            "--latency-floor" => latency_floor = Some(cli.parse(flag, "a numeric throughput")?),
+            "--min-procs" => procs_target = Some(cli.parse(flag, "a numeric throughput target")?),
+            other => return Err(unexpected(other)),
+        }
+    }
+    let [file] = cli.positionals()?;
+    let file = file.ok_or_else(|| format!("map needs a spec file\n\n{USAGE}"))?;
+    let mut problem = read_spec(file)?;
 
     // Re-price external transfers from a measured transport calibration:
     // edge i's f_ecom becomes the constant per_msg + per_byte * bytes_i,
     // replacing the spec's assumed polynomial.
-    match (&calibration_file, &edge_bytes) {
+    match (calibration, edge_bytes) {
         (None, None) => {}
         (Some(path), Some(bytes)) => {
-            let cal = match std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {path}: {e}"))
-                .and_then(|t| pipemap_profile::TransportCalibration::parse(&t))
-            {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let cal = TransportCalibration::parse(&read(&path)?)?;
             let nedges = problem.chain.edges().len();
             if bytes.len() != nedges {
-                eprintln!(
+                return Err(format!(
                     "--edge-bytes has {} entries but the chain has {nedges} edges",
                     bytes.len()
-                );
-                return ExitCode::FAILURE;
+                ));
             }
             let tasks = problem.chain.tasks().to_vec();
             let edges: Vec<pipemap_chain::Edge> = problem
                 .chain
                 .edges()
                 .iter()
-                .zip(bytes)
+                .zip(&bytes)
                 .map(|(e, b)| {
                     pipemap_chain::Edge::new(
                         e.icom.clone(),
@@ -388,27 +434,14 @@ fn cmd_map(args: &[String]) -> ExitCode {
                 .collect();
             problem.chain = pipemap_chain::TaskChain::new(tasks, edges);
         }
-        _ => {
-            eprintln!("--calibration and --edge-bytes must be given together");
-            return ExitCode::FAILURE;
-        }
+        _ => return Err("--calibration and --edge-bytes must be given together".into()),
     }
 
-    let json = match report_fmt.as_deref() {
-        None => false,
-        Some("json") => true,
-        Some(other) => {
-            eprintln!("unsupported report format '{other}' (only 'json')");
-            return ExitCode::FAILURE;
-        }
-    };
     if json {
         // Count solver work (DP cells, lookups, prunings, wall time) in
         // the global metrics registry; snapshotted into the report below.
         pipemap_obs::install_global(pipemap_obs::Registry::new());
-    }
-
-    if !json {
+    } else {
         println!(
             "{}: {} tasks on {} processors ({} bytes/proc)\n",
             file,
@@ -417,13 +450,8 @@ fn cmd_map(args: &[String]) -> ExitCode {
             problem.mem_per_proc
         );
     }
-    let greedy = match cluster_heuristic(&problem, GreedyOptions::adaptive()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mapping failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let greedy = cluster_heuristic(&problem, GreedyOptions::adaptive())
+        .map_err(|e| format!("mapping failed: {e}"))?;
     let mut solutions = vec![("greedy", greedy)];
     if !greedy_only {
         match dp_mapping(&problem) {
@@ -453,7 +481,7 @@ fn cmd_map(args: &[String]) -> ExitCode {
 
     if json {
         let metrics = pipemap_obs::global_registry().map(|r| r.snapshot());
-        let mut doc = map_report_json(&file, &problem, &solutions, metrics.as_ref());
+        let mut doc = map_report_json(file, &problem, &solutions, metrics.as_ref());
         if let Some((floor, sol)) = &latency_sol {
             let mut o = pipemap_obs::Value::object();
             o.set("mapping", mapping_json(&problem, &sol.mapping));
@@ -471,7 +499,7 @@ fn cmd_map(args: &[String]) -> ExitCode {
             doc.set("min_procs", o);
         }
         println!("{}", doc.to_json_pretty());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     for (label, sol) in &solutions {
@@ -504,84 +532,46 @@ fn cmd_map(args: &[String]) -> ExitCode {
             target
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_calibrate(args: &[String]) -> ExitCode {
+fn cmd_calibrate(args: &[String]) -> Result<(), String> {
+    let mut cli = Cli::new(args);
     let mut sizes: Vec<usize> = vec![1024, 8192, 65536, 262144];
-    let mut messages: u64 = 2048;
-    let mut batch: usize = 32;
+    let (mut messages, mut batch): (u64, usize) = (2048, 32);
     let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    while let Some(flag) = cli.flag() {
+        match flag {
             "--sizes" => {
-                let parsed: Option<Vec<usize>> = it
-                    .next()
-                    .and_then(|v| v.split(',').map(|b| b.trim().parse().ok()).collect());
-                match parsed {
-                    Some(v) if v.len() >= 2 => sizes = v,
-                    _ => {
-                        eprintln!("--sizes needs >= 2 comma-separated payload sizes");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let hint = ">= 2 comma-separated payload sizes";
+                sizes = cli.value_with(flag, hint, |v| parse_list(v).filter(|s| s.len() >= 2))?;
             }
-            "--messages" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => messages = v,
-                _ => {
-                    eprintln!("--messages needs an integer >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => batch = v,
-                _ => {
-                    eprintln!("--batch needs an integer >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                return ExitCode::FAILURE;
-            }
+            "--messages" => messages = cli.count(flag)?,
+            "--batch" => batch = cli.count(flag)?,
+            "--out" => out = Some(cli.value(flag, "a file path")?),
+            other => return Err(unexpected(other)),
         }
     }
+    cli.positionals::<0>()?;
     if !pipemap_exec::worker_probe() {
-        eprintln!("calibrate: worker binary not reachable (set PIPEMAP_WORKER_BIN)");
-        return ExitCode::FAILURE;
+        return Err("calibrate: worker binary not reachable (set PIPEMAP_WORKER_BIN)".into());
     }
     let mut samples = Vec::with_capacity(sizes.len());
     for &size in &sizes {
-        match pipemap_exec::measure_transport(size, messages, batch) {
-            Ok(m) => {
-                eprintln!(
-                    "calibrate: {size} B x {messages} msgs -> {:.3} µs/msg ({:.3}s total)",
-                    m.seconds_per_message * 1e6,
-                    m.elapsed_s
-                );
-                samples.push(pipemap_profile::CalibrationSample {
-                    payload_bytes: size as f64,
-                    seconds_per_message: m.seconds_per_message,
-                });
-            }
-            Err(e) => {
-                eprintln!("calibrate: measuring {size} B failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let m = pipemap_exec::measure_transport(size, messages, batch)
+            .map_err(|e| format!("calibrate: measuring {size} B failed: {e}"))?;
+        eprintln!(
+            "calibrate: {size} B x {messages} msgs -> {:.3} µs/msg ({:.3}s total)",
+            m.seconds_per_message * 1e6,
+            m.elapsed_s
+        );
+        samples.push(pipemap_profile::CalibrationSample {
+            payload_bytes: size as f64,
+            seconds_per_message: m.seconds_per_message,
+        });
     }
-    let Some(cal) = pipemap_profile::TransportCalibration::fit(&samples) else {
-        eprintln!("calibrate: fit failed (need >= 2 distinct payload sizes)");
-        return ExitCode::FAILURE;
-    };
+    let cal = TransportCalibration::fit(&samples)
+        .ok_or("calibrate: fit failed (need >= 2 distinct payload sizes)")?;
     eprintln!(
         "calibrate: per_msg {:.3} µs, per_byte {:.4} ns (r2 {:.4})",
         cal.per_msg_s * 1e6,
@@ -591,15 +581,12 @@ fn cmd_calibrate(args: &[String]) -> ExitCode {
     let doc = cal.to_json();
     match &out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &doc) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            write(path, &doc)?;
             eprintln!("wrote calibration to {path}");
         }
         None => print!("{doc}"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Shared `--serve` / `--hold` / `--recorder-out` flags.
@@ -611,31 +598,15 @@ struct ObsFlags {
 }
 
 impl ObsFlags {
-    /// Try to consume one observability flag; `Ok(true)` if `arg` was
-    /// one of ours.
-    fn try_parse(
-        &mut self,
-        arg: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--serve" => {
-                self.serve = Some(it.next().ok_or("--serve needs an address")?.clone());
-            }
-            "--hold" => {
-                let v = it
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .ok_or("--hold needs a duration in seconds")?;
-                self.hold = Some(v);
-            }
-            "--recorder-out" => {
-                self.recorder_out =
-                    Some(it.next().ok_or("--recorder-out needs a file path")?.clone());
-            }
-            _ => return Ok(false),
+    /// Take `flag` if it is one of ours; any other flag is unexpected.
+    fn parse(&mut self, flag: &str, cli: &mut Cli<'_>) -> Result<(), String> {
+        match flag {
+            "--serve" => self.serve = Some(cli.value(flag, "an address")?),
+            "--hold" => self.hold = Some(cli.parse(flag, "a duration in seconds")?),
+            "--recorder-out" => self.recorder_out = Some(cli.value(flag, "a file path")?),
+            other => return Err(unexpected(other)),
         }
-        Ok(true)
+        Ok(())
     }
 
     fn active(&self) -> bool {
@@ -643,115 +614,43 @@ impl ObsFlags {
     }
 }
 
-fn cmd_explain(args: &[String]) -> ExitCode {
+fn cmd_explain(args: &[String]) -> Result<(), String> {
     use pipemap_tool::{explain, explain_json, explain_trace_json, render_explanation};
-    let mut file: Option<String> = None;
-    let mut report_fmt: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
+    let mut cli = Cli::new(args);
+    let mut json = false;
+    let (mut out, mut trace_out) = (None, None);
     let mut opts = pipemap_tool::ExplainOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    while let Some(flag) = cli.flag() {
+        match flag {
             "--assignment" => opts.cluster = false,
-            "--report" => match it.next() {
-                Some(v) => report_fmt = Some(v.clone()),
-                None => {
-                    eprintln!("--report needs a format (json)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(v) => trace_out = Some(v.clone()),
-                None => {
-                    eprintln!("--trace-out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--robustness" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v > 0 => opts.robustness_trials = Some(v),
-                _ => {
-                    eprintln!("--robustness needs a positive trial count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--spread" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 && v.is_finite() => opts.spread = v,
-                _ => {
-                    eprintln!("--spread needs a non-negative fraction (e.g. 0.1)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) => opts.seed = v,
-                None => {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                return ExitCode::FAILURE;
+            "--report" => json = cli.report(flag)?,
+            "--out" => out = Some(cli.value(flag, "a file path")?),
+            "--trace-out" => trace_out = Some(cli.value(flag, "a file path")?),
+            "--robustness" => {
+                let trials = cli.parse_if(flag, "a positive trial count", |&n| n > 0)?;
+                opts.robustness_trials = Some(trials);
             }
+            "--spread" => {
+                let hint = "a non-negative fraction (e.g. 0.1)";
+                opts.spread = cli.parse_if(flag, hint, |v: &f64| *v >= 0.0 && v.is_finite())?;
+            }
+            "--seed" => opts.seed = cli.parse(flag, "an integer")?,
+            other => return Err(unexpected(other)),
         }
     }
-    let Some(file) = file else {
-        eprintln!("explain needs a spec file\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let json = match report_fmt.as_deref() {
-        None => false,
-        Some("json") => true,
-        Some(other) => {
-            eprintln!("unsupported report format '{other}' (only 'json')");
-            return ExitCode::FAILURE;
-        }
-    };
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let problem = match parse_spec(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{file}:{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let [file] = cli.positionals()?;
+    let file = file.ok_or_else(|| format!("explain needs a spec file\n\n{USAGE}"))?;
+    let problem = read_spec(file)?;
     // Margins land in the global registry as solver.margin.* gauges.
     pipemap_obs::install_global(pipemap_obs::Registry::new());
-    let ex = match explain(&problem, &opts) {
-        Ok(ex) => ex,
-        Err(e) => {
-            eprintln!("explain failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = explain_json(&file, &problem, &ex);
+    let ex = explain(&problem, &opts).map_err(|e| format!("explain failed: {e}"))?;
+    let doc = explain_json(file, &problem, &ex);
     if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, doc.to_json_pretty()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(path, doc.to_json_pretty())?;
         eprintln!("wrote margin spec to {path} (feed to 'doctor --margins')");
     }
     if let Some(path) = &trace_out {
-        let trace = explain_trace_json(&problem, &ex);
-        if let Err(e) = std::fs::write(path, trace.to_json_pretty()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(path, explain_trace_json(&problem, &ex).to_json_pretty())?;
         eprintln!("wrote decision trace to {path}");
     }
     if json {
@@ -759,150 +658,74 @@ fn cmd_explain(args: &[String]) -> ExitCode {
     } else {
         print!("{}", render_explanation(&problem, &ex));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_resolve(args: &[String]) -> ExitCode {
+fn cmd_resolve(args: &[String]) -> Result<(), String> {
     use pipemap_core::{CostDeltas, ResolveArtifact, SolveOptions};
     use pipemap_tool::{doctor_factors, parse_drift, render_resolve, resolve_report_json};
-    let mut file: Option<String> = None;
-    let mut assignment = false;
+    let mut cli = Cli::new(args);
+    let (mut assignment, mut json) = (false, false);
     let mut drift_specs: Vec<String> = Vec::new();
     let mut doctor_file: Option<String> = None;
-    let mut report_fmt: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    while let Some(flag) = cli.flag() {
+        match flag {
             "--assignment" => assignment = true,
-            "--drift" => match it.next() {
-                Some(v) => drift_specs.push(v.clone()),
-                None => {
-                    eprintln!("--drift needs a spec like exec:1=1.5");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--doctor" => match it.next() {
-                Some(v) => doctor_file = Some(v.clone()),
-                None => {
-                    eprintln!("--doctor needs a report file (from 'doctor --report json')");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--report" => match it.next() {
-                Some(v) => report_fmt = Some(v.clone()),
-                None => {
-                    eprintln!("--report needs a format (json)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                return ExitCode::FAILURE;
+            "--drift" => drift_specs.push(cli.value(flag, "a spec like exec:1=1.5")?),
+            "--doctor" => {
+                let hint = "a report file (from 'doctor --report json')";
+                doctor_file = Some(cli.value(flag, hint)?);
             }
+            "--report" => json = cli.report(flag)?,
+            other => return Err(unexpected(other)),
         }
     }
-    let Some(file) = file else {
-        eprintln!("resolve needs a spec file\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let json = match report_fmt.as_deref() {
-        None => false,
-        Some("json") => true,
-        Some(other) => {
-            eprintln!("unsupported report format '{other}' (only 'json')");
-            return ExitCode::FAILURE;
-        }
-    };
+    let [file] = cli.positionals()?;
+    let file = file.ok_or_else(|| format!("resolve needs a spec file\n\n{USAGE}"))?;
     if drift_specs.is_empty() && doctor_file.is_none() {
-        eprintln!("resolve needs a drift source: --drift factors and/or --doctor <report.json>");
-        return ExitCode::FAILURE;
+        return Err(
+            "resolve needs a drift source: --drift factors and/or --doctor <report.json>".into(),
+        );
     }
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let problem = match parse_spec(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{file}:{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let problem = read_spec(file)?;
     // solver.resolve.* counters and gauges land in the global registry.
     pipemap_obs::install_global(pipemap_obs::Registry::new());
-    let artifact = match if assignment {
-        ResolveArtifact::build_assignment(&problem, &SolveOptions::default())
+    let opts = SolveOptions::default();
+    let artifact = if assignment {
+        ResolveArtifact::build_assignment(&problem, &opts)
     } else {
-        ResolveArtifact::build(&problem, &SolveOptions::default())
-    } {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cold solve failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+        ResolveArtifact::build(&problem, &opts)
+    }
+    .map_err(|e| format!("cold solve failed: {e}"))?;
     // Doctor factors first (per-module, collapsed onto the artifact's
     // own mapping), then explicit --drift factors override on top.
     let k = problem.num_tasks();
     let mut deltas = CostDeltas::identity(k);
     if let Some(path) = &doctor_file {
-        let doc = match std::fs::read_to_string(path) {
-            Ok(t) => match pipemap_obs::Value::parse(&t) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let (service, transport) = match doctor_factors(&doc) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let doc = pipemap_obs::Value::parse(&read(path)?)
+            .map_err(|e| format!("cannot parse {path}: {e}"))?;
+        let (service, transport) = doctor_factors(&doc).map_err(|e| format!("{path}: {e}"))?;
         deltas =
             pipemap_doctor::stage_deltas(&artifact.solution().mapping, k, &service, &transport);
     }
-    match parse_drift(k, &drift_specs) {
-        Ok(explicit) => {
-            for (i, &g) in explicit.exec().iter().enumerate() {
-                if g != 1.0 {
-                    deltas.set_exec(i, g);
-                }
-            }
-            for (e, &g) in explicit.icom().iter().enumerate() {
-                if g != 1.0 {
-                    deltas.set_icom(e, g);
-                }
-            }
-            for (e, &g) in explicit.ecom().iter().enumerate() {
-                if g != 1.0 {
-                    deltas.set_ecom(e, g);
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+    let explicit = parse_drift(k, &drift_specs)?;
+    for (i, &g) in explicit.exec().iter().enumerate() {
+        if g != 1.0 {
+            deltas.set_exec(i, g);
         }
     }
-    let run = match pipemap_tool::run_resolve_on(&artifact, &deltas) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("resolve failed: {e}");
-            return ExitCode::FAILURE;
+    for (e, &g) in explicit.icom().iter().enumerate() {
+        if g != 1.0 {
+            deltas.set_icom(e, g);
         }
-    };
+    }
+    for (e, &g) in explicit.ecom().iter().enumerate() {
+        if g != 1.0 {
+            deltas.set_ecom(e, g);
+        }
+    }
+    let run = pipemap_tool::run_resolve_on(&artifact, &deltas)
+        .map_err(|e| format!("resolve failed: {e}"))?;
     if json {
         println!(
             "{}",
@@ -911,12 +734,10 @@ fn cmd_resolve(args: &[String]) -> ExitCode {
     } else {
         print!("{}", render_resolve(&problem, &run));
     }
-    if run.verified {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("resolve result does not match the cold solve — this is a bug");
-        ExitCode::FAILURE
+    if !run.verified {
+        return Err("resolve result does not match the cold solve — this is a bug".into());
     }
+    Ok(())
 }
 
 /// Install the global registry and start the flight recorder and metrics
@@ -987,7 +808,7 @@ fn finish_observability(
         f.stop();
     }
     if let (Some(f), Some(path)) = (flight.as_ref(), flags.recorder_out.as_deref()) {
-        std::fs::write(path, f.to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        write(path, f.to_jsonl())?;
         eprintln!(
             "wrote flight-recorder samples to {path} ({} samples)",
             f.samples().len()
@@ -1008,108 +829,31 @@ fn finish_observability(
     Ok(())
 }
 
-fn cmd_simulate(args: &[String]) -> ExitCode {
-    let mut positional = Vec::new();
+fn cmd_simulate(args: &[String]) -> Result<(), String> {
+    let mut cli = Cli::new(args);
     let mut datasets = 400usize;
     let mut noise: Option<f64> = None;
     let mut seed = 0x51e5u64;
-    let mut report_fmt: Option<String> = None;
+    let mut json = false;
     let mut journey_out: Option<String> = None;
     let mut journey_sample = 1u64;
     let mut obs_flags = ObsFlags::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match obs_flags.try_parse(a, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match a.as_str() {
-            "--datasets" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => datasets = v,
-                None => {
-                    eprintln!("--datasets needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--journey-out" => match it.next() {
-                Some(v) => journey_out = Some(v.clone()),
-                None => {
-                    eprintln!("--journey-out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--journey-sample" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => journey_sample = v,
-                _ => {
-                    eprintln!("--journey-sample needs an integer >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--noise" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => noise = Some(v),
-                None => {
-                    eprintln!("--noise needs a spread in [0, 1)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--report" => match it.next() {
-                Some(v) => report_fmt = Some(v.clone()),
-                None => {
-                    eprintln!("--report needs a format (json)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => positional.push(other.to_string()),
+    while let Some(flag) = cli.flag() {
+        match flag {
+            "--datasets" => datasets = cli.parse(flag, "an integer")?,
+            "--journey-out" => journey_out = Some(cli.value(flag, "a file path")?),
+            "--journey-sample" => journey_sample = cli.count(flag)?,
+            "--noise" => noise = Some(cli.parse(flag, "a spread in [0, 1)")?),
+            "--seed" => seed = cli.parse(flag, "an integer")?,
+            "--report" => json = cli.report(flag)?,
+            other => obs_flags.parse(other, &mut cli)?,
         }
     }
-    let json = match report_fmt.as_deref() {
-        None => false,
-        Some("json") => true,
-        Some(other) => {
-            eprintln!("unsupported report format '{other}' (only 'json')");
-            return ExitCode::FAILURE;
-        }
+    let [Some(file), Some(mapping_str)] = cli.positionals()? else {
+        return Err(format!("simulate needs: <spec-file> <mapping>\n\n{USAGE}"));
     };
-    let [file, mapping_str] = positional.as_slice() else {
-        eprintln!("simulate needs: <spec-file> <mapping>\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let problem = match parse_spec(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{file}:{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mapping = match pipemap_tool::spec::parse_mapping(mapping_str) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bad mapping: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = pipemap_chain::validate(&problem, &mapping) {
-        eprintln!("mapping invalid for this problem: {e}");
-        return ExitCode::FAILURE;
-    }
+    let problem = read_spec(file)?;
+    let mapping = valid_mapping(&problem, mapping_str)?;
     // Journeys are recorded in virtual simulated time; the same doctor
     // pipeline that reads real-executor journeys analyses them.
     let journeys = journey_out.as_ref().map(|_| {
@@ -1117,13 +861,7 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
             pipemap_obs::JourneyConfig::default().with_sample(journey_sample),
         )
     });
-    let (flight, server) = match start_observability(&obs_flags, journeys.as_ref(), None, None) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (flight, server) = start_observability(&obs_flags, journeys.as_ref(), None, None)?;
     let analytic = pipemap_chain::throughput(&problem.chain, &mapping);
     let mut cfg = pipemap_sim::SimConfig::with_datasets(datasets);
     if let Some(s) = noise {
@@ -1144,10 +882,7 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
             )),
             events: col.snapshot(),
         };
-        if let Err(e) = std::fs::write(path, log.to_jsonl()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(path, log.to_jsonl())?;
         eprintln!(
             "wrote {} journey events to {path} (1-in-{} sampling)",
             log.events.len(),
@@ -1174,11 +909,7 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
             println!("module {i}: utilisation {:.0}%", 100.0 * u);
         }
     }
-    if let Err(e) = finish_observability(&obs_flags, flight, server) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    finish_observability(&obs_flags, flight, server)
 }
 
 fn builtin_app(name: Option<&str>) -> Option<pipemap_machine::AppWorkload> {
@@ -1191,96 +922,62 @@ fn builtin_app(name: Option<&str>) -> Option<pipemap_machine::AppWorkload> {
     }
 }
 
-fn cmd_fit(args: &[String]) -> ExitCode {
-    let systolic = args.iter().any(|a| a == "--systolic");
-    let machine = if systolic {
+fn iwarp(systolic: bool) -> MachineConfig {
+    if systolic {
         MachineConfig::iwarp_systolic()
     } else {
         MachineConfig::iwarp_message()
-    };
-    let Some(app) = builtin_app(args.first().map(String::as_str)) else {
-        eprintln!("unknown app; pick fft-hist-256, fft-hist-512, radar, stereo");
-        return ExitCode::FAILURE;
-    };
-    let truth = pipemap_machine::synthesize_problem(&app, &machine);
+    }
+}
+
+fn cmd_fit(args: &[String]) -> Result<(), String> {
+    let mut cli = Cli::new(args);
+    let mut systolic = false;
+    while let Some(flag) = cli.flag() {
+        match flag {
+            "--systolic" => systolic = true,
+            other => return Err(unexpected(other)),
+        }
+    }
+    let [name] = cli.positionals()?;
+    let app =
+        builtin_app(name).ok_or("unknown app; pick fft-hist-256, fft-hist-512, radar, stereo")?;
+    let truth = pipemap_machine::synthesize_problem(&app, &iwarp(systolic));
     let fitted = pipemap_profile::training::fit_problem(
         &truth,
         &pipemap_profile::TrainingConfig::for_procs(truth.total_procs),
     );
-    match pipemap_tool::render_spec(&fitted) {
-        Ok(text) => {
-            print!("{text}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot serialise fitted model: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let text = pipemap_tool::render_spec(&fitted)
+        .map_err(|e| format!("cannot serialise fitted model: {e}"))?;
+    print!("{text}");
+    Ok(())
 }
 
-fn cmd_demo(args: &[String]) -> ExitCode {
-    let mut systolic = false;
-    let mut metrics = false;
+fn cmd_demo(args: &[String]) -> Result<(), String> {
+    let mut cli = Cli::new(args);
+    let (mut systolic, mut metrics) = (false, false);
     let mut trace_out: Option<String> = None;
-    let mut name: Option<String> = None;
     let mut obs_flags = ObsFlags::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match obs_flags.try_parse(a, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match a.as_str() {
+    while let Some(flag) = cli.flag() {
+        match flag {
             "--systolic" => systolic = true,
             "--metrics" => metrics = true,
-            "--trace-out" => match it.next() {
-                Some(v) => trace_out = Some(v.clone()),
-                None => {
-                    eprintln!("--trace-out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if name.is_none() => name = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                return ExitCode::FAILURE;
-            }
+            "--trace-out" => trace_out = Some(cli.value(flag, "a file path")?),
+            other => obs_flags.parse(other, &mut cli)?,
         }
     }
-    let machine = if systolic {
-        MachineConfig::iwarp_systolic()
-    } else {
-        MachineConfig::iwarp_message()
-    };
-    let Some(app) = builtin_app(name.as_deref()) else {
-        eprintln!("unknown demo; pick fft-hist-256, fft-hist-512, radar, stereo");
-        return ExitCode::FAILURE;
-    };
+    let [name] = cli.positionals()?;
+    let app =
+        builtin_app(name).ok_or("unknown demo; pick fft-hist-256, fft-hist-512, radar, stereo")?;
     if metrics {
         // Capture solver counters and wall-time histograms while the
         // mappers run; snapshotted into the JSON report.
         pipemap_obs::install_global(pipemap_obs::Registry::new());
     }
-    let (mut flight, server) = match start_observability(&obs_flags, None, None, None) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (mut flight, server) = start_observability(&obs_flags, None, None, None)?;
     let options = MapperOptions::default();
-    let report = match auto_map(&app, &machine, &options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("demo failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report =
+        auto_map(&app, &iwarp(systolic), &options).map_err(|e| format!("demo failed: {e}"))?;
     // Traced re-run of the chosen mapping on the ground-truth costs (same
     // noise seed as the first measurement run) — the run the per-stage
     // metrics and the Chrome trace describe.
@@ -1307,10 +1004,7 @@ fn cmd_demo(args: &[String]) -> ExitCode {
             }
             None => pipemap_sim::chrome_trace_json(trace),
         };
-        if let Err(e) = std::fs::write(path, doc.to_json_pretty()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(path, doc.to_json_pretty())?;
         eprintln!(
             "wrote Chrome trace to {path} ({} activities)",
             trace.activities.len()
@@ -1326,219 +1020,103 @@ fn cmd_demo(args: &[String]) -> ExitCode {
     } else {
         println!("{}", render_report(&report));
     }
-    if let Err(e) = finish_observability(&obs_flags, flight, server) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    finish_observability(&obs_flags, flight, server)
 }
 
-fn cmd_load(args: &[String]) -> ExitCode {
+/// A `--rate` ramp `lo:hi:steps` with `0 < lo <= hi` and `steps >= 2`.
+fn parse_ramp(text: &str) -> Option<(f64, f64, usize)> {
+    let mut parts = text.split(':');
+    let lo: f64 = parts.next()?.parse().ok()?;
+    let hi: f64 = parts.next()?.parse().ok()?;
+    let steps: usize = parts.next()?.parse().ok()?;
+    (parts.next().is_none() && lo > 0.0 && hi >= lo && steps >= 2).then_some((lo, hi, steps))
+}
+
+fn cmd_load(args: &[String]) -> Result<(), String> {
     use pipemap_exec::TransportKind;
     use pipemap_tool::{
         load_report_json, parse_duration_s, rate_sweep_json, render_load_summary,
         render_rate_sweep, run_rate_sweep, try_run_configured_load, LoadConfig, Workload,
     };
+    let mut cli = Cli::new(args);
     let mut cfg = LoadConfig::default();
-    let mut duration_set = false;
-    let mut reference = false;
-    let mut report_fmt: Option<String> = None;
+    let mut duration: Option<f64> = None;
+    let (mut reference, mut json) = (false, false);
     let mut journey_out: Option<String> = None;
     let mut journey_sample = 1u64;
     let mut sweep: Option<(f64, f64, usize)> = None;
     let mut obs_flags = ObsFlags::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match obs_flags.try_parse(a, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        macro_rules! numeric {
-            ($what:literal) => {
-                match it.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => {
-                        eprintln!(concat!($what, " needs a number"));
-                        return ExitCode::FAILURE;
-                    }
+    while let Some(flag) = cli.flag() {
+        match flag {
+            "--rate" => match cli.value(flag, "a rate or a lo:hi:steps ramp")? {
+                // Ramp syntax: sweep the offered rate lo..hi in steps.
+                v if v.contains(':') => {
+                    let ramp = parse_ramp(&v)
+                        .ok_or("--rate ramp must be lo:hi:steps with 0 < lo <= hi, steps >= 2")?;
+                    sweep = Some(ramp);
                 }
-            };
-        }
-        match a.as_str() {
-            "--rate" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--rate needs a rate or a lo:hi:steps ramp");
-                    return ExitCode::FAILURE;
-                };
-                if v.contains(':') {
-                    // Ramp syntax: sweep the offered rate lo..hi in steps.
-                    let parts: Vec<&str> = v.split(':').collect();
-                    let parsed = (parts.len() == 3)
-                        .then(|| {
-                            Some((
-                                parts[0].parse::<f64>().ok()?,
-                                parts[1].parse::<f64>().ok()?,
-                                parts[2].parse::<usize>().ok()?,
-                            ))
-                        })
-                        .flatten();
-                    match parsed {
-                        Some((lo, hi, steps)) if lo > 0.0 && hi >= lo && steps >= 2 => {
-                            sweep = Some((lo, hi, steps));
-                        }
-                        _ => {
-                            eprintln!(
-                                "--rate ramp must be lo:hi:steps with 0 < lo <= hi, steps >= 2"
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                } else {
-                    match v.parse::<f64>() {
-                        Ok(r) if r > 0.0 && !r.is_nan() => cfg.rate = Some(r),
-                        _ => {
-                            eprintln!("--rate must be positive");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-            }
-            "--transport" => match it.next().map(String::as_str).and_then(TransportKind::parse) {
-                Some(t) => cfg.transport = t,
-                None => {
-                    eprintln!("--transport must be 'inproc' or 'uds'");
-                    return ExitCode::FAILURE;
+                v => {
+                    let rate = v.parse().ok().filter(|r: &f64| *r > 0.0);
+                    cfg.rate = Some(rate.ok_or("--rate must be positive")?);
                 }
             },
+            "--transport" => {
+                cfg.transport = cli.value_with(flag, "'inproc' or 'uds'", TransportKind::parse)?;
+            }
             "--admit-rate" => {
-                let r: f64 = numeric!("--admit-rate");
-                if r <= 0.0 || r.is_nan() {
-                    eprintln!("--admit-rate must be positive");
-                    return ExitCode::FAILURE;
-                }
-                cfg.admit_rate = Some(r);
+                let rate = cli.parse_if(flag, "a positive number", |r: &f64| *r > 0.0)?;
+                cfg.admit_rate = Some(rate);
             }
-            "--shed-queue" => {
-                let q: usize = numeric!("--shed-queue");
-                if q == 0 {
-                    eprintln!("--shed-queue must be >= 1");
-                    return ExitCode::FAILURE;
-                }
-                cfg.shed_queue = Some(q);
-            }
+            "--shed-queue" => cfg.shed_queue = Some(cli.count(flag)?),
             "--calibration" => {
-                let Some(path) = it.next() else {
-                    eprintln!("--calibration needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                let cal = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))
-                    .and_then(|t| pipemap_profile::TransportCalibration::parse(&t));
-                match cal {
-                    Ok(c) => cfg.calibration = Some(c),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let path = cli.value(flag, "a file path")?;
+                cfg.calibration = Some(TransportCalibration::parse(&read(&path)?)?);
             }
-            "--duration" => match it.next().map(String::as_str).and_then(parse_duration_s) {
-                Some(v) => {
-                    cfg.duration_s = Some(v);
-                    duration_set = true;
-                }
-                None => {
-                    eprintln!("--duration needs a duration like 2, 2s, or 250ms");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--datasets" => {
-                cfg.datasets = Some(numeric!("--datasets"));
-                // A dataset count is a complete stop condition by itself.
-                if !duration_set {
-                    cfg.duration_s = None;
-                }
+            "--duration" => {
+                let hint = "a duration like 2, 2s, or 250ms";
+                duration = Some(cli.value_with(flag, hint, parse_duration_s)?);
             }
-            "--batch" => cfg.batch = numeric!("--batch"),
-            "--flush-us" => cfg.flush_us = numeric!("--flush-us"),
-            "--queue-depth" => cfg.queue_depth = numeric!("--queue-depth"),
-            "--stages" => cfg.stages = numeric!("--stages"),
-            "--size" => cfg.size = numeric!("--size"),
-            "--replicas" => cfg.replicas = numeric!("--replicas"),
-            "--threads" => cfg.threads = numeric!("--threads"),
+            "--datasets" => cfg.datasets = Some(cli.parse(flag, "a number")?),
+            "--batch" => cfg.batch = cli.count(flag)?,
+            "--flush-us" => cfg.flush_us = cli.parse(flag, "a number")?,
+            "--queue-depth" => cfg.queue_depth = cli.count(flag)?,
+            "--stages" => cfg.stages = cli.count(flag)?,
+            "--size" => cfg.size = cli.parse(flag, "a number")?,
+            "--replicas" => cfg.replicas = cli.parse(flag, "a number")?,
+            "--threads" => cfg.threads = cli.parse(flag, "a number")?,
             "--no-pool" => cfg.pool = false,
             "--reference" => reference = true,
-            "--journey-out" => match it.next() {
-                Some(v) => journey_out = Some(v.clone()),
-                None => {
-                    eprintln!("--journey-out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--journey-sample" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => journey_sample = v,
-                _ => {
-                    eprintln!("--journey-sample needs an integer >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--report" => match it.next() {
-                Some(v) => report_fmt = Some(v.clone()),
-                None => {
-                    eprintln!("--report needs a format (json)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => match Workload::parse(other) {
-                Some(w) => cfg.workload = w,
-                None => {
-                    eprintln!("unexpected argument '{other}' (workloads: micro, fft-hist)");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--journey-out" => journey_out = Some(cli.value(flag, "a file path")?),
+            "--journey-sample" => journey_sample = cli.count(flag)?,
+            "--report" => json = cli.report(flag)?,
+            other => obs_flags.parse(other, &mut cli)?,
         }
+    }
+    if let [Some(name)] = cli.positionals()? {
+        cfg.workload = Workload::parse(name)
+            .ok_or_else(|| format!("unexpected argument '{name}' (workloads: micro, fft-hist)"))?;
+    }
+    // A dataset count is a complete stop condition by itself.
+    if duration.is_some() || cfg.datasets.is_some() {
+        cfg.duration_s = duration;
     }
     if reference {
         cfg = cfg.reference();
     }
-    let json = match report_fmt.as_deref() {
-        None => false,
-        Some("json") => true,
-        Some(other) => {
-            eprintln!("unsupported report format '{other}' (only 'json')");
-            return ExitCode::FAILURE;
-        }
-    };
-    if cfg.batch == 0 || cfg.queue_depth == 0 || cfg.stages == 0 {
-        eprintln!("--batch, --queue-depth, and --stages must be >= 1");
-        return ExitCode::FAILURE;
-    }
     let uds = cfg.transport == TransportKind::Uds;
     if uds && !pipemap_exec::worker_probe() {
-        eprintln!("--transport uds: worker binary not reachable (set PIPEMAP_WORKER_BIN)");
-        return ExitCode::FAILURE;
+        return Err("--transport uds: worker binary not reachable (set PIPEMAP_WORKER_BIN)".into());
     }
 
     // Ramp mode: sweep the offered rate and report the saturation knee.
     if let Some((lo, hi, steps)) = sweep {
-        return match run_rate_sweep(&cfg, lo, hi, steps) {
-            Ok(s) => {
-                if json {
-                    println!("{}", rate_sweep_json(&cfg, &s).to_json_pretty());
-                } else {
-                    print!("{}", render_rate_sweep(&s));
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+        let s = run_rate_sweep(&cfg, lo, hi, steps)?;
+        if json {
+            println!("{}", rate_sweep_json(&cfg, &s).to_json_pretty());
+        } else {
+            print!("{}", render_rate_sweep(&s));
+        }
+        return Ok(());
     }
 
     // Journey tracing: hand every worker thread a sampled sink; the
@@ -1583,18 +1161,12 @@ fn cmd_load(args: &[String]) -> ExitCode {
     if events.is_some() {
         cfg.slo = Some(pipemap_obs::SloConfig::default());
     }
-    let (flight, server) = match start_observability(
+    let (flight, server) = start_observability(
         &obs_flags,
         journeys.as_ref().or(telemetry_journeys.as_ref()),
         events.as_ref(),
         publisher.as_ref(),
-    ) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )?;
     // The online observatory: a background thread polling the journey
     // collector, refitting the per-stage cost estimators, and publishing
     // the fitted model (with residual events) while the load runs.
@@ -1621,13 +1193,7 @@ fn cmd_load(args: &[String]) -> ExitCode {
         }
         _ => None,
     };
-    let summary = match try_run_configured_load(&cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("load run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let summary = try_run_configured_load(&cfg).map_err(|e| format!("load run failed: {e}"))?;
     // Final ingest+refit so even a short run lands in /model.json before
     // --hold keeps the surface up for scrapers.
     if let Some(h) = observatory {
@@ -1657,10 +1223,7 @@ fn cmd_load(args: &[String]) -> ExitCode {
             model: pipemap_tool::measured_prediction(&summary),
             events,
         };
-        if let Err(e) = std::fs::write(path, log.to_jsonl()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(path, log.to_jsonl())?;
         eprintln!(
             "wrote {} journey events to {path} (1-in-{} sampling, {} dropped)",
             log.events.len(),
@@ -1673,280 +1236,116 @@ fn cmd_load(args: &[String]) -> ExitCode {
     } else {
         print!("{}", render_load_summary(&summary));
     }
-    if let Err(e) = finish_observability(&obs_flags, flight, server) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    finish_observability(&obs_flags, flight, server)?;
     // A load run that served nothing is a failure — CI's stress smoke
     // relies on this to catch a wedged executor.
     if summary.report.completed == 0 && cfg.datasets != Some(0) {
-        eprintln!("load run completed 0 datasets");
-        return ExitCode::FAILURE;
+        return Err("load run completed 0 datasets".into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_top(args: &[String]) -> ExitCode {
+fn cmd_top(args: &[String]) -> Result<(), String> {
     use pipemap_tool::{parse_duration_s, run_top, TopConfig};
+    let mut cli = Cli::new(args);
     let mut cfg = TopConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--attach" => match it.next() {
-                Some(v) => cfg.attach = Some(v.clone()),
-                None => {
-                    eprintln!("--attach needs an address like 127.0.0.1:9184");
-                    return ExitCode::FAILURE;
-                }
-            },
+    let positive = |v: &str| parse_duration_s(v).filter(|&s| s > 0.0);
+    while let Some(flag) = cli.flag() {
+        match flag {
+            "--attach" => cfg.attach = Some(cli.value(flag, "an address like 127.0.0.1:9184")?),
             "--once" => cfg.once = true,
-            "--interval" => match it.next().map(String::as_str).and_then(parse_duration_s) {
-                Some(v) if v > 0.0 => cfg.interval_s = v,
-                _ => {
-                    eprintln!("--interval needs a positive duration like 1, 0.5s, or 250ms");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--duration" => match it.next().map(String::as_str).and_then(parse_duration_s) {
-                Some(v) if v > 0.0 => cfg.duration_s = v,
-                _ => {
-                    eprintln!("--duration needs a positive duration like 5, 5s, or 500ms");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                return ExitCode::FAILURE;
+            "--interval" => {
+                let hint = "a positive duration like 1, 0.5s, or 250ms";
+                cfg.interval_s = cli.value_with(flag, hint, positive)?;
             }
+            "--duration" => {
+                let hint = "a positive duration like 5, 5s, or 500ms";
+                cfg.duration_s = cli.value_with(flag, hint, positive)?;
+            }
+            other => return Err(unexpected(other)),
         }
     }
-    match run_top(&cfg) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli.positionals::<0>()?;
+    run_top(&cfg)
 }
 
-fn cmd_doctor(args: &[String]) -> ExitCode {
+fn cmd_doctor(args: &[String]) -> Result<(), String> {
     use pipemap_doctor::{
         diagnose_log_with_margins, publish, render, report_json, DoctorOptions, JourneyLog,
         MarginSpec, ModelPrediction,
     };
-    let mut file: Option<String> = None;
-    let mut attach: Option<String> = None;
-    let mut margins_file: Option<String> = None;
-    let mut report_fmt: Option<String> = None;
-    let mut model_mode: Option<String> = None;
-    let mut fail_on_drift = false;
-    let mut spec: Option<String> = None;
-    let mut mapping_str: Option<String> = None;
-    let mut trace_out: Option<String> = None;
+    let mut cli = Cli::new(args);
+    let (mut json, mut online_mode, mut fail_on_drift) = (false, false, false);
+    let (mut attach, mut margins_file, mut trace_out) = (None, None, None);
+    let (mut spec, mut mapping_str) = (None, None);
     let mut opts = DoctorOptions::default();
     let mut obs_flags = ObsFlags::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match obs_flags.try_parse(a, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match a.as_str() {
-            "--attach" => match it.next() {
-                Some(v) => attach = Some(v.clone()),
-                None => {
-                    eprintln!("--attach needs an address like 127.0.0.1:9184");
-                    return ExitCode::FAILURE;
-                }
-            },
+    while let Some(flag) = cli.flag() {
+        match flag {
+            "--attach" => attach = Some(cli.value(flag, "an address like 127.0.0.1:9184")?),
             "--fail-on-drift" => fail_on_drift = true,
-            "--margins" => match it.next() {
-                Some(v) => margins_file = Some(v.clone()),
-                None => {
-                    eprintln!("--margins needs a 'pipemap explain --report json' file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--model" => match it.next() {
-                Some(v) => model_mode = Some(v.clone()),
-                None => {
-                    eprintln!("--model needs a mode (static or online)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threshold" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 && v.is_finite() => opts.margin = v,
-                _ => {
-                    eprintln!("--threshold needs a non-negative fraction (e.g. 0.1)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--min-samples" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.min_samples = v,
-                None => {
-                    eprintln!("--min-samples needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--spec" => match it.next() {
-                Some(v) => spec = Some(v.clone()),
-                None => {
-                    eprintln!("--spec needs a spec file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--mapping" => match it.next() {
-                Some(v) => mapping_str = Some(v.clone()),
-                None => {
-                    eprintln!("--mapping needs a mapping like '0-0:8x3,1-2:10x4'");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(v) => trace_out = Some(v.clone()),
-                None => {
-                    eprintln!("--trace-out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--report" => match it.next() {
-                Some(v) => report_fmt = Some(v.clone()),
-                None => {
-                    eprintln!("--report needs a format (json)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                return ExitCode::FAILURE;
+            "--margins" => {
+                let hint = "a 'pipemap explain --report json' file";
+                margins_file = Some(cli.value(flag, hint)?);
             }
+            "--model" => {
+                online_mode = cli.value_with(flag, "a mode (static or online)", |v| match v {
+                    "static" => Some(false),
+                    "online" => Some(true),
+                    _ => None,
+                })?;
+            }
+            "--threshold" => {
+                let hint = "a non-negative fraction (e.g. 0.1)";
+                opts.margin = cli.parse_if(flag, hint, |v: &f64| *v >= 0.0 && v.is_finite())?;
+            }
+            "--min-samples" => opts.min_samples = cli.parse(flag, "an integer")?,
+            "--spec" => spec = Some(cli.value(flag, "a spec file")?),
+            "--mapping" => {
+                let hint = "a mapping like '0-0:8x3,1-2:10x4'";
+                mapping_str = Some(cli.value(flag, hint)?);
+            }
+            "--trace-out" => trace_out = Some(cli.value(flag, "a file path")?),
+            "--report" => json = cli.report(flag)?,
+            other => obs_flags.parse(other, &mut cli)?,
         }
     }
-    let json = match report_fmt.as_deref() {
-        None => false,
-        Some("json") => true,
-        Some(other) => {
-            eprintln!("unsupported report format '{other}' (only 'json')");
-            return ExitCode::FAILURE;
-        }
-    };
-    let online_mode = match model_mode.as_deref() {
-        None | Some("static") => false,
-        Some("online") => true,
-        Some(other) => {
-            eprintln!("unsupported model mode '{other}' (static or online)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let text = match (&file, &attach) {
-        (Some(path), None) => match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let text = match (cli.positionals()?, &attach) {
+        ([Some(path)], None) => read(path)?,
         // Bounded retry with backoff: an endpoint started moments ago
         // (e.g. `load --serve` backgrounded by a script) becomes
         // reachable within the window instead of failing hard.
-        (None, Some(addr)) => {
-            match pipemap_tool::http_get_retry(
-                addr,
-                "/journeys.jsonl",
-                pipemap_tool::ATTACH_ATTEMPTS,
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        ([None], Some(addr)) => {
+            pipemap_tool::http_get_retry(addr, "/journeys.jsonl", pipemap_tool::ATTACH_ATTEMPTS)?
         }
         _ => {
-            eprintln!("doctor needs exactly one of <journeys.jsonl> or --attach <addr>\n\n{USAGE}");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "doctor needs exactly one of <journeys.jsonl> or --attach <addr>\n\n{USAGE}"
+            ))
         }
     };
-    let mut log = match JourneyLog::parse(&text) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("bad journey log: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut log = JourneyLog::parse(&text).map_err(|e| format!("bad journey log: {e}"))?;
     // --spec/--mapping rebuild the prediction from the fitted model
     // instead of trusting the snapshot the producer stamped (e.g. to ask
     // "does this trace fit the spec I *thought* I deployed?").
     match (&spec, &mapping_str) {
         (Some(spec_path), Some(mstr)) => {
-            let spec_text = match std::fs::read_to_string(spec_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {spec_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let problem = match parse_spec(&spec_text) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{spec_path}:{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mapping = match pipemap_tool::spec::parse_mapping(mstr) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("bad mapping: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = pipemap_chain::validate(&problem, &mapping) {
-                eprintln!("mapping invalid for this problem: {e}");
-                return ExitCode::FAILURE;
-            }
+            let problem = read_spec(spec_path)?;
+            let mapping = valid_mapping(&problem, mstr)?;
             log.model = Some(ModelPrediction::from_chain(&problem.chain, &mapping));
         }
         (None, None) => {}
-        _ => {
-            eprintln!("--spec and --mapping must be given together");
-            return ExitCode::FAILURE;
-        }
+        _ => return Err("--spec and --mapping must be given together".into()),
     }
     // --margins replaces the fixed near-tie threshold with each stage's
     // exact stability interval from a `pipemap explain` report: drift is
     // flagged exactly when a fitted cost escapes the interval within
     // which the deployed mapping is provably still optimal.
-    let margin_spec: Option<MarginSpec> = match &margins_file {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match MarginSpec::parse(&text) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    let margin_spec = match &margins_file {
+        Some(path) => Some(MarginSpec::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?),
         None => None,
     };
-    let (flight, server) = match start_observability(&obs_flags, None, None, None) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (flight, server) = start_observability(&obs_flags, None, None, None)?;
     let report = diagnose_log_with_margins(&log, margin_spec.as_ref(), &opts);
     // --model online: refit the per-stage cost estimators from the
     // journeys themselves (16-dataset half-life, so recent behaviour
@@ -1958,13 +1357,9 @@ fn cmd_doctor(args: &[String]) -> ExitCode {
             half_life: 16.0,
             ..pipemap_profile::OnlineConfig::default()
         };
-        match pipemap_tool::online_drift(&log, cfg, opts.margin) {
-            Some(d) => Some(d),
-            None => {
-                eprintln!("--model online found no service observations in the journeys");
-                return ExitCode::FAILURE;
-            }
-        }
+        let drift = pipemap_tool::online_drift(&log, cfg, opts.margin)
+            .ok_or("--model online found no service observations in the journeys")?;
+        Some(drift)
     } else {
         None
     };
@@ -1978,11 +1373,10 @@ fn cmd_doctor(args: &[String]) -> ExitCode {
                 .map(|i| format!("stage{i}"))
                 .collect(),
         };
-        let doc = pipemap_obs::chrome_flow_trace(&log.events, &names);
-        if let Err(e) = std::fs::write(path, doc.to_json_pretty()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(
+            path,
+            pipemap_obs::chrome_flow_trace(&log.events, &names).to_json_pretty(),
+        )?;
         eprintln!("wrote journey flow trace to {path}");
     }
     if json {
@@ -1997,125 +1391,61 @@ fn cmd_doctor(args: &[String]) -> ExitCode {
             print!("{}", pipemap_tool::render_online_drift(d));
         }
     }
-    if let Err(e) = finish_observability(&obs_flags, flight, server) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    finish_observability(&obs_flags, flight, server)?;
     if report.complete == 0 {
-        eprintln!("no complete journeys in the input — nothing to diagnose");
-        return ExitCode::FAILURE;
+        return Err("no complete journeys in the input — nothing to diagnose".into());
     }
     let online_drifted = online.as_ref().is_some_and(|d| d.drifted.is_some());
     if fail_on_drift && (report.drift == Some(true) || online_drifted) {
-        eprintln!("drift detected (exit forced by --fail-on-drift)");
-        return ExitCode::FAILURE;
+        return Err("drift detected (exit forced by --fail-on-drift)".into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn read_bench_file(path: &str) -> Result<pipemap_obs::Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    pipemap_obs::Value::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e:?}"))
+    pipemap_obs::Value::parse(&read(path)?).map_err(|e| format!("{path}: invalid JSON: {e:?}"))
 }
 
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut against: Option<String> = None;
-    let mut threshold: Option<f64> = None;
-    let mut warn_only = false;
-    let mut validate: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+fn cmd_bench(args: &[String]) -> Result<(), String> {
+    let mut cli = Cli::new(args);
+    let (mut quick, mut warn_only) = (false, false);
+    let (mut out, mut baseline, mut against, mut validate) = (None, None, None, None);
+    let mut threshold = None;
+    while let Some(flag) = cli.flag() {
+        match flag {
             "--quick" => quick = true,
             "--warn-only" => warn_only = true,
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--compare" => match it.next() {
-                Some(v) => baseline = Some(v.clone()),
-                None => {
-                    eprintln!("--compare needs a baseline bench file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--against" => match it.next() {
-                Some(v) => against = Some(v.clone()),
-                None => {
-                    eprintln!("--against needs a bench file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threshold" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 => threshold = Some(v),
-                _ => {
-                    eprintln!("--threshold needs a positive fraction (e.g. 0.3)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--validate" => match it.next() {
-                Some(v) => validate = Some(v.clone()),
-                None => {
-                    eprintln!("--validate needs a bench file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                return ExitCode::FAILURE;
+            "--out" => out = Some(cli.value(flag, "a file path")?),
+            "--compare" => baseline = Some(cli.value(flag, "a baseline bench file")?),
+            "--against" => against = Some(cli.value(flag, "a bench file")?),
+            "--threshold" => {
+                let hint = "a positive fraction (e.g. 0.3)";
+                threshold = Some(cli.parse_if(flag, hint, |v: &f64| *v > 0.0)?);
             }
+            "--validate" => validate = Some(cli.value(flag, "a bench file")?),
+            other => return Err(unexpected(other)),
         }
     }
+    cli.positionals::<0>()?;
 
     // Pure validation mode: no suite run.
     if let Some(path) = &validate {
-        let doc = match read_bench_file(path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_bench(&doc) {
-            Ok(()) => {
-                println!("{path}: valid {}", pipemap_tool::BENCH_SCHEMA);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        validate_bench(&read_bench_file(path)?).map_err(|e| format!("{path}: {e}"))?;
+        println!("{path}: valid {}", pipemap_tool::BENCH_SCHEMA);
+        return Ok(());
     }
 
     // Current document: a file (--against) or a fresh suite run.
     let current = match &against {
-        Some(path) => match read_bench_file(path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => read_bench_file(path)?,
         None => {
             eprintln!(
                 "running bench suite{} ...",
                 if quick { " (quick)" } else { "" }
             );
             let doc = run_bench_suite(&BenchOptions { quick });
-            let path = out
-                .clone()
-                .unwrap_or_else(|| format!("BENCH_{}.json", git_sha()));
-            if let Err(e) = std::fs::write(&path, doc.to_json_pretty() + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            let path = out.unwrap_or_else(|| format!("BENCH_{}.json", git_sha()));
+            write(&path, doc.to_json_pretty() + "\n")?;
             eprintln!("wrote {path}");
             doc
         }
@@ -2133,37 +1463,23 @@ fn cmd_bench(args: &[String]) -> ExitCode {
                 println!("{name} = {} {unit}", v.unwrap_or(f64::NAN));
             }
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     };
-    let base = match read_bench_file(baseline_path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match compare_bench(&current, &base, threshold) {
-        Ok(result) => {
-            print!("{}", result.render());
-            let regressions = result.regressions();
-            if regressions.is_empty() {
-                ExitCode::SUCCESS
-            } else if warn_only {
-                eprintln!("warn-only: ignoring {} regression(s)", regressions.len());
-                ExitCode::SUCCESS
-            } else {
-                // Each line names the unit and both values, so the
-                // failure is diagnosable from CI output alone.
-                eprintln!("perf regression in {} metric(s):", regressions.len());
-                for line in result.regression_details() {
-                    eprintln!("  {line}");
-                }
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
+    let result = compare_bench(&current, &read_bench_file(baseline_path)?, threshold)?;
+    print!("{}", result.render());
+    let regressions = result.regressions();
+    if regressions.is_empty() {
+        return Ok(());
     }
+    if warn_only {
+        eprintln!("warn-only: ignoring {} regression(s)", regressions.len());
+        return Ok(());
+    }
+    // Each line names the unit and both values, so the failure is
+    // diagnosable from CI output alone.
+    let mut msg = format!("perf regression in {} metric(s):", regressions.len());
+    for line in result.regression_details() {
+        msg.push_str(&format!("\n  {line}"));
+    }
+    Err(msg)
 }

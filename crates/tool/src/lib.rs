@@ -23,7 +23,6 @@ pub mod bench;
 pub mod explain;
 pub mod load;
 pub mod mapper;
-pub mod markdown;
 pub mod observatory;
 pub mod render;
 pub mod report;
@@ -46,7 +45,6 @@ pub use load::{
     LoadConfig, LoadSummary, RateSweep, SweepPoint, Workload, KNEE_KEEPUP,
 };
 pub use mapper::{auto_map, MapperOptions, MappingReport};
-pub use markdown::{report_markdown, table2_header, table2_row};
 pub use observatory::{
     online_drift, online_drift_json, render_online_drift, spawn_observatory, Observatory,
     ObservatoryConfig, ObservatoryHandle, OnlineDrift, OnlineStageDrift, MODEL_SCHEMA,

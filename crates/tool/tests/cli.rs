@@ -138,6 +138,179 @@ fn unknown_command_fails() {
     assert!(!out.status.success());
 }
 
+/// `simulate` with stand-ins for its two positionals.
+const SIMULATE: &[&str] = &["simulate", "x.pmap", "0-0:1x1"];
+
+/// Every value-taking flag of every subcommand, as `(leading arguments,
+/// flag, an unparsable value)`. The leading arguments stand in for the
+/// positionals; the flag is rejected before any of them is opened.
+const VALUE_FLAGS: &[(&[&str], &str, Option<&str>)] = &[
+    (&["map", "x.pmap"], "--calibration", None),
+    (&["map", "x.pmap"], "--edge-bytes", Some("8k")),
+    (&["map", "x.pmap"], "--report", None),
+    (&["map", "x.pmap"], "--latency-floor", Some("fast")),
+    (&["map", "x.pmap"], "--min-procs", Some("fast")),
+    (&["calibrate"], "--sizes", Some("64")),
+    (&["calibrate"], "--messages", Some("many")),
+    (&["calibrate"], "--batch", Some("0")),
+    (&["calibrate"], "--out", None),
+    (&["explain", "x.pmap"], "--report", None),
+    (&["explain", "x.pmap"], "--out", None),
+    (&["explain", "x.pmap"], "--trace-out", None),
+    (&["explain", "x.pmap"], "--robustness", Some("0")),
+    (&["explain", "x.pmap"], "--spread", Some("-1")),
+    (&["explain", "x.pmap"], "--seed", Some("x")),
+    (SIMULATE, "--datasets", Some("x")),
+    (SIMULATE, "--noise", Some("x")),
+    (SIMULATE, "--seed", Some("x")),
+    (SIMULATE, "--report", None),
+    (SIMULATE, "--journey-out", None),
+    (SIMULATE, "--journey-sample", Some("0")),
+    (SIMULATE, "--serve", None),
+    (SIMULATE, "--hold", Some("x")),
+    (SIMULATE, "--recorder-out", None),
+    (&["demo", "radar"], "--trace-out", None),
+    (&["demo", "radar"], "--serve", None),
+    (&["demo", "radar"], "--hold", Some("x")),
+    (&["demo", "radar"], "--recorder-out", None),
+    (&["bench"], "--out", None),
+    (&["bench"], "--compare", None),
+    (&["bench"], "--against", None),
+    (&["bench"], "--threshold", Some("0")),
+    (&["bench"], "--validate", None),
+    (&["load", "micro"], "--rate", Some("x")),
+    (&["load", "micro"], "--rate", Some("400:200:3")),
+    (&["load", "micro"], "--duration", Some("x")),
+    (&["load", "micro"], "--transport", Some("tcp")),
+    (&["load", "micro"], "--admit-rate", Some("0")),
+    (&["load", "micro"], "--shed-queue", Some("0")),
+    (&["load", "micro"], "--calibration", None),
+    (&["load", "micro"], "--datasets", Some("x")),
+    (&["load", "micro"], "--batch", Some("x")),
+    (&["load", "micro"], "--flush-us", Some("x")),
+    (&["load", "micro"], "--queue-depth", Some("x")),
+    (&["load", "micro"], "--stages", Some("x")),
+    (&["load", "micro"], "--size", Some("x")),
+    (&["load", "micro"], "--replicas", Some("x")),
+    (&["load", "micro"], "--threads", Some("x")),
+    (&["load", "micro"], "--report", None),
+    (&["load", "micro"], "--journey-out", None),
+    (&["load", "micro"], "--journey-sample", Some("0")),
+    (&["load", "micro"], "--serve", None),
+    (&["load", "micro"], "--hold", Some("x")),
+    (&["load", "micro"], "--recorder-out", None),
+    (&["doctor", "j.jsonl"], "--attach", None),
+    (&["doctor", "j.jsonl"], "--report", None),
+    (&["doctor", "j.jsonl"], "--model", None),
+    (&["doctor", "j.jsonl"], "--margins", None),
+    (&["doctor", "j.jsonl"], "--threshold", Some("-1")),
+    (&["doctor", "j.jsonl"], "--min-samples", Some("x")),
+    (&["doctor", "j.jsonl"], "--spec", None),
+    (&["doctor", "j.jsonl"], "--mapping", None),
+    (&["doctor", "j.jsonl"], "--trace-out", None),
+    (&["doctor", "j.jsonl"], "--serve", None),
+    (&["doctor", "j.jsonl"], "--hold", Some("x")),
+    (&["doctor", "j.jsonl"], "--recorder-out", None),
+    (&["resolve", "x.pmap"], "--drift", None),
+    (&["resolve", "x.pmap"], "--doctor", None),
+    (&["resolve", "x.pmap"], "--report", None),
+    (&["top"], "--attach", None),
+    (&["top"], "--interval", Some("0")),
+    (&["top"], "--duration", Some("x")),
+];
+
+/// A flag with no value, or with one that does not parse, makes every
+/// command exit nonzero with a stderr line naming the flag, and never
+/// panic.
+#[test]
+fn every_value_flag_rejects_missing_and_unparsable_values() {
+    for &(lead, flag, bad) in VALUE_FLAGS {
+        for value in std::iter::once(None).chain(bad.map(Some)) {
+            let out = pipemap().args(lead).arg(flag).args(value).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            let call = format!("{lead:?} {flag} {value:?}");
+            assert!(!out.status.success(), "{call} succeeded");
+            assert!(
+                err.lines().any(|l| l.contains(flag)),
+                "{call}: stderr does not name the flag:\n{err}"
+            );
+            assert!(!err.contains("panicked at"), "{call} panicked:\n{err}");
+        }
+    }
+}
+
+/// Every command, with stand-ins for its positionals.
+const COMMANDS: &[&[&str]] = &[
+    &["map", "x.pmap"],
+    &["calibrate"],
+    &["explain", "x.pmap"],
+    SIMULATE,
+    &["demo", "radar"],
+    &["bench"],
+    &["load", "micro"],
+    &["doctor", "j.jsonl"],
+    &["resolve", "x.pmap"],
+    &["top"],
+    &["fit", "radar"],
+    &["template"],
+];
+
+/// An unknown flag is rejected by name in every command, before or after
+/// the positionals — never taken for a positional, never ignored.
+#[test]
+fn every_command_rejects_unknown_flags() {
+    for args in COMMANDS {
+        let (cmd, positionals) = args.split_first().unwrap();
+        let bogus: &[&str] = &["--bogus"];
+        for (first, second) in [(bogus, positionals), (positionals, bogus)] {
+            let out = pipemap()
+                .arg(cmd)
+                .args(first)
+                .args(second)
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            let call = format!("{cmd} {first:?} {second:?}");
+            assert!(!out.status.success(), "{call} succeeded");
+            assert!(
+                err.contains("unexpected argument '--bogus'"),
+                "{call}: {err}"
+            );
+        }
+    }
+}
+
+/// Flags may come before, between or after the positionals.
+#[test]
+fn flags_may_precede_positionals() {
+    let run = |args: &[&str]| {
+        let out = pipemap().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert_eq!(
+        run(&["fit", "--systolic", "radar"]),
+        run(&["fit", "radar", "--systolic"])
+    );
+    let dir = std::env::temp_dir().join("pipemap-cli-test-flag-order");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = write_spec(&dir, "p.pmap", SPEC);
+    let spec = spec.to_str().unwrap();
+    assert_eq!(
+        run(&["map", "--greedy-only", spec]),
+        run(&["map", spec, "--greedy-only"])
+    );
+    let mapping = "0-0:2x4,1-1:1x8";
+    assert_eq!(
+        run(&["simulate", "--datasets", "50", spec, "--seed", "3", mapping]),
+        run(&["simulate", spec, mapping, "--datasets", "50", "--seed", "3"])
+    );
+}
+
 /// `simulate --report json` is virtual-time only, so a seeded run is
 /// byte-for-byte reproducible — and a different seed actually changes
 /// the noise draw.
