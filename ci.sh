@@ -48,12 +48,16 @@ for WORKLOAD in plan_cold plan_replan plan_automap; do
 done
 unset CARGO_TARGET_DIR
 
-echo "== solver equivalence under forced thread counts =="
-# The differential suite must hold regardless of the worker-pool size the
+echo "== solver bit-identity suites under forced thread counts =="
+# The differential suite, the provenance recorder and the incremental
+# re-solver must hold bit for bit regardless of the worker-pool size the
 # environment imposes; 1 exercises the serial fallback, 4 oversubscribes
 # small CI machines on purpose.
-PIPEMAP_THREADS=1 cargo test -q -p pipemap-core --test equivalence
-PIPEMAP_THREADS=4 cargo test -q -p pipemap-core --test equivalence
+for THREADS in 1 4; do
+    for SUITE in equivalence provenance resolve_identity; do
+        PIPEMAP_THREADS=$THREADS cargo test -q -p pipemap-core --test "$SUITE"
+    done
+done
 
 echo "== executor data plane: batching equivalence under forced thread counts =="
 # Batched + pooled transport must be bit-identical to the unbatched

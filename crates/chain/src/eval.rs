@@ -12,6 +12,12 @@
 //! per data set at steady state — is `f / r`, and the pipeline throughput
 //! is `1 / max_i (f_i / r_i)` with the maximiser called the *bottleneck*
 //! module.
+//!
+//! This module is the repository's one evaluator of that formula. Every
+//! solver prices a module through [`ResponseBreakdown::effective`] and
+//! [`module_throughput`], and folds a pipeline through [`bottleneck`], so a
+//! solver's internal value for a mapping is [`throughput`] of that mapping
+//! to the bit.
 
 use pipemap_model::Seconds;
 
@@ -33,15 +39,58 @@ pub struct ResponseBreakdown {
 }
 
 impl ResponseBreakdown {
-    /// The response time `f` of one instance per data set.
+    /// The response time `f` of one instance per data set, associated as
+    /// `(incoming + exec) + outgoing`.
+    #[inline]
     pub fn total(&self) -> Seconds {
         self.incoming + self.exec + self.outgoing
     }
 
     /// The effective per-data-set time `f / r`.
+    #[inline]
     pub fn effective(&self) -> Seconds {
         self.total() / self.replicas as f64
     }
+}
+
+/// Throughput of one module in data sets per second, `1 / effective`,
+/// with one rule at the edges:
+///
+/// * `0` (a free module) → `+∞`;
+/// * `+∞` (an infinitely slow module) → `0`;
+/// * NaN or negative → NaN. Such a module has no throughput, and a NaN
+///   loses every comparison, so no optimiser can prefer it.
+#[inline]
+pub fn module_throughput(effective: Seconds) -> f64 {
+    if effective == 0.0 {
+        f64::INFINITY
+    } else if effective > 0.0 {
+        1.0 / effective
+    } else {
+        f64::NAN
+    }
+}
+
+/// The bottleneck of a pipeline given its modules' effective responses
+/// in chain order: the leftmost module with the largest one, and the
+/// pipeline throughput, [`module_throughput`] of that response. IEEE
+/// division is monotone, so the throughput is also the minimum over the
+/// modules' throughputs.
+///
+/// A NaN or negative module is returned as the bottleneck with throughput
+/// NaN, rather than skipped the way `f64::max` would skip it. No modules
+/// give `(0, +∞)`.
+pub fn bottleneck(effectives: impl IntoIterator<Item = Seconds>) -> (usize, f64) {
+    let (mut index, mut worst) = (0, 0.0);
+    for (i, e) in effectives.into_iter().enumerate() {
+        if e.is_nan() || e < 0.0 {
+            return (i, f64::NAN);
+        }
+        if e > worst {
+            (index, worst) = (i, e);
+        }
+    }
+    (index, module_throughput(worst))
 }
 
 /// Response time of module `idx` of the mapping, broken into components.
@@ -91,32 +140,25 @@ pub fn module_response(chain: &TaskChain, mapping: &Mapping, idx: usize) -> Resp
     }
 }
 
+/// Effective responses of the mapping's modules, in chain order.
+fn effectives<'a>(
+    chain: &'a TaskChain,
+    mapping: &'a Mapping,
+) -> impl Iterator<Item = Seconds> + 'a {
+    (0..mapping.modules.len()).map(|i| module_response(chain, mapping, i).effective())
+}
+
 /// Pipeline throughput of the mapping in data sets per second:
-/// `1 / max_i (f_i / r_i)`.
+/// `1 / max_i (f_i / r_i)`, NaN if any module's response is (see
+/// [`bottleneck`]).
 pub fn throughput(chain: &TaskChain, mapping: &Mapping) -> f64 {
-    let worst = (0..mapping.modules.len())
-        .map(|i| module_response(chain, mapping, i).effective())
-        .fold(0.0_f64, f64::max);
-    if worst <= 0.0 {
-        f64::INFINITY
-    } else {
-        1.0 / worst
-    }
+    bottleneck(effectives(chain, mapping)).1
 }
 
 /// Index of the bottleneck module (the one with the largest effective
 /// response time; ties resolve to the leftmost).
 pub fn bottleneck_module(chain: &TaskChain, mapping: &Mapping) -> usize {
-    let mut best = 0;
-    let mut best_t = f64::NEG_INFINITY;
-    for i in 0..mapping.modules.len() {
-        let t = module_response(chain, mapping, i).effective();
-        if t > best_t {
-            best_t = t;
-            best = i;
-        }
-    }
-    best
+    bottleneck(effectives(chain, mapping)).0
 }
 
 #[cfg(test)]
@@ -217,5 +259,43 @@ mod tests {
             .build();
         let m = Mapping::new(vec![ModuleAssignment::new(0, 0, 1, 1)]);
         assert!(throughput(&c, &m).is_infinite());
+    }
+
+    #[test]
+    fn module_throughput_rule() {
+        assert_eq!(module_throughput(0.0), f64::INFINITY);
+        assert_eq!(module_throughput(-0.0), f64::INFINITY);
+        assert_eq!(module_throughput(f64::INFINITY), 0.0);
+        assert_eq!(module_throughput(4.0), 0.25);
+        assert!(module_throughput(f64::NAN).is_nan());
+        assert!(module_throughput(-1.0).is_nan());
+        assert!(module_throughput(f64::NEG_INFINITY).is_nan());
+    }
+
+    #[test]
+    fn bottleneck_is_leftmost_argmax_and_nan_poisons() {
+        assert_eq!(bottleneck([1.0, 4.0, 4.0, 2.0]), (1, 0.25));
+        assert_eq!(bottleneck([0.0, 0.0]), (0, f64::INFINITY));
+        assert_eq!(bottleneck([1.0, f64::INFINITY]), (1, 0.0));
+        assert_eq!(bottleneck(std::iter::empty()), (0, f64::INFINITY));
+        // `f64::max` would skip these and price the module as free.
+        let (i, thr) = bottleneck([8.0, f64::NAN, 16.0]);
+        assert_eq!(i, 1);
+        assert!(thr.is_nan());
+        let (i, thr) = bottleneck([8.0, -1.0]);
+        assert_eq!(i, 1);
+        assert!(thr.is_nan());
+    }
+
+    #[test]
+    fn nan_module_makes_the_mapping_nan() {
+        let c = ChainBuilder::new()
+            .task(Task::new("a", PolyUnary::perfectly_parallel(8.0)))
+            .edge(Edge::free())
+            .task(Task::new("b", PolyUnary::new(f64::NAN, 1.0, 0.0)))
+            .build();
+        let m = Mapping::task_parallel(&[4, 4]);
+        assert!(throughput(&c, &m).is_nan());
+        assert_eq!(bottleneck_module(&c, &m), 1);
     }
 }

@@ -13,10 +13,11 @@
 //! A [`Mapping`] clusters the chain into contiguous *modules* and gives each
 //! module a replication degree and a per-instance processor count; the
 //! [`eval`] module computes per-module response times and the pipeline
-//! throughput `1 / max_i (f_i / r_i)`, and [`validate`] checks structural
-//! and resource validity. [`tables::CostTable`] pre-evaluates all cost
-//! functions over the processor range so the mapping algorithms in
-//! `pipemap-core` run on O(1) lookups.
+//! throughput `1 / max_i (f_i / r_i)` — the one evaluator every solver
+//! prices through — and [`validate`] checks structural and resource
+//! validity. [`tables::CostTable`] pre-evaluates all cost functions over
+//! the processor range so the mapping algorithms in `pipemap-core` run on
+//! table lookups.
 
 pub mod chain;
 pub mod edge;
@@ -29,7 +30,10 @@ pub mod validate;
 
 pub use chain::{ChainBuilder, TaskChain};
 pub use edge::Edge;
-pub use eval::{bottleneck_module, module_response, throughput, ResponseBreakdown};
+pub use eval::{
+    bottleneck, bottleneck_module, module_response, module_throughput, throughput,
+    ResponseBreakdown,
+};
 pub use mapping::{Assignment, Mapping, ModuleAssignment};
 pub use problem::{Problem, ReplicationPolicy};
 pub use tables::CostTable;

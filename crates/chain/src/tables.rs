@@ -4,14 +4,15 @@
 //! `UnaryCost`/`BinaryCost` enum (or a user closure) in the innermost loop
 //! would dominate the run time. [`CostTable`] materialises every cost
 //! function once into a [`pipemap_model::DenseCostTable`] (flat rows for
-//! unary costs, row-major `P×P` slabs for `ecom`), builds prefix sums over
-//! the chain so a *module's* execution time is an O(1) lookup for any
-//! extent and processor count (the §3.3 requirement), and caches memory
-//! floors and replication decisions. The dense backing is shared read-only
-//! with the solvers' worker threads via [`CostTable::dense`].
+//! unary costs, row-major `P×P` slabs for `ecom`) and caches memory floors
+//! and replication decisions. A *module's* execution time sums its members
+//! from these rows in [`crate::module_response`]'s order, so the solvers
+//! and the evaluator agree to the bit. The dense backing is shared
+//! read-only with the solvers' worker threads via [`CostTable::dense`].
 
 use pipemap_model::{max_replication, DenseCostTable, Procs, Replication, Seconds};
 
+use crate::eval::ResponseBreakdown;
 use crate::problem::{Problem, ReplicationPolicy};
 
 /// Pre-evaluated execution, communication, memory-floor, and replication
@@ -23,10 +24,6 @@ pub struct CostTable {
     /// Flat per-point costs: `f_exec`, `f_icom` rows and `f_ecom` slabs,
     /// each cost function evaluated exactly once per argument.
     dense: DenseCostTable,
-    /// `exec_prefix[p-1][i]` = Σ_{l<i} exec_l(p); length `k+1` per row.
-    exec_prefix: Vec<Vec<Seconds>>,
-    /// `icom_prefix[p-1][e]` = Σ_{d<e} icom_d(p); length `k` per row.
-    icom_prefix: Vec<Vec<Seconds>>,
     /// `floor[first][last]` = module memory/explicit floor. The sentinel
     /// `usize::MAX` marks a module that cannot run at any processor count.
     floor: Vec<Vec<Procs>>,
@@ -53,23 +50,6 @@ impl CostTable {
             |e, p| chain.edge(e).icom.eval(p),
             |e, ps, pr| chain.edge(e).ecom.eval(ps, pr),
         );
-
-        let mut exec_prefix = Vec::with_capacity(max_p);
-        let mut icom_prefix = Vec::with_capacity(max_p);
-        for p in 1..=max_p {
-            let mut epfx = Vec::with_capacity(k + 1);
-            epfx.push(0.0);
-            for i in 0..k {
-                epfx.push(epfx[i] + dense.exec(i, p));
-            }
-            exec_prefix.push(epfx);
-            let mut ipfx = Vec::with_capacity(k);
-            ipfx.push(0.0);
-            for e in 0..k.saturating_sub(1) {
-                ipfx.push(ipfx[e] + dense.icom(e, p));
-            }
-            icom_prefix.push(ipfx);
-        }
 
         let mut floor = vec![vec![Procs::MAX; k]; k];
         let mut replicable = vec![vec![false; k]; k];
@@ -98,8 +78,6 @@ impl CostTable {
             k,
             max_p,
             dense,
-            exec_prefix,
-            icom_prefix,
             floor,
             replicable,
             rep,
@@ -117,51 +95,28 @@ impl CostTable {
     /// Re-price the table in place by per-cost multiplicative factors:
     /// `exec[i]` scales task `i`'s execution row, `icom[e]` / `ecom[e]`
     /// scale edge `e`'s redistribution row / transfer slab (factor `1.0`
-    /// leaves a cost untouched). Prefix sums are rebuilt with the same
-    /// summation order as [`CostTable::build`], so the result is
-    /// bit-identical to building a fresh table from a problem whose cost
-    /// functions return `base(p) * factor`. Floors and replication are
-    /// cost-independent and stay as built.
+    /// leaves a cost untouched). The result is bit-identical to building a
+    /// fresh table from a problem whose cost functions return
+    /// `base(p) * factor`. Floors and replication are cost-independent and
+    /// stay as built.
     ///
     /// Slices may be shorter than the chain; missing entries mean `1.0`.
     pub fn rescale(&mut self, exec: &[f64], icom: &[f64], ecom: &[f64]) {
         let at = |f: &[f64], i: usize| f.get(i).copied().unwrap_or(1.0);
-        let mut unary_touched = false;
         for i in 0..self.k {
             let g = at(exec, i);
             if g != 1.0 {
                 self.dense.scale_exec_row(i, g);
-                unary_touched = true;
             }
         }
         for e in 0..self.k.saturating_sub(1) {
             let g = at(icom, e);
             if g != 1.0 {
                 self.dense.scale_icom_row(e, g);
-                unary_touched = true;
             }
             let g = at(ecom, e);
             if g != 1.0 {
                 self.dense.scale_ecom_slab(e, g);
-            }
-        }
-        if !unary_touched {
-            return;
-        }
-        for p in 1..=self.max_p {
-            let epfx = &mut self.exec_prefix[p - 1];
-            epfx.clear();
-            epfx.push(0.0);
-            for i in 0..self.k {
-                let prev = epfx[i];
-                epfx.push(prev + self.dense.exec(i, p));
-            }
-            let ipfx = &mut self.icom_prefix[p - 1];
-            ipfx.clear();
-            ipfx.push(0.0);
-            for e in 0..self.k.saturating_sub(1) {
-                let prev = ipfx[e];
-                ipfx.push(prev + self.dense.icom(e, p));
             }
         }
     }
@@ -196,13 +151,20 @@ impl CostTable {
     }
 
     /// Execution time of the module `first..=last` on `p` processors:
-    /// member executions plus internal redistributions, via prefix sums.
-    #[inline]
+    /// member executions plus internal redistributions, summed left to
+    /// right exactly as [`crate::module_response`] sums them. Linear in the
+    /// module's length; the solvers call it once per row, outside their
+    /// inner scans.
     pub fn module_exec(&self, first: usize, last: usize, p: Procs) -> Seconds {
         debug_assert!(first <= last && last < self.k);
-        let row = &self.exec_prefix[p - 1];
-        let irow = &self.icom_prefix[p - 1];
-        (row[last + 1] - row[first]) + (irow[last] - irow[first])
+        let mut exec = 0.0;
+        for l in first..=last {
+            exec += self.exec(l, p);
+            if l < last {
+                exec += self.icom(l, p);
+            }
+        }
+        exec
     }
 
     /// The module's processor floor, or `None` if the module can never run.
@@ -235,7 +197,8 @@ impl CostTable {
     /// Effective (replication-adjusted) response time of the *singleton*
     /// module of task `i` offered `p` processors, with its neighbours'
     /// instance sizes `prev_inst` / `next_inst` (`None` at chain ends):
-    /// `(ecom_in + exec + ecom_out)(instance sizes) / r`.
+    /// [`ResponseBreakdown::effective`] of `ecom_in`, `exec` and `ecom_out`
+    /// at instance sizes.
     ///
     /// Returns `+inf` below the task's floor — convenient as an "never pick
     /// this" value inside the optimisers.
@@ -250,14 +213,13 @@ impl CostTable {
             return f64::INFINITY;
         };
         let inst = rep.procs_per_instance;
-        let mut f = self.exec(i, inst);
-        if let Some(q) = prev_inst {
-            f += self.ecom(i - 1, q, inst);
+        ResponseBreakdown {
+            incoming: prev_inst.map_or(0.0, |q| self.ecom(i - 1, q, inst)),
+            exec: self.exec(i, inst),
+            outgoing: next_inst.map_or(0.0, |n| self.ecom(i, inst, n)),
+            replicas: rep.instances,
         }
-        if let Some(n) = next_inst {
-            f += self.ecom(i, inst, n);
-        }
-        f / rep.instances as f64
+        .effective()
     }
 
     /// Instance size for task `i` offered `p` processors under the policy
@@ -456,8 +418,8 @@ mod tests {
                     );
                 }
             }
-            // Prefix sums were rebuilt in build order, so module lookups
-            // match to the bit too.
+            // Module sums read the patched rows, so they match to the bit
+            // too.
             for first in 0..3 {
                 for last in first..3 {
                     assert_eq!(

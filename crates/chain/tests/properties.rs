@@ -66,15 +66,13 @@ proptest! {
                 }
             }
         }
-        // Module composition equals the summed members everywhere.
+        // Module composition is the evaluator's `exec`, to the bit.
         for first in 0..chain.len() {
             for last in first..chain.len() {
                 for p in (1..=problem.total_procs).step_by(2) {
-                    let direct: f64 = (first..=last)
-                        .map(|i| chain.task(i).exec.eval(p))
-                        .sum::<f64>()
-                        + (first..last).map(|e| chain.edge(e).icom.eval(p)).sum::<f64>();
-                    prop_assert!((table.module_exec(first, last, p) - direct).abs() < 1e-9);
+                    let module = Mapping::new(vec![ModuleAssignment::new(first, last, 1, p)]);
+                    let direct = module_response(chain, &module, 0).exec;
+                    prop_assert_eq!(table.module_exec(first, last, p).to_bits(), direct.to_bits());
                 }
                 // Floors match the problem's computation.
                 prop_assert_eq!(
@@ -104,7 +102,7 @@ proptest! {
             .map(|i| module_response(&problem.chain, &mapping, i).effective())
             .fold(0.0f64, f64::max);
         if worst > 0.0 {
-            prop_assert!((thr - 1.0 / worst).abs() <= 1e-12 * thr.abs().max(1.0));
+            prop_assert_eq!(thr.to_bits(), (1.0 / worst).to_bits());
         } else {
             prop_assert!(thr.is_infinite());
         }

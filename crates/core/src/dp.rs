@@ -70,20 +70,22 @@
 //! stage is a single sentinel value, and per-stage work is
 //! `pt × pl × pn × q ≤ P⁴`), `O(P² · slots)` memory per live stage.
 
-use pipemap_chain::{Assignment, CostTable, Mapping, Problem};
+use pipemap_chain::{
+    module_throughput, Assignment, CostTable, Mapping, Problem, ResponseBreakdown,
+};
 use pipemap_model::Procs;
 
 use crate::greedy;
 use crate::options::SolveOptions;
 use crate::pool::{self, CellStats};
 use crate::provenance::{self, Provenance, StageCells};
-use crate::solution::{Solution, SolveError};
+use crate::solution::{checked_table, Solution, SolveError};
 
-/// Relative safety margin on the pruning incumbent: the greedy bound and
-/// the DP cells accumulate the same three cost terms in different
-/// association orders, so allow a few ulps of slack before declaring a
-/// cell unreachable. Far larger than any association error, far smaller
-/// than any real throughput gap.
+/// Relative slack on the pruning incumbent. The greedy bound and the DP
+/// cells now price modules with the same evaluator, so the slack is not
+/// needed for soundness; it stays because it decides exactly which cells
+/// are skipped, and the cell counts are a tracked benchmark metric. Far
+/// smaller than any real throughput gap.
 const PRUNE_MARGIN: f64 = 1e-12;
 
 /// Slot sentinel for "no entry" in a raw-offer → slot map.
@@ -166,9 +168,9 @@ pub(crate) struct DpResume<'a> {
     pub(crate) frontier: usize,
     /// Retained per-stage tables of the previous unpruned solve (all `k`).
     pub(crate) stages: &'a [DpStage],
-    /// Admissible pruning incumbent in the DP's *internal* arithmetic
-    /// (the previous optimum re-priced on the patched table), or
-    /// `NEG_INFINITY` to fall back to the greedy bound.
+    /// Admissible pruning incumbent: the previous optimum's throughput on
+    /// the re-priced problem, or `NEG_INFINITY` to fall back to the greedy
+    /// bound.
     pub(crate) incumbent: f64,
 }
 
@@ -219,22 +221,21 @@ impl Axis {
     }
 }
 
-/// `1 / f_eff` with the conventions of the solvers: an infinitely slow
-/// state contributes throughput 0 (dominated but legal), a zero-cost state
-/// contributes `+inf`.
+/// Throughput of one module from its response components, priced by the
+/// evaluator ([`ResponseBreakdown::effective`], then [`module_throughput`])
+/// so that every DP value is `pipemap_chain::throughput` of its path to
+/// the bit.
 #[inline]
-pub(crate) fn throughput_of(f_eff: f64) -> f64 {
-    if f_eff.is_infinite() {
-        if f_eff.is_sign_positive() {
-            0.0
-        } else {
-            f64::NEG_INFINITY
+pub(crate) fn response_throughput(incoming: f64, exec: f64, outgoing: f64, replicas: usize) -> f64 {
+    module_throughput(
+        ResponseBreakdown {
+            incoming,
+            exec,
+            outgoing,
+            replicas,
         }
-    } else if f_eff <= 0.0 {
-        f64::INFINITY
-    } else {
-        1.0 / f_eff
-    }
+        .effective(),
+    )
 }
 
 /// One computed stage row (a single `pl`), produced by a pool worker and
@@ -283,14 +284,14 @@ pub(crate) fn run_dp_resumable(
 
     // Replication maps per task: offer → (instance size, instance count).
     let mut inst_of: Vec<Vec<Procs>> = vec![vec![0; p + 1]; k];
-    let mut r_of: Vec<Vec<f64>> = vec![vec![0.0; p + 1]; k];
+    let mut r_of: Vec<Vec<usize>> = vec![vec![0; p + 1]; k];
     for i in 0..k {
         for q in floors[i]..=p {
             let rep = table
                 .module_replication(i, i, q)
                 .expect("offer >= floor implies a replication exists");
             inst_of[i][q] = rep.procs_per_instance;
-            r_of[i][q] = rep.instances as f64;
+            r_of[i][q] = rep.instances;
         }
     }
 
@@ -306,7 +307,7 @@ pub(crate) fn run_dp_resumable(
         .collect();
 
     // Pruning incumbent: the greedy assignment is a feasible DP state
-    // computed with the *same* response arithmetic, so the DP optimum is
+    // priced by the same evaluator, so the DP optimum is
     // ≥ its throughput — an admissible bound. A warm-started run may carry
     // its own incumbent (the previous optimum re-priced, also a feasible
     // state); both are admissible, so take whichever is tighter — after a
@@ -474,7 +475,7 @@ pub(crate) fn run_dp_resumable(
                 };
                 if j == 0 {
                     // Base case: the response depends on (pl, slot) only.
-                    let own = throughput_of((e + eout) / r);
+                    let own = response_throughput(0.0, e, eout, r);
                     st.cells += nominal;
                     if opts.prune && own < bound {
                         st.cells_pruned += nominal;
@@ -493,7 +494,7 @@ pub(crate) fn run_dp_resumable(
                 // Upper bound on any candidate's own term: best possible
                 // incoming transfer. If even that misses the incumbent,
                 // the whole (pl, slot) row is off the optimal path.
-                let cap = throughput_of(((e + ein_min) + eout) / r);
+                let cap = response_throughput(ein_min, e, eout, r);
                 st.cells += nominal;
                 if opts.prune && cap < bound {
                     st.cells_pruned += nominal;
@@ -533,7 +534,7 @@ pub(crate) fn run_dp_resumable(
                             st.qskips += 1;
                             continue; // min(sub, _) ≤ sub ≤ best
                         }
-                        let own = throughput_of(((e + ein_col[q - 1]) + eout) / r);
+                        let own = response_throughput(ein_col[q - 1], e, eout, r);
                         let cand = sub.min(own);
                         if cand > best {
                             best = cand;
@@ -685,9 +686,9 @@ pub(crate) fn run_dp_with_fallback(
 
 /// Optimal processor assignment for the unclustered problem: each task its
 /// own module, replication per the problem's policy. Returns the optimal
-/// [`Solution`] (throughput recomputed by the evaluator) and the chosen
-/// per-task processor counts. Uses the default performance options; see
-/// [`dp_assignment_with`].
+/// [`Solution`] (its throughput is the evaluator's, equal to the DP's
+/// optimum bit for bit) and the chosen per-task processor counts. Uses
+/// the default performance options; see [`dp_assignment_with`].
 pub fn dp_assignment(problem: &Problem) -> Result<(Solution, Assignment), SolveError> {
     dp_assignment_with(problem, &SolveOptions::default())
 }
@@ -699,16 +700,16 @@ pub fn dp_assignment_with(
     problem: &Problem,
     opts: &SolveOptions,
 ) -> Result<(Solution, Assignment), SolveError> {
-    let table = CostTable::build(problem);
+    let table = checked_table(problem)?;
     let trace = run_dp_with_fallback(problem, &table, false, opts, None)?;
     let assignment = Assignment(trace.assignment.clone());
     let mapping: Mapping = assignment
         .to_mapping(problem)
         .expect("DP respects per-task floors");
     let solution = Solution::from_mapping(problem, mapping);
-    debug_assert!(
-        (solution.throughput - trace.throughput).abs() <= 1e-9 * trace.throughput.abs().max(1.0)
-            || (solution.throughput.is_infinite() && trace.throughput.is_infinite()),
+    debug_assert_eq!(
+        solution.throughput.to_bits(),
+        trace.throughput.to_bits(),
         "DP internal value {} disagrees with evaluator {}",
         trace.throughput,
         solution.throughput
@@ -720,7 +721,7 @@ pub fn dp_assignment_with(
 /// Runs the reference enumeration so the tables cover every raw
 /// `(pt, pl, pn)` state.
 pub fn dp_assignment_traced(problem: &Problem) -> Result<DpTrace, SolveError> {
-    let table = CostTable::build(problem);
+    let table = checked_table(problem)?;
     run_dp(problem, &table, true, &SolveOptions::reference())
 }
 
@@ -735,7 +736,7 @@ pub fn dp_assignment_provenance(
     problem: &Problem,
     opts: &SolveOptions,
 ) -> Result<(Solution, Assignment, Provenance), SolveError> {
-    let table = CostTable::build(problem);
+    let table = checked_table(problem)?;
     dp_assignment_provenance_on(problem, &table, opts)
 }
 

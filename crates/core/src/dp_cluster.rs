@@ -75,15 +75,15 @@ use std::sync::OnceLock;
 use pipemap_chain::{CostTable, Mapping, ModuleAssignment, Problem};
 use pipemap_model::Procs;
 
+use crate::dp::response_throughput;
 use crate::greedy;
 use crate::options::SolveOptions;
 use crate::pool::{self, CellStats};
 use crate::provenance::{DecisionCell, Provenance, RunnerUp, StageCells};
-use crate::solution::{Solution, SolveError};
+use crate::solution::{checked_table, Solution, SolveError};
 
-/// Relative safety margin on the pruning incumbent (see `dp.rs`): the
-/// greedy bound folds the same cost terms in a different association
-/// order, so leave a few ulps of slack.
+/// Relative slack on the pruning incumbent; kept so that the cells
+/// skipped, a tracked benchmark metric, do not move (see `dp.rs`).
 const PRUNE_MARGIN: f64 = 1e-12;
 
 /// Packed parent record: the maximising previous-module choice.
@@ -106,13 +106,14 @@ pub struct SolveCtx {
 }
 
 impl SolveCtx {
-    /// Build the cost table for `problem` and wrap it.
-    pub fn new(problem: &Problem) -> Self {
-        Self::from_table(
-            CostTable::build(problem),
+    /// Build the cost table for `problem` and wrap it. Fails with
+    /// [`SolveError::InvalidCost`] if any cost is NaN or negative.
+    pub fn new(problem: &Problem) -> Result<Self, SolveError> {
+        Ok(Self::from_table(
+            checked_table(problem)?,
             problem.num_tasks(),
             problem.total_procs,
-        )
+        ))
     }
 
     /// Wrap an existing table (e.g. a retained table patched in place by
@@ -234,18 +235,6 @@ impl NeAxis {
     }
 }
 
-/// `r / f` with the solvers' conventions: a zero-cost module is infinitely
-/// fast, an infinitely slow one contributes throughput 0 (`r` is a
-/// finite replica count).
-#[inline]
-pub(crate) fn cluster_thr(r: f64, f: f64) -> f64 {
-    if f <= 0.0 {
-        f64::INFINITY
-    } else {
-        r / f
-    }
-}
-
 /// Branch-and-bound suffix bounds.
 ///
 /// `out[j * (P+1) + r]` bounds the throughput of *any* completion of a
@@ -301,14 +290,18 @@ fn suffix_bounds(table: &CostTable, k: usize, p: usize) -> Vec<f64> {
                     .module_replication(start, end, pl)
                     .expect("pl >= floor implies a replication exists");
                 let i = rep.procs_per_instance;
-                let mut f = table.module_exec(start, end, i);
-                if start > 0 {
-                    f += in_min[(start - 1) * p + (i - 1)];
-                }
-                if end + 1 < k {
-                    f += out_min[end * p + (i - 1)];
-                }
-                let thr = cluster_thr(rep.instances as f64, f);
+                let cin = if start > 0 {
+                    in_min[(start - 1) * p + (i - 1)]
+                } else {
+                    0.0
+                };
+                let out = if end + 1 < k {
+                    out_min[end * p + (i - 1)]
+                } else {
+                    0.0
+                };
+                let exec = table.module_exec(start, end, i);
+                let thr = response_throughput(cin, exec, out, rep.instances);
                 for t in start..=end {
                     let cell = &mut task_ub[t * (p + 1) + pl];
                     if thr > *cell {
@@ -373,7 +366,7 @@ pub fn dp_mapping(problem: &Problem) -> Result<Solution, SolveError> {
 /// [`dp_mapping`] with explicit [`SolveOptions`]. Every option combination
 /// returns bit-identical results; the options only trade wall-clock time.
 pub fn dp_mapping_with(problem: &Problem, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    let ctx = SolveCtx::new(problem);
+    let ctx = SolveCtx::new(problem)?;
     run_cluster_dp_with_fallback(problem, &ctx, opts, false, None).map(|run| run.solution)
 }
 
@@ -411,7 +404,7 @@ pub fn dp_mapping_provenance(
     problem: &Problem,
     opts: &SolveOptions,
 ) -> Result<(Solution, Provenance), SolveError> {
-    let ctx = SolveCtx::new(problem);
+    let ctx = SolveCtx::new(problem)?;
     dp_mapping_provenance_ctx(problem, &ctx, opts)
 }
 
@@ -467,9 +460,9 @@ pub(crate) struct ClusterResume<'a> {
     /// Retained stage tables (`stage_key` layout, all `k * k` slots) of
     /// the previous unpruned solve.
     pub(crate) stages: &'a [Option<Stage>],
-    /// Admissible pruning incumbent in the DP's *internal* arithmetic
-    /// (the previous optimum re-priced on the patched table), or
-    /// `NEG_INFINITY` to fall back to the greedy bound.
+    /// Admissible pruning incumbent: the previous optimum's throughput on
+    /// the re-priced problem, or `NEG_INFINITY` to fall back to the greedy
+    /// bound.
     pub(crate) incumbent: f64,
 }
 
@@ -611,14 +604,14 @@ pub(crate) fn run_cluster_dp(
             // Per-offer replication data for this module, shared read-only
             // by the row workers.
             let mut inst_of = vec![0usize; p + 1];
-            let mut r_of = vec![0.0f64; p + 1];
+            let mut r_of = vec![0usize; p + 1];
             let mut exec_of = vec![0.0f64; p + 1];
             for pl in floor..=p {
                 let rep = table
                     .module_replication(first, j, pl)
                     .expect("pl >= floor implies a replication exists");
                 inst_of[pl] = rep.procs_per_instance;
-                r_of[pl] = rep.instances as f64;
+                r_of[pl] = rep.instances;
                 exec_of[pl] = table.module_exec(first, j, rep.procs_per_instance);
             }
             let out_slab = if j + 1 < k {
@@ -701,7 +694,6 @@ pub(crate) fn run_cluster_dp(
                         Some(slab) if ne != 0 => slab[(inst - 1) * p + (ne - 1)],
                         _ => 0.0,
                     };
-                    let base_f = exec + out;
                     let nominal = (p + 1 - pl) as u64;
 
                     // Structural reachability (the other half of `prune`):
@@ -722,7 +714,7 @@ pub(crate) fn run_cluster_dp(
                     if first == 0 {
                         // Base case: M is the leftmost module; slack allowed.
                         st.cells += nominal;
-                        let thr = cluster_thr(r, base_f);
+                        let thr = response_throughput(0.0, exec, out, r);
                         if opts.prune && thr < bound {
                             st.cells_pruned += nominal;
                             continue; // below the incumbent: never optimal
@@ -748,7 +740,7 @@ pub(crate) fn run_cluster_dp(
                     // cheapest incoming transfer over every predecessor.
                     // Below the incumbent, the whole row is off the
                     // optimal path.
-                    let cap = cluster_thr(r, min_cin + base_f);
+                    let cap = response_throughput(min_cin, exec, out, r);
                     st.cells += nominal;
                     if opts.prune && cap < bound {
                         st.cells_pruned += nominal;
@@ -802,8 +794,7 @@ pub(crate) fn run_cluster_dp(
                                     st.qskips += 1;
                                     continue; // min(sub, _) cannot beat best
                                 }
-                                let f = col[q - 1] + base_f;
-                                let thr = cluster_thr(r, f);
+                                let thr = response_throughput(col[q - 1], exec, out, r);
                                 let cand = sub.min(thr);
                                 if cand > best {
                                     best = cand;
@@ -950,9 +941,9 @@ pub(crate) fn run_cluster_dp(
     };
     let mapping = Mapping::new(modules_rev);
     let solution = Solution::from_mapping(problem, mapping);
-    debug_assert!(
-        (solution.throughput - best).abs() <= 1e-9 * best.abs().max(1.0)
-            || (solution.throughput.is_infinite() && best.is_infinite()),
+    debug_assert_eq!(
+        solution.throughput.to_bits(),
+        best.to_bits(),
         "cluster DP internal value {} disagrees with evaluator {}",
         best,
         solution.throughput
@@ -1003,7 +994,6 @@ fn harvest_cluster(
             .module_replication(first, pc.j, pc.pl)
             .expect("path offer respects the floor");
         let inst = rep.procs_per_instance;
-        let r = rep.instances as f64;
         let ne = axes[pc.j + 1].insts[pc.slot];
         let out = if ne != 0 {
             dense.ecom_slab(pc.j)[(inst - 1) * p + (ne - 1)]
@@ -1037,7 +1027,7 @@ fn harvest_cluster(
                     if sub == f64::NEG_INFINITY {
                         continue;
                     }
-                    let cand = sub.min(cluster_thr(r, cin + exec + out));
+                    let cand = sub.min(response_throughput(cin, exec, out, rep.instances));
                     if cand > alt_val {
                         alt_val = cand;
                         alt = Parent {

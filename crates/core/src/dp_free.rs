@@ -31,7 +31,7 @@
 
 use pipemap_chain::{CostTable, Mapping, ModuleAssignment, Problem};
 
-use crate::solution::{Solution, SolveError};
+use crate::solution::{checked_table, Solution, SolveError};
 
 /// Minimum processors needed to reach throughput `t`, plus the mapping
 /// achieving it; `None` if `t` is unreachable within the budget.
@@ -239,7 +239,7 @@ fn min_procs_for_throughput(
 /// [`crate::dp_cluster::dp_mapping`]; strictly better when the rule's
 /// remainder or neighbour-coupling losses bite.
 pub fn dp_mapping_free(problem: &Problem) -> Result<Solution, SolveError> {
-    let table = CostTable::build(problem);
+    let table = checked_table(problem)?;
 
     // Anchor: T = 0 must be feasible iff the problem is feasible at all.
     let Some(base) = min_procs_for_throughput(problem, &table, 0.0) else {

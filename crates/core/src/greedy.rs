@@ -26,10 +26,10 @@
 //! `O(Pk)` as stated in the paper (treating the candidate count as
 //! constant).
 
-use pipemap_chain::{Assignment, CostTable, Problem};
+use pipemap_chain::{bottleneck, Assignment, CostTable, Problem};
 use pipemap_model::Procs;
 
-use crate::solution::{Solution, SolveError};
+use crate::solution::{checked_table, Solution, SolveError};
 
 /// Which tasks may receive the next processor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -108,32 +108,15 @@ fn response(table: &CostTable, a: &[Procs], i: usize) -> f64 {
     table.task_effective_response(i, a[i], prev, next)
 }
 
-/// Pipeline throughput of assignment `a`: `1 / max_i f_i`.
-fn assignment_throughput(table: &CostTable, a: &[Procs]) -> f64 {
-    let worst = (0..a.len())
-        .map(|i| response(table, a, i))
-        .fold(0.0_f64, f64::max);
-    if worst <= 0.0 {
-        f64::INFINITY
-    } else if worst.is_infinite() {
-        0.0
-    } else {
-        1.0 / worst
-    }
+/// The slowest task of assignment `a` and its pipeline throughput,
+/// folded by [`pipemap_chain::bottleneck`].
+fn evaluate(table: &CostTable, a: &[Procs]) -> (usize, f64) {
+    bottleneck((0..a.len()).map(|i| response(table, a, i)))
 }
 
-/// Index of the slowest task (largest effective response).
-fn bottleneck(table: &CostTable, a: &[Procs]) -> usize {
-    let mut best = 0;
-    let mut best_f = f64::NEG_INFINITY;
-    for i in 0..a.len() {
-        let f = response(table, a, i);
-        if f > best_f {
-            best_f = f;
-            best = i;
-        }
-    }
-    best
+/// Pipeline throughput of assignment `a`: `1 / max_i f_i`.
+fn assignment_throughput(table: &CostTable, a: &[Procs]) -> f64 {
+    evaluate(table, a).1
 }
 
 /// The greedy processor assignment (Procedure Greedy, §4.1). Returns the
@@ -143,7 +126,7 @@ pub fn greedy_assignment(
     problem: &Problem,
     options: GreedyOptions,
 ) -> Result<(Solution, Assignment), SolveError> {
-    let table = CostTable::build(problem);
+    let table = checked_table(problem)?;
     greedy_assignment_with_table(problem, &table, options)
 }
 
@@ -163,9 +146,9 @@ pub fn greedy_assignment_with_table(
     Ok((Solution::from_mapping(problem, mapping), assignment))
 }
 
-/// The greedy's best throughput in the solvers' *internal* measure
-/// (`1 / max_i f_i` over table responses), used by the DP solvers as the
-/// admissible pruning incumbent. Returns `0.0` when the singleton
+/// The greedy's best throughput (`1 / max_i f_i` over table responses,
+/// the evaluator's bits), used by the DP solvers as the admissible
+/// pruning incumbent. Returns `0.0` when the singleton
 /// clustering is infeasible (the clustering DP may still find a merged
 /// mapping, so infeasibility here must not abort the caller — it just
 /// means "no incumbent, prune nothing").
@@ -209,7 +192,7 @@ fn greedy_core(
 
     // Steps 2–3: place the remaining processors one at a time.
     while available > 0 {
-        let slow = bottleneck(table, &a);
+        let (slow, _) = evaluate(table, &a);
         let candidates: &[isize] = match options.variant {
             GreedyVariant::Neighbors => &[-1, 0, 1],
             GreedyVariant::BottleneckOnly => &[0],

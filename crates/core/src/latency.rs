@@ -20,9 +20,9 @@
 //!   throughput feasibility filter — so the solver doubles as an
 //!   independent check of the DP state construction.
 
-use pipemap_chain::{module_response, CostTable, Mapping, ModuleAssignment, Problem, TaskChain};
+use pipemap_chain::{module_response, Mapping, ModuleAssignment, Problem, TaskChain};
 
-use crate::solution::SolveError;
+use crate::solution::{checked_table, SolveError};
 
 /// Pipeline latency of one data set under `mapping`: the unloaded
 /// traversal time (every module's receive + execute, with each transfer
@@ -73,7 +73,7 @@ pub fn best_latency_mapping(
         min_throughput >= 0.0 && min_throughput.is_finite(),
         "throughput floor must be a finite non-negative rate"
     );
-    let table = CostTable::build(problem);
+    let table = checked_table(problem)?;
     let k = problem.num_tasks();
     let p = problem.total_procs;
 

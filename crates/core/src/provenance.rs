@@ -35,14 +35,15 @@
 //! decision flips, holding the chosen clustering fixed". For singleton
 //! mappings this is the full assignment-level question.
 
-use pipemap_chain::{module_response, CostTable, Mapping, ModuleAssignment, Problem};
+use pipemap_chain::{
+    module_response, module_throughput, CostTable, Mapping, ModuleAssignment, Problem,
+};
 use pipemap_model::Procs;
 
 use crate::cluster::contract_chain;
-use crate::dp::{self, DpTrace};
-use crate::dp_cluster::cluster_thr;
+use crate::dp::{self, response_throughput, DpTrace};
 use crate::options::SolveOptions;
-use crate::solution::SolveError;
+use crate::solution::{checked_table, SolveError};
 
 /// Margins refuse instances beyond this processor count: the joins are
 /// polynomial but dense, and paper-scale problems sit far below it.
@@ -54,8 +55,8 @@ const MARGIN_MAX_PROCS: usize = 192;
 const MARGIN_WORK_LIMIT: u64 = 4_000_000_000;
 
 /// Relative slack when testing whether an alternative *strictly* beats the
-/// chosen mapping: value tables and the chain evaluator fold the same
-/// costs in different association orders, so ignore ulp-level wins.
+/// chosen mapping: the curves `r / (c + γ·d)` price a module in different
+/// arithmetic from the evaluator, so ignore ulp-level wins.
 const REL_EPS: f64 = 1e-9;
 
 /// Per-stage cell statistics of one DP run (the raw material of the
@@ -360,7 +361,7 @@ struct ModInfo {
     /// Offer → instance size (`0` below the floor).
     inst_of: Vec<Procs>,
     /// Offer → replication degree.
-    r_of: Vec<f64>,
+    r_of: Vec<usize>,
     /// Distinct achievable instance sizes, sorted.
     insts: Vec<Procs>,
     /// Instance size → index into `insts` (`usize::MAX` otherwise).
@@ -376,13 +377,13 @@ impl ModInfo {
             return Err(SolveError::Infeasible);
         }
         let mut inst_of = vec![0usize; p + 1];
-        let mut r_of = vec![0.0f64; p + 1];
+        let mut r_of = vec![0usize; p + 1];
         for q in floor..=p {
             let rep = table
                 .module_replication(i, i, q)
                 .expect("offer >= floor implies a replication exists");
             inst_of[q] = rep.procs_per_instance;
-            r_of[q] = rep.instances as f64;
+            r_of[q] = rep.instances;
         }
         let mut insts: Vec<usize> = inst_of[floor..=p].to_vec();
         insts.sort_unstable();
@@ -428,7 +429,7 @@ fn build_suffix(table: &CostTable, info: &[ModInfo], k: usize, p: usize) -> Vec<
                 let oi = own.idx_of[inst];
                 let cin = table.ecom(j - 1, pinst, inst);
                 if j + 1 == k {
-                    let v = cluster_thr(r, table.exec(j, inst) + cin);
+                    let v = response_throughput(cin, table.exec(j, inst), 0.0, r);
                     for bud in pj..=p {
                         let cell = &mut value[(bud * n_own + oi) * n_prev + pi];
                         if v > *cell {
@@ -443,7 +444,12 @@ fn build_suffix(table: &CostTable, info: &[ModInfo], k: usize, p: usize) -> Vec<
                         .insts
                         .iter()
                         .map(|&ni| {
-                            cluster_thr(r, table.exec(j, inst) + cin + table.ecom(j, inst, ni))
+                            response_throughput(
+                                cin,
+                                table.exec(j, inst),
+                                table.ecom(j, inst, ni),
+                                r,
+                            )
                         })
                         .collect();
                     for bud in pj..=p {
@@ -533,7 +539,7 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
             limit: "stability margins support P <= 192",
         });
     }
-    let table = CostTable::build(cp);
+    let table = checked_table(cp)?;
     let info: Vec<ModInfo> = (0..k)
         .map(|i| ModInfo::build(&table, i, p))
         .collect::<Result<_, _>>()?;
@@ -542,7 +548,7 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
     let mut offers = Vec::with_capacity(k);
     for (i, m) in mapping.modules.iter().enumerate() {
         let q = (info[i].floor..=p)
-            .find(|&q| info[i].inst_of[q] == m.procs && info[i].r_of[q] == m.replicas as f64)
+            .find(|&q| info[i].inst_of[q] == m.procs && info[i].r_of[q] == m.replicas)
             .ok_or(SolveError::Infeasible)?;
         offers.push(q);
     }
@@ -585,15 +591,9 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
         .collect();
     let thr_mod: Vec<f64> = breakdowns
         .iter()
-        .map(|b| cluster_thr(b.replicas as f64, b.total()))
+        .map(|b| module_throughput(b.effective()))
         .collect();
-    let overall = thr_mod.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-    let bottleneck = thr_mod
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
+    let (bottleneck, overall) = pipemap_chain::bottleneck(breakdowns.iter().map(|b| b.effective()));
 
     // Forward value tables (γ-free pieces left of each stage) and the
     // suffix tables (right of each stage).
@@ -642,7 +642,7 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
 
         for pl in info[i].floor..=p {
             let inst = info[i].inst_of[pl];
-            let r = info[i].r_of[pl];
+            let r = info[i].r_of[pl] as f64;
             let e = table.exec(i, inst);
             let total = p - pl;
 
@@ -768,7 +768,7 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
             let mut down = 0.0f64;
             for pa in info[a].floor..=p {
                 let ia = info[a].inst_of[pa];
-                let ra = info[a].r_of[pa];
+                let ra = info[a].r_of[pa] as f64;
                 let ea = table.exec(a, ia);
                 // Prefix rows left of module a, per its predecessor class.
                 let amax2: Vec<Vec<f64>> = if a > 0 {
@@ -794,7 +794,7 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
                         break;
                     }
                     let ib = info[i].inst_of[pb];
-                    let rb = info[i].r_of[pb];
+                    let rb = info[i].r_of[pb] as f64;
                     let eb = table.exec(i, ib);
                     let ce = table.ecom(a, ia, ib);
                     let total = p - pa - pb;
@@ -934,7 +934,6 @@ pub(crate) fn harvest_assignment(
             .module_replication(j, j, pl)
             .expect("assignment respects floors");
         let im = rep.procs_per_instance;
-        let r = rep.instances as f64;
         let pn_raw = if j + 1 < k {
             trace.assignment[j + 1]
         } else {
@@ -961,7 +960,8 @@ pub(crate) fn harvest_assignment(
                 if sub == f64::NEG_INFINITY {
                     continue;
                 }
-                let own = cluster_thr(r, (e + table.ecom(j - 1, inst(j - 1, q), im)) + eout);
+                let ein = table.ecom(j - 1, inst(j - 1, q), im);
+                let own = response_throughput(ein, e, eout, rep.instances);
                 let cand = sub.min(own);
                 if cand > alt_val {
                     alt_val = cand;

@@ -41,13 +41,10 @@
 //!    invalidated suffix is recomputed, splicing the retained prefix
 //!    tables verbatim.
 //! 3. **Warm incumbent.** The previous optimum stays feasible (floors and
-//!    memory are cost-independent), so its re-priced path value is an
-//!    admissible pruning incumbent — almost always far tighter than the
-//!    greedy bound a cold solve starts from. The value is computed with
-//!    the DPs' *internal* arithmetic (the exact own-term expressions and
-//!    the exact min-fold), never the public evaluator: the two agree only
-//!    to ~1e-9 relative while the pruning margin is 1e-12, and an
-//!    incumbent above the internal optimum would prune it.
+//!    memory are cost-independent), so its throughput on the re-priced
+//!    problem — `pipemap_chain::throughput`, which is exactly the DP's
+//!    value for that path — is an admissible pruning incumbent, almost
+//!    always far tighter than the greedy bound a cold solve starts from.
 //!
 //! ## Why splicing an unpruned prefix into a pruned suffix is exact
 //!
@@ -64,8 +61,8 @@
 //! never be the first argmax on-path. Identical terminal scans then
 //! reconstruct identical mappings.
 
-use pipemap_chain::{Assignment, ChainBuilder, CostTable, Edge, Mapping, Problem, Task};
-use pipemap_model::{BinaryCost, Procs, UnaryCost};
+use pipemap_chain::{Assignment, ChainBuilder, Edge, Mapping, Problem, Task};
+use pipemap_model::{BinaryCost, UnaryCost};
 use pipemap_obs::names;
 
 use crate::dp::{self, DpResume, DpTrace};
@@ -324,7 +321,7 @@ impl ResolveArtifact {
     /// Cold-solve `problem` with the cluster DP and retain everything a
     /// warm re-solve needs.
     pub fn build(problem: &Problem, opts: &SolveOptions) -> Result<Self, SolveError> {
-        let ctx = SolveCtx::new(problem);
+        let ctx = SolveCtx::new(problem)?;
         let unpruned = SolveOptions {
             prune: false,
             provenance: false,
@@ -348,7 +345,7 @@ impl ResolveArtifact {
     /// and retain everything a warm re-solve needs. Only this artifact
     /// kind can fire the margin short-circuit (see module docs).
     pub fn build_assignment(problem: &Problem, opts: &SolveOptions) -> Result<Self, SolveError> {
-        let ctx = SolveCtx::new(problem);
+        let ctx = SolveCtx::new(problem)?;
         let unpruned = SolveOptions {
             prune: false,
             provenance: false,
@@ -431,12 +428,12 @@ impl ResolveArtifact {
         // Mechanisms 2 + 3: patch the retained dense table in place
         // (bitwise equal to a cold build of the re-priced problem),
         // recompute only stages >= frontier, and seed pruning with the
-        // old optimum's re-priced path value in internal arithmetic.
+        // old optimum's re-priced throughput.
         let mut table = self.ctx.table().clone();
         table.rescale(&deltas.exec, &deltas.icom, &deltas.ecom);
+        let warm = pipemap_chain::throughput(&repriced.chain, &self.solution.mapping);
         match &self.kind {
             ArtifactKind::Assignment { trace } => {
-                let warm = warm_assignment(&table, p, &trace.assignment);
                 let resume = DpResume {
                     frontier,
                     stages: &trace.stages,
@@ -453,7 +450,6 @@ impl ResolveArtifact {
             }
             ArtifactKind::Cluster { stages } => {
                 let ctx = SolveCtx::from_table(table, k, p);
-                let warm = warm_mapping(ctx.table(), p, k, &self.solution.mapping);
                 let resume = ClusterResume {
                     frontier,
                     stages,
@@ -588,73 +584,6 @@ fn strictly_inside(g: f64, down: f64, up: f64) -> bool {
         true
     };
     above && below
-}
-
-/// Path value of `assignment` on `table` in the assignment DP's internal
-/// arithmetic: the exact per-stage own-term expressions of `run_dp`,
-/// folded with `min` (exact in floating point). Equals the DP value of
-/// this assignment's path bit-for-bit, hence an admissible incumbent —
-/// the optimum of the patched table is ≥ it. `NEG_INFINITY` when the
-/// assignment is no longer realisable (cannot happen for pure cost
-/// drift; defensive).
-fn warm_assignment(table: &CostTable, p: usize, assignment: &[Procs]) -> f64 {
-    let dense = table.dense();
-    let k = assignment.len();
-    let mut inst = vec![0usize; k];
-    let mut r = vec![0.0f64; k];
-    for j in 0..k {
-        match table.module_replication(j, j, assignment[j]) {
-            Some(rep) => {
-                inst[j] = rep.procs_per_instance;
-                r[j] = rep.instances as f64;
-            }
-            None => return f64::NEG_INFINITY,
-        }
-    }
-    let mut worst = f64::INFINITY;
-    for j in 0..k {
-        let e = dense.exec(j, inst[j]);
-        let eout = if j + 1 < k {
-            dense.ecom_slab(j)[(inst[j] - 1) * p + (inst[j + 1] - 1)]
-        } else {
-            0.0
-        };
-        let own = if j == 0 {
-            dp::throughput_of((e + eout) / r[j])
-        } else {
-            let ein = dense.ecom_slab(j - 1)[(inst[j - 1] - 1) * p + (inst[j] - 1)];
-            dp::throughput_of(((e + ein) + eout) / r[j])
-        };
-        worst = worst.min(own);
-    }
-    worst
-}
-
-/// Path value of `mapping` on `table` in the cluster DP's internal
-/// arithmetic (see [`warm_assignment`]): per module,
-/// `cluster_thr(r, [cin +] exec + out)` with the exact association order
-/// of `run_cluster_dp`'s candidate fold.
-fn warm_mapping(table: &CostTable, p: usize, k: usize, mapping: &Mapping) -> f64 {
-    let dense = table.dense();
-    let mods = &mapping.modules;
-    let mut worst = f64::INFINITY;
-    for (mi, m) in mods.iter().enumerate() {
-        let exec = table.module_exec(m.first, m.last, m.procs);
-        let out = if m.last + 1 < k {
-            dense.ecom_slab(m.last)[(m.procs - 1) * p + (mods[mi + 1].procs - 1)]
-        } else {
-            0.0
-        };
-        let base_f = exec + out;
-        let thr = if m.first == 0 {
-            dp_cluster::cluster_thr(m.replicas as f64, base_f)
-        } else {
-            let cin = dense.ecom_slab(m.first - 1)[(mods[mi - 1].procs - 1) * p + (m.procs - 1)];
-            dp_cluster::cluster_thr(m.replicas as f64, cin + base_f)
-        };
-        worst = worst.min(thr);
-    }
-    worst
 }
 
 #[cfg(test)]

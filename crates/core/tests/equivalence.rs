@@ -22,7 +22,8 @@
 
 use pipemap_chain::{ChainBuilder, Edge, Problem, Task};
 use pipemap_core::{
-    brute_force_assignment, brute_force_mapping, dp_assignment_with, dp_mapping_with, SolveOptions,
+    brute_force_assignment, brute_force_mapping, dp_assignment, dp_assignment_with, dp_mapping,
+    dp_mapping_with, greedy_assignment, GreedyOptions, Solution, SolveError, SolveOptions,
 };
 use pipemap_model::{MemoryReq, PolyEcom, PolyUnary};
 use proptest::prelude::*;
@@ -153,9 +154,8 @@ proptest! {
             (Ok((rs, ra)), Ok((os, oa)), Ok((bs, _))) => {
                 prop_assert_eq!(rs.throughput.to_bits(), os.throughput.to_bits());
                 prop_assert_eq!(ra.0, oa.0);
-                prop_assert!(
-                    (rs.throughput - bs.throughput).abs()
-                        <= 1e-9 * bs.throughput.abs().max(1.0),
+                prop_assert_eq!(
+                    rs.throughput.to_bits(), bs.throughput.to_bits(),
                     "dp {} vs brute {}", rs.throughput, bs.throughput
                 );
             }
@@ -179,9 +179,8 @@ proptest! {
             (Ok(rs), Ok(os), Ok(bs)) => {
                 prop_assert_eq!(rs.throughput.to_bits(), os.throughput.to_bits());
                 prop_assert_eq!(rs.mapping, os.mapping);
-                prop_assert!(
-                    (rs.throughput - bs.throughput).abs()
-                        <= 1e-9 * bs.throughput.abs().max(1.0),
+                prop_assert_eq!(
+                    rs.throughput.to_bits(), bs.throughput.to_bits(),
                     "dp {} vs brute {}", rs.throughput, bs.throughput
                 );
             }
@@ -273,6 +272,124 @@ fn thread_counts_agree_bitwise_at_p128() {
         );
         assert_eq!(m.mapping, rm.mapping, "threads={threads}");
     }
+}
+
+/// The throughput bits `dp_assignment`, `dp_mapping` and the greedy report
+/// for `problem`, or their errors, in that order.
+fn solver_answers(problem: &Problem) -> [Result<u64, SolveError>; 3] {
+    let bits = |s: Solution| s.throughput.to_bits();
+    [
+        dp_assignment(problem).map(|(s, _)| bits(s)),
+        dp_mapping(problem).map(bits),
+        greedy_assignment(problem, GreedyOptions::adaptive()).map(|(s, _)| bits(s)),
+    ]
+}
+
+/// Two tasks `a → b` on `p` processors, `b`'s exec model `(c1, c2, 0)`.
+fn two_tasks(b_fixed: f64, b_parallel: f64, p: usize) -> Problem {
+    let chain = ChainBuilder::new()
+        .task(Task::new("a", PolyUnary::perfectly_parallel(4.0)))
+        .edge(Edge::new(
+            PolyUnary::zero(),
+            PolyEcom::new(0.01, 0.0, 0.0, 0.0, 0.0),
+        ))
+        .task(Task::new("b", PolyUnary::new(b_fixed, b_parallel, 0.0)))
+        .build();
+    Problem::new(chain, p, 1e9)
+}
+
+/// The evaluator's edge rule, solver by solver against the brute-force
+/// oracles: free chains are infinitely fast, floors above `P` are
+/// infeasible, a single task gets the oracle's optimum, and a NaN or
+/// negative cost is refused instead of priced.
+#[test]
+fn edge_cases_agree_with_brute_force() {
+    // Every cost zero: +∞.
+    let free = ChainBuilder::new()
+        .task(Task::new("a", PolyUnary::zero()))
+        .edge(Edge::free())
+        .task(Task::new("b", PolyUnary::zero()))
+        .build();
+    let free = Problem::new(free, 4, 1e9);
+    let inf = f64::INFINITY.to_bits();
+    assert_eq!(
+        brute_force_assignment(&free)
+            .unwrap()
+            .0
+            .throughput
+            .to_bits(),
+        inf
+    );
+    assert_eq!(
+        brute_force_mapping(&free).unwrap().throughput.to_bits(),
+        inf
+    );
+    assert_eq!(solver_answers(&free), [Ok(inf), Ok(inf), Ok(inf)]);
+
+    // Floors 5 + 5 (and 10 merged) on 8 processors: infeasible.
+    let heavy =
+        |name: &str| Task::new(name, PolyUnary::zero()).with_memory(MemoryReq::new(0.0, 50.0));
+    let crowded = ChainBuilder::new()
+        .task(heavy("a"))
+        .edge(Edge::free())
+        .task(heavy("b"))
+        .build();
+    let crowded = Problem::new(crowded, 8, 10.0);
+    let infeasible = Err(SolveError::Infeasible);
+    assert_eq!(
+        brute_force_assignment(&crowded).unwrap_err(),
+        SolveError::Infeasible
+    );
+    assert_eq!(
+        brute_force_mapping(&crowded).unwrap_err(),
+        SolveError::Infeasible
+    );
+    assert_eq!(
+        solver_answers(&crowded),
+        [infeasible.clone(), infeasible.clone(), infeasible]
+    );
+
+    // k = 1, replicated with a memory floor of 2: the oracle's optimum.
+    let single = ChainBuilder::new()
+        .task(
+            Task::new("only", PolyUnary::new(0.3, 4.0, 0.05))
+                .with_memory(MemoryReq::new(0.0, 15.0)),
+        )
+        .build();
+    let single = Problem::new(single, 7, 10.0);
+    let best = brute_force_assignment(&single)
+        .unwrap()
+        .0
+        .throughput
+        .to_bits();
+    assert_eq!(
+        brute_force_mapping(&single).unwrap().throughput.to_bits(),
+        best
+    );
+    assert_eq!(solver_answers(&single), [Ok(best), Ok(best), Ok(best)]);
+
+    // A NaN or negative cost: the oracles can only price every mapping
+    // NaN (b's fixed cost is large enough that no module sum is
+    // non-negative); the solvers refuse the problem.
+    for bad in [two_tasks(f64::NAN, 1.0, 8), two_tasks(-50.0, 1.0, 8)] {
+        assert!(brute_force_assignment(&bad).unwrap().0.throughput.is_nan());
+        assert!(brute_force_mapping(&bad).unwrap().throughput.is_nan());
+        for answer in solver_answers(&bad) {
+            match answer {
+                Err(SolveError::InvalidCost { detail }) => {
+                    assert!(detail.starts_with("exec of task 'b' is "), "{detail}");
+                    assert!(detail.ends_with(" at p = 1"), "{detail}");
+                }
+                other => panic!("expected InvalidCost, got {other:?}"),
+            }
+        }
+    }
+    // +∞ is legal: an infinitely slow task makes every mapping worth 0.
+    let zero = 0.0f64.to_bits();
+    assert_eq!(
+        solver_answers(&two_tasks(f64::INFINITY, 1.0, 8)),
+        [Ok(zero), Ok(zero), Ok(zero)]
+    );
 }
 
 /// The greedy incumbent must stay admissible — i.e. never above the DP

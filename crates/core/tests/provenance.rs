@@ -355,7 +355,7 @@ proptest! {
                 // Chosen beats (or ties) its own runner-up in every cell.
                 for cell in &prov.cells {
                     if let Some(ru) = &cell.runner_up {
-                        prop_assert!(ru.value <= cell.value + 1e-12);
+                        prop_assert!(ru.value <= cell.value);
                     }
                 }
                 let budget: usize = prov.cells.iter().map(|c| c.offer).sum();
@@ -382,6 +382,12 @@ proptest! {
                 prop_assert_eq!(&plain.mapping, &prov_sol.mapping);
                 prop_assert_eq!(prov.algorithm, "dp_mapping");
                 prop_assert_eq!(prov.cells.len(), plain.mapping.modules.len());
+                prop_assert_eq!(prov.throughput.to_bits(), plain.throughput.to_bits());
+                for cell in &prov.cells {
+                    if let Some(ru) = &cell.runner_up {
+                        prop_assert!(ru.value <= cell.value);
+                    }
+                }
             }
             (Err(_), Err(_)) => {}
             (plain, prov) => prop_assert!(
@@ -415,7 +421,7 @@ proptest! {
     fn margin_reports_are_well_formed(problem in arb_problem()) {
         if let Ok((sol, _)) = dp_assignment(&problem) {
             let report = stability_margins(&problem, &sol.mapping).expect("margins");
-            prop_assert!((report.throughput - sol.throughput).abs() <= 1e-9 * sol.throughput);
+            prop_assert_eq!(report.throughput.to_bits(), sol.throughput.to_bits());
             prop_assert_eq!(report.stages.len(), sol.mapping.modules.len());
             for s in &report.stages {
                 prop_assert!(s.exec_up >= 1.0, "exec_up = {} < 1", s.exec_up);

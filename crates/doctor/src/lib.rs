@@ -19,8 +19,8 @@
 //! * compares measured service/transport means against the model's
 //!   predictions with 95% confidence intervals;
 //! * computes the **measured bottleneck** — the stage with the largest
-//!   effective response `(transport + service) / replicas`, mirroring
-//!   [`pipemap_chain::bottleneck_module`] — and **flags drift** when it
+//!   effective response `(transport + service) / replicas`, folded by
+//!   [`pipemap_chain::bottleneck`] — and **flags drift** when it
 //!   differs from the DP-predicted bottleneck by more than a safety
 //!   margin, recommending a re-solve wired to
 //!   [`pipemap_core::SolveOptions`].
@@ -150,18 +150,6 @@ pub struct ModelPrediction {
     pub throughput: f64,
 }
 
-/// Leftmost argmax with strict comparison, mirroring
-/// [`pipemap_chain::bottleneck_module`].
-fn leftmost_argmax(values: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &v) in values.iter().enumerate().skip(1) {
-        if v > values[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 impl ModelPrediction {
     /// Build from a fitted chain and its chosen mapping (the simulate /
     /// map path: predictions come straight from the cost models).
@@ -204,16 +192,11 @@ impl ModelPrediction {
         assert!(!names.is_empty());
         assert_eq!(names.len(), replicas.len());
         assert_eq!(names.len(), service_s.len());
-        let effective: Vec<f64> = service_s
-            .iter()
-            .zip(replicas)
-            .map(|(&s, &r)| {
+        let (bottleneck, throughput) =
+            pipemap_chain::bottleneck(service_s.iter().zip(replicas).map(|(&s, &r)| {
                 assert!(r >= 1, "replica counts must be >= 1");
                 s / r as f64
-            })
-            .collect();
-        let bottleneck = leftmost_argmax(&effective);
-        let worst = effective[bottleneck];
+            }));
         Self {
             stages: names
                 .iter()
@@ -227,11 +210,7 @@ impl ModelPrediction {
                 })
                 .collect(),
             bottleneck,
-            throughput: if worst > 0.0 {
-                1.0 / worst
-            } else {
-                f64::INFINITY
-            },
+            throughput,
         }
     }
 
@@ -847,7 +826,7 @@ pub fn diagnose_with_margins(
         });
     }
 
-    let measured_bottleneck = leftmost_argmax(&effective);
+    let (measured_bottleneck, _) = pipemap_chain::bottleneck(effective.iter().copied());
     let predicted_bottleneck = model.map(|m| m.bottleneck);
     let margins_used = margins.is_some() && stages.iter().any(|s| s.margin_crossed.is_some());
     let drift = if margins_used {

@@ -13,7 +13,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use pipemap_chain::{Mapping, ModuleAssignment, Problem};
+use pipemap_chain::{module_throughput, Mapping, ModuleAssignment, Problem};
 
 use crate::config::{CommMode, MachineConfig};
 use crate::pack::{pack_rectangles, PackRequest, Placement};
@@ -177,18 +177,6 @@ pub fn feasible_optimal(
         }
     }
     None
-}
-
-/// `1 / worst`, with [`pipemap_chain::throughput`]'s convention for a free
-/// pipeline. Non-increasing in `worst` (IEEE division rounds
-/// monotonically), which is what lets a lower bound on the bottleneck
-/// response bound the throughput from above.
-fn throughput_of(worst: f64) -> f64 {
-    if worst <= 0.0 {
-        f64::INFINITY
-    } else {
-        1.0 / worst
-    }
 }
 
 /// One `(procs-per-instance, replicas)` choice of a module, with what the
@@ -413,7 +401,7 @@ impl TopCandidates<'_> {
     /// Close the last open module (nothing to send) and offer the leaf.
     fn leaf(&mut self, rank: u64, done: f64, open: Option<OpenModule>) {
         let worst = open.map_or(done, |m| done.max((m.held + 0.0) / m.r));
-        let thr = throughput_of(worst);
+        let thr = module_throughput(worst);
         if self.heap.len() < self.keep {
             self.heap.push(Ranked { thr, rank });
         } else if self.admits(thr, rank) {
@@ -472,7 +460,10 @@ impl TopCandidates<'_> {
                 self.leaf(first, done, Some(open));
                 continue;
             }
-            let bound = throughput_of(done.max((held + o.min_out) / o.r));
+            // `module_throughput` is non-increasing (IEEE division rounds
+            // monotonically), so a lower bound on the bottleneck response
+            // bounds the throughput from above.
+            let bound = module_throughput(done.max((held + o.min_out) / o.r));
             if self.admits(bound, first) {
                 frontier.push(Child {
                     bound,
@@ -675,9 +666,10 @@ mod tests {
 
     #[test]
     fn nan_cost_is_never_chosen() {
-        // At 4 processors the first task's model is undefined. `f64::max`
-        // skips NaN, so pricing that choice through `throughput` sees only
-        // the second module and ranks it above every honest candidate.
+        // At 4 processors the first task's model is undefined. The
+        // evaluator prices that choice NaN; a fold that skipped the NaN
+        // module would see only the second one and rank the choice above
+        // every honest candidate.
         let chain = ChainBuilder::new()
             .task(Task::new(
                 "a",
@@ -698,7 +690,9 @@ mod tests {
         assert!(is_feasible(&machine, &undefined).is_feasible());
         let (mapping, thr) =
             feasible_optimal(&problem, &machine, &clustering, FeasibleSearch::default()).unwrap();
-        assert!(throughput(&problem.chain, &undefined) > thr);
+        assert!(throughput(&problem.chain, &undefined).is_nan());
+        let second_alone = pipemap_chain::module_response(&problem.chain, &undefined, 1);
+        assert!(module_throughput(second_alone.effective()) > thr);
         assert_ne!(mapping.modules[0].procs, 4);
         assert_eq!(
             thr.to_bits(),

@@ -16,8 +16,8 @@
 //!
 //! §3.3 requires this composition to be O(1) during the clustering DP; the
 //! [`ComposedModule`] builder keeps shallow sums so repeated composition
-//! stays cheap, and `pipemap-chain` additionally maintains prefix tables for
-//! strictly O(1) *evaluation* during the DP inner loops.
+//! stays cheap, and the DPs evaluate a module once per row from
+//! `pipemap-chain`'s pre-evaluated tables, never inside their inner loops.
 
 use crate::cost::UnaryCost;
 use crate::memory::MemoryReq;

@@ -31,10 +31,7 @@ pub mod trace_export;
 pub use des_pipeline::simulate_des;
 pub use engine::{Engine, SimTime};
 pub use noise::NoiseModel;
-pub use pipeline::{
-    simulate, steady_state_throughput, steady_state_throughput_with_ecom, CostPerturbation,
-    SimConfig, SimResult,
-};
+pub use pipeline::{simulate, steady_state_throughput, CostPerturbation, SimConfig, SimResult};
 pub use replicate::{replicate_simulation, ReplicatedResult};
 pub use stats::{percent_difference, percentile, Summary};
 pub use trace::{Activity, ActivityKind, Trace};

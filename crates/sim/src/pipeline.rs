@@ -376,7 +376,9 @@ pub fn simulate(chain: &TaskChain, mapping: &Mapping, config: &SimConfig) -> Sim
 /// This is how a [`run_load`](../pipemap_exec/driver/fn.run_load.html)
 /// measurement is validated: feed the per-stage busy means observed by
 /// the executor back through the analytic form and compare predicted
-/// against achieved datasets/sec.
+/// against achieved datasets/sec. A stage's measured transport time, when
+/// priced, is part of its service time: replication divides it exactly
+/// like the compute work.
 ///
 /// # Panics
 ///
@@ -387,46 +389,11 @@ pub fn steady_state_throughput(service_s: &[f64], replicas: &[usize]) -> f64 {
         replicas.len(),
         "one replica count per stage"
     );
-    let bottleneck = service_s
-        .iter()
-        .zip(replicas)
-        .map(|(&s, &r)| {
-            assert!(r >= 1, "replica counts must be >= 1");
-            s / r as f64
-        })
-        .fold(0.0f64, f64::max);
-    if bottleneck <= 0.0 {
-        f64::INFINITY
-    } else {
-        1.0 / bottleneck
-    }
-}
-
-/// Steady-state throughput with per-stage communication cost folded in:
-/// `1 / max_i ((service_s[i] + ecom_s[i]) / replicas[i])`.
-///
-/// `ecom_s[i]` is the measured (calibrated) per-data-set transport time
-/// a stage-`i` instance spends sending its output downstream — the
-/// paper's `f_ecom`, priced from real cross-process runs instead of a
-/// fixed model constant. Replication divides the communication work
-/// exactly like the compute work: alternate data sets leave from
-/// distinct instances.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or a replica count is zero.
-pub fn steady_state_throughput_with_ecom(
-    service_s: &[f64],
-    ecom_s: &[f64],
-    replicas: &[usize],
-) -> f64 {
-    assert_eq!(
-        service_s.len(),
-        ecom_s.len(),
-        "one communication cost per stage"
-    );
-    let loaded: Vec<f64> = service_s.iter().zip(ecom_s).map(|(&s, &e)| s + e).collect();
-    steady_state_throughput(&loaded, replicas)
+    let effective = service_s.iter().zip(replicas).map(|(&s, &r)| {
+        assert!(r >= 1, "replica counts must be >= 1");
+        s / r as f64
+    });
+    pipemap_chain::bottleneck(effective).1
 }
 
 #[cfg(test)]
@@ -674,18 +641,12 @@ mod tests {
     fn ecom_shifts_the_bottleneck() {
         // Compute alone says stage 0 (1 s) bounds; a 2 s transport cost
         // on stage 1 makes (0.5 + 2) / 1 the real bottleneck.
-        let compute_only = steady_state_throughput_with_ecom(&[1.0, 0.5], &[0.0, 0.0], &[1, 1]);
+        let compute_only = steady_state_throughput(&[1.0, 0.5], &[1, 1]);
         assert!((compute_only - 1.0).abs() < 1e-12);
-        let with_ecom = steady_state_throughput_with_ecom(&[1.0, 0.5], &[0.0, 2.0], &[1, 1]);
+        let with_ecom = steady_state_throughput(&[1.0, 0.5 + 2.0], &[1, 1]);
         assert!((with_ecom - 0.4).abs() < 1e-12, "thr {with_ecom}");
         // Replication amortises communication like compute.
-        let replicated = steady_state_throughput_with_ecom(&[1.0, 0.5], &[0.0, 2.0], &[1, 5]);
+        let replicated = steady_state_throughput(&[1.0, 0.5 + 2.0], &[1, 5]);
         assert!((replicated - 1.0).abs() < 1e-12, "thr {replicated}");
-    }
-
-    #[test]
-    #[should_panic(expected = "one communication cost per stage")]
-    fn ecom_length_checked() {
-        let _ = steady_state_throughput_with_ecom(&[1.0, 1.0], &[0.0], &[1, 1]);
     }
 }

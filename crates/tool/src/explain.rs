@@ -123,7 +123,7 @@ pub fn explain(problem: &Problem, opts: &ExplainOptions) -> Result<Explanation, 
     // One context for both solves: the cost table is evaluated once and
     // the cluster DP's suffix bounds are computed once and shared between
     // the provenance (unpruned) and heatmap (pruned) runs.
-    let ctx = SolveCtx::new(problem);
+    let ctx = SolveCtx::new(problem)?;
     let (algorithm, solution, provenance) = if opts.cluster {
         let (s, p) = dp_mapping_provenance_ctx(problem, &ctx, &solve)?;
         ("dp_mapping", s, p)

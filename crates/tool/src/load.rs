@@ -465,8 +465,13 @@ fn run_uds_load(cfg: &LoadConfig) -> Result<LoadSummary, String> {
                     .unwrap_or(0.0)
             })
             .collect();
+        let loaded: Vec<f64> = service_means
+            .iter()
+            .zip(&ecom)
+            .map(|(s, e)| s + e)
+            .collect();
         (
-            pipemap_sim::steady_state_throughput_with_ecom(&service_means, &ecom, &replicas),
+            pipemap_sim::steady_state_throughput(&loaded, &replicas),
             ecom,
         )
     } else {

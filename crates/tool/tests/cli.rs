@@ -122,6 +122,33 @@ fn simulate_rejects_invalid_mappings() {
 }
 
 #[test]
+fn map_refuses_nan_and_negative_costs() {
+    let dir = std::env::temp_dir().join("pipemap-cli-test-invalid-cost");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, fixed, shown) in [("nan.pmap", "NaN", "NaN"), ("neg.pmap", "-5.0", "-4")] {
+        let body = format!(
+            "procs 8\nmem_per_proc 1e9\n\ntask a\n  exec poly 0.0 4.0 0.0\n\n\
+             edge\n  icom poly 0.0 0.0 0.0\n  ecom poly 0.01 0 0 0 0\n\n\
+             task b\n  exec poly {fixed} 1.0 0.0\n"
+        );
+        let spec = write_spec(&dir, name, &body);
+        let out = pipemap().arg("map").arg(&spec).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{name}: exit 0, stdout: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(
+            err.contains(&format!(
+                "invalid cost: exec of task 'b' is {shown} at p = 1"
+            )),
+            "{name}: {err}"
+        );
+    }
+}
+
+#[test]
 fn bad_spec_reports_line_numbers() {
     let dir = std::env::temp_dir().join("pipemap-cli-test-err");
     std::fs::create_dir_all(&dir).unwrap();
