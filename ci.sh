@@ -214,6 +214,32 @@ EOF
 ./target/release/pipemap doctor "$EXPLAIN_SMOKE_JOURNEYS" \
     --margins "$EXPLAIN_SMOKE_OUT" --fail-on-drift > /dev/null
 
+echo "== map smoke: fewest processors and least latency at exactly the optimum =="
+# Ask the explain-smoke chain for exactly its optimal throughput, printed
+# as the shortest float that parses back to the same bits: the fewest
+# processors reaching it fit in its 12, and the processor-minimal and the
+# latency-optimal mappings both reach it. A target out of range is
+# refused with exit 1, not a panic.
+MAP_SMOKE_T=$(./target/release/pipemap map "$EXPLAIN_SMOKE_SPEC" --report json |
+    python3 -c 'import json, sys; print(repr(json.load(sys.stdin)["solutions"]["optimal"]["throughput"]))')
+MAP_SMOKE_JSON=$(./target/release/pipemap map "$EXPLAIN_SMOKE_SPEC" \
+    --min-procs "$MAP_SMOKE_T" --latency-floor "$MAP_SMOKE_T" --report json)
+python3 - "$MAP_SMOKE_JSON" "$MAP_SMOKE_T" <<'EOF'
+import json, sys
+r, t = json.loads(sys.argv[1]), float(sys.argv[2])
+m = r["min_procs"]
+assert m["procs"] <= 12 and m["throughput"] >= t, m
+assert r["latency"]["throughput"] >= t, r["latency"]
+print("map smoke: %d processors sustain the optimum %r" % (m["procs"], t))
+EOF
+MAP_SMOKE_EXIT=0
+./target/release/pipemap map "$EXPLAIN_SMOKE_SPEC" --greedy-only --min-procs 0 2> /dev/null ||
+    MAP_SMOKE_EXIT=$?
+if [ "$MAP_SMOKE_EXIT" -ne 1 ]; then
+    echo "map smoke: --min-procs 0 exited $MAP_SMOKE_EXIT, not 1" >&2
+    exit 1
+fi
+
 echo "== resolve smoke: drift -> doctor factors -> incremental re-solve =="
 # Close the re-planning loop end to end: simulate the explain-smoke chain
 # with its front stage genuinely 2.5x slower than the spec predicts, have

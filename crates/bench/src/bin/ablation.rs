@@ -195,8 +195,9 @@ fn ablation_a3() {
     println!("  are unaffected — but an instance's size also appears in its");
     println!("  neighbours' transfer costs, so floors of 1 let the rule shatter");
     println!("  modules into 1-processor instances whose transfers are slow. The");
-    println!("  free-replication DP (binary search on throughput + a min-processor");
-    println!("  DP with closed-form r* = ceil(f*T)) removes the rule exactly.");
+    println!("  free-replication DP (min-processor probes at a target throughput,");
+    println!("  each module given the fewest replicas that reach it, until the probe");
+    println!("  one float above the best mapping fails) removes the rule exactly.");
 }
 
 fn main() {

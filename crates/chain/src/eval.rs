@@ -71,6 +71,39 @@ pub fn module_throughput(effective: Seconds) -> f64 {
     }
 }
 
+/// The fewest replicas `r` in `1..=max_r` with which a module whose
+/// instances each take `total` per data set reaches `target`:
+/// `module_throughput(total / r) >= target`, decided by the evaluator
+/// itself. `None` if no such `r` exists.
+///
+/// `⌈total · target⌉` is only a first guess: its rounding differs from the
+/// evaluator's `1 / (total / r)`, so at `target = r / total` it can name
+/// `r - 1` or `r + 1`. The guess is corrected against the evaluator; the
+/// predicate is monotone in `r`, so the first `r` that meets the target
+/// is the answer.
+pub fn min_replicas(total: Seconds, target: f64, max_r: usize) -> Option<usize> {
+    let meets = |r: usize| module_throughput(total / r as f64) >= target;
+    // NaN (`0 · ∞`) and guesses below one start at one; `as` saturates.
+    let guess = (total * target).ceil();
+    let mut r = if guess >= 1.0 { guess as usize } else { 1 }.min(max_r);
+    if r == 0 {
+        return None;
+    }
+    if meets(r) {
+        while r > 1 && meets(r - 1) {
+            r -= 1;
+        }
+        return Some(r);
+    }
+    while r < max_r {
+        r += 1;
+        if meets(r) {
+            return Some(r);
+        }
+    }
+    None
+}
+
 /// The bottleneck of a pipeline given its modules' effective responses
 /// in chain order: the leftmost module with the largest one, and the
 /// pipeline throughput, [`module_throughput`] of that response. IEEE
@@ -270,6 +303,22 @@ mod tests {
         assert!(module_throughput(f64::NAN).is_nan());
         assert!(module_throughput(-1.0).is_nan());
         assert!(module_throughput(f64::NEG_INFINITY).is_nan());
+    }
+
+    #[test]
+    fn min_replicas_edges() {
+        assert_eq!(min_replicas(3.0, 1.0, 8), Some(3));
+        assert_eq!(min_replicas(3.0, 1.0, 2), None);
+        assert_eq!(min_replicas(3.0, 1.0, 0), None);
+        // A target of zero (or less) needs one replica, even of an
+        // infinitely slow module; a free module meets any target.
+        assert_eq!(min_replicas(f64::INFINITY, 0.0, 4), Some(1));
+        assert_eq!(min_replicas(f64::INFINITY, 1.0, 4), None);
+        assert_eq!(min_replicas(0.0, f64::INFINITY, 4), Some(1));
+        assert_eq!(min_replicas(1.0, f64::INFINITY, 4), None);
+        assert_eq!(min_replicas(1.0, f64::NAN, 4), None);
+        // The guess saturates at `max_r`.
+        assert_eq!(min_replicas(1.0, 1e300, usize::MAX), None);
     }
 
     #[test]

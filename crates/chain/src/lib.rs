@@ -31,7 +31,7 @@ pub mod validate;
 pub use chain::{ChainBuilder, TaskChain};
 pub use edge::Edge;
 pub use eval::{
-    bottleneck, bottleneck_module, module_response, module_throughput, throughput,
+    bottleneck, bottleneck_module, min_replicas, module_response, module_throughput, throughput,
     ResponseBreakdown,
 };
 pub use mapping::{Assignment, Mapping, ModuleAssignment};

@@ -3,8 +3,8 @@
 //! the bottleneck formula exactly.
 
 use pipemap_chain::{
-    bottleneck_module, module_response, throughput, validate, ChainBuilder, CostTable, Edge,
-    Mapping, ModuleAssignment, Problem, Task,
+    bottleneck_module, min_replicas, module_response, module_throughput, throughput, validate,
+    ChainBuilder, CostTable, Edge, Mapping, ModuleAssignment, Problem, Task,
 };
 use pipemap_model::{MemoryReq, PolyEcom, PolyUnary};
 use proptest::prelude::*;
@@ -110,6 +110,20 @@ proptest! {
         let b = bottleneck_module(&problem.chain, &mapping);
         let eff = module_response(&problem.chain, &mapping, b).effective();
         prop_assert!((eff - worst).abs() <= 1e-12 * worst.abs().max(1.0));
+    }
+
+    #[test]
+    fn min_replicas_is_where_the_evaluator_flips(total in 1e-3..1e3f64, r in 1..64usize) {
+        // At `target = r / total` the rounding of `⌈total · target⌉`
+        // and of the evaluator's `1 / (total / r)` disagree in both
+        // directions; the answer is the evaluator's.
+        let target = r as f64 / total;
+        let meets = |r: usize| module_throughput(total / r as f64) >= target;
+        let got = min_replicas(total, target, 64).expect("r + 1 <= 64 replicas reach the target");
+        prop_assert!(got == r || got == r + 1, "{got} replicas for r = {r}");
+        prop_assert!(meets(got));
+        prop_assert!(got == 1 || !meets(got - 1));
+        prop_assert_eq!(min_replicas(total, target, got - 1), None);
     }
 
     #[test]

@@ -46,6 +46,10 @@
 //! the cost is dominated by `P⁴`, and for the paper's scale (`P = 64`,
 //! `k ≤ 5`) the solve completes in seconds; the greedy algorithm exists
 //! precisely because this is too slow for large `P` or dynamic mapping.
+//! [`crate::probe`] asks the dual question over the same boundaries
+//! without the `pt` axis — the fewest processors that reach a given
+//! throughput — in `O(k³ P³)` work and `O(k² P²)` memory; a failed probe
+//! one float above this DP's optimum certifies it.
 //!
 //! ## Performance layer
 //!

@@ -20,7 +20,7 @@
 //!   throughput feasibility filter — so the solver doubles as an
 //!   independent check of the DP state construction.
 
-use pipemap_chain::{module_response, Mapping, ModuleAssignment, Problem, TaskChain};
+use pipemap_chain::{min_replicas, module_response, Mapping, ModuleAssignment, Problem, TaskChain};
 
 use crate::solution::{checked_table, SolveError};
 
@@ -62,9 +62,10 @@ pub struct LatencySolution {
 ///   maximal rule — replication never reduces latency, so the optimal
 ///   degree is the *smallest* `r` meeting the floor. Since a stage's
 ///   response `f = cin + exec + out` is a function of instance sizes
-///   only, `r* = max(1, ⌈f · floor⌉)` is closed-form, and the state is
-///   keyed by the module's *instance size* with `r*` folded into the
-///   budget accounting at each transition.
+///   only, `r*` is [`min_replicas`] of `f`, decided by the evaluator so
+///   that the mapping's throughput is never below the floor, and the
+///   state is keyed by the module's *instance size* with `r*` folded into
+///   the budget accounting at each transition.
 pub fn best_latency_mapping(
     problem: &Problem,
     min_throughput: f64,
@@ -77,22 +78,11 @@ pub fn best_latency_mapping(
     let k = problem.num_tasks();
     let p = problem.total_procs;
 
-    // Smallest replication degree putting stage response `f` under the
-    // floor; `None` if no degree ≤ max_r works or replication is not
-    // allowed beyond 1.
-    let required_r = |f: f64, replicable: bool, max_r: usize| -> Option<usize> {
-        if min_throughput <= 0.0 {
-            return Some(1);
-        }
-        let need = (f * min_throughput).ceil().max(1.0);
-        if need > max_r as f64 {
-            return None;
-        }
-        let r = need as usize;
-        if r > 1 && !replicable {
-            return None;
-        }
-        Some(r)
+    // Fewest replicas with which stage response `f` meets the floor, by
+    // the evaluator's own test; `None` if no degree ≤ max_r does or the
+    // module may not replicate.
+    let required_r = |f: f64, replicable: bool, max_r: usize| {
+        min_replicas(f, min_throughput, if replicable { max_r } else { 1 })
     };
 
     // Stage tables keyed by (end task j, module length L):
@@ -359,8 +349,8 @@ mod tests {
         // find something achieving it.
         let p = Problem::new(chain(), 8, 1e12).without_replication();
         let thr_opt = dp_mapping(&p).unwrap();
-        let sol = best_latency_mapping(&p, thr_opt.throughput * (1.0 - 1e-9)).unwrap();
-        assert!(sol.throughput >= thr_opt.throughput * (1.0 - 1e-6));
+        let sol = best_latency_mapping(&p, thr_opt.throughput).unwrap();
+        assert!(sol.throughput >= thr_opt.throughput);
         // And its latency is no worse than the throughput-optimal
         // mapping's latency.
         assert!(sol.latency <= latency(&p.chain, &thr_opt.mapping) + 1e-9);

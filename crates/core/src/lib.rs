@@ -20,6 +20,11 @@
 //! * [`brute`] — exhaustive oracles for small instances, used to validate
 //!   the optimal algorithms and to quantify the greedy gap.
 //!
+//! [`probe`] turns the question around — the fewest processors that reach
+//! a target throughput — and answers processor minimisation
+//! ([`min_procs_mapping`]) and the exact optimum under free replication
+//! ([`dp_mapping_free`]) with it.
+//!
 //! All solvers work on a [`pipemap_chain::Problem`] and return a
 //! [`Solution`] whose throughput is recomputed from first principles by
 //! `pipemap-chain`'s evaluator, so a solver bug cannot report a throughput
@@ -36,12 +41,11 @@ pub mod brute;
 pub mod cluster;
 pub mod dp;
 pub mod dp_cluster;
-pub mod dp_free;
 pub mod greedy;
 pub mod latency;
 pub mod options;
 pub mod pool;
-pub mod procs;
+pub mod probe;
 pub mod provenance;
 pub mod resolve;
 pub mod solution;
@@ -56,14 +60,13 @@ pub use dp_cluster::{
     dp_mapping, dp_mapping_provenance, dp_mapping_provenance_ctx, dp_mapping_pruned_stats_ctx,
     dp_mapping_with, SolveCtx,
 };
-pub use dp_free::dp_mapping_free;
 pub use greedy::{
     greedy_assignment, greedy_assignment_with_table, refine_assignment, GreedyOptions,
     GreedyVariant,
 };
 pub use latency::{best_latency_mapping, latency, LatencySolution};
 pub use options::SolveOptions;
-pub use procs::{min_procs_mapping, ProcsSolution};
+pub use probe::{dp_mapping_free, min_procs_mapping, ProcsSolution};
 pub use provenance::{
     stability_margins, DecisionCell, MarginReport, Provenance, RunnerUp, StageCells, StageMargin,
 };

@@ -15,6 +15,9 @@
 //! 3. **Across thread counts** — explicit 1/2/4-thread runs at P = 128
 //!    must agree bitwise, proving the strided row partition and stage
 //!    barrier merge are deterministic.
+//! 4. **Against the period probe** — every mapping optimum, small or at
+//!    P = 32/64, certifies in one probe: `min_procs_mapping` finds no
+//!    mapping at the next float above it and one worth exactly it at it.
 //!
 //! `PIPEMAP_THREADS` only affects runs with `threads: None`; the explicit
 //! matrix pins counts so CI can run the whole suite under
@@ -23,7 +26,8 @@
 use pipemap_chain::{ChainBuilder, Edge, Problem, Task};
 use pipemap_core::{
     brute_force_assignment, brute_force_mapping, dp_assignment, dp_assignment_with, dp_mapping,
-    dp_mapping_with, greedy_assignment, GreedyOptions, Solution, SolveError, SolveOptions,
+    dp_mapping_with, greedy_assignment, min_procs_mapping, GreedyOptions, Solution, SolveError,
+    SolveOptions,
 };
 use pipemap_model::{MemoryReq, PolyEcom, PolyUnary};
 use proptest::prelude::*;
@@ -183,6 +187,7 @@ proptest! {
                     rs.throughput.to_bits(), bs.throughput.to_bits(),
                     "dp {} vs brute {}", rs.throughput, bs.throughput
                 );
+                assert_certified_in_one_probe(&problem, rs.throughput);
             }
             (Err(a), Err(b), Err(c)) => {
                 prop_assert_eq!(a, b);
@@ -239,6 +244,31 @@ fn mapping_option_matrix_agrees_at_p32_and_p64() {
                 "P={p}: options {opts:?} changed the mapping"
             );
         }
+    }
+}
+
+/// The period probe certifies `optimum`, `problem`'s DP optimum, in one
+/// probe: no mapping reaches the next float above it, and the fewest
+/// processors reaching the optimum itself fit in `P` and are worth exactly
+/// it.
+fn assert_certified_in_one_probe(problem: &Problem, optimum: f64) {
+    let above = f64::from_bits(optimum.to_bits() + 1);
+    assert_eq!(
+        min_procs_mapping(problem, above).map(|s| s.procs),
+        Err(SolveError::Infeasible),
+        "a mapping beats the optimum {optimum}"
+    );
+    let at = min_procs_mapping(problem, optimum).expect("the optimum is reachable");
+    assert!(at.procs <= problem.total_procs);
+    assert_eq!(at.solution.throughput.to_bits(), optimum.to_bits());
+}
+
+#[test]
+fn mapping_optimum_certifies_in_one_probe_at_p32_and_p64() {
+    for (p, seed) in [(32usize, 3u64), (64, 5)] {
+        let problem = with_budget(convex_chain(4, seed, 10.0), p, 8.0);
+        let optimum = dp_mapping_with(&problem, &SolveOptions::default()).expect("feasible");
+        assert_certified_in_one_probe(&problem, optimum.throughput);
     }
 }
 

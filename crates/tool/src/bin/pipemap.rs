@@ -396,8 +396,15 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
                     parse_list::<f64>(v).filter(|b| b.iter().all(|b| *b >= 0.0))
                 })?);
             }
-            "--latency-floor" => latency_floor = Some(cli.parse(flag, "a numeric throughput")?),
-            "--min-procs" => procs_target = Some(cli.parse(flag, "a numeric throughput target")?),
+            "--latency-floor" => {
+                let hint = "a finite throughput >= 0";
+                latency_floor =
+                    Some(cli.parse_if(flag, hint, |t: &f64| t.is_finite() && *t >= 0.0)?);
+            }
+            "--min-procs" => {
+                let hint = "a finite throughput target > 0";
+                procs_target = Some(cli.parse_if(flag, hint, |t: &f64| t.is_finite() && *t > 0.0)?);
+            }
             other => return Err(unexpected(other)),
         }
     }

@@ -176,7 +176,14 @@ const VALUE_FLAGS: &[(&[&str], &str, Option<&str>)] = &[
     (&["map", "x.pmap"], "--edge-bytes", Some("8k")),
     (&["map", "x.pmap"], "--report", None),
     (&["map", "x.pmap"], "--latency-floor", Some("fast")),
+    (&["map", "x.pmap"], "--latency-floor", Some("-1")),
+    (&["map", "x.pmap"], "--latency-floor", Some("inf")),
+    (&["map", "x.pmap"], "--latency-floor", Some("NaN")),
     (&["map", "x.pmap"], "--min-procs", Some("fast")),
+    (&["map", "x.pmap"], "--min-procs", Some("0")),
+    (&["map", "x.pmap"], "--min-procs", Some("-1")),
+    (&["map", "x.pmap"], "--min-procs", Some("inf")),
+    (&["map", "x.pmap"], "--min-procs", Some("NaN")),
     (&["calibrate"], "--sizes", Some("64")),
     (&["calibrate"], "--messages", Some("many")),
     (&["calibrate"], "--batch", Some("0")),
