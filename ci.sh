@@ -49,12 +49,13 @@ done
 unset CARGO_TARGET_DIR
 
 echo "== solver bit-identity suites under forced thread counts =="
-# The differential suite, the provenance recorder and the incremental
-# re-solver must hold bit for bit regardless of the worker-pool size the
-# environment imposes; 1 exercises the serial fallback, 4 oversubscribes
-# small CI machines on purpose.
+# The differential suite, the assignment DP's serial-recurrence oracle,
+# the provenance recorder and the incremental re-solver must hold bit for
+# bit regardless of the worker-pool size the environment imposes; 1
+# exercises the serial fallback, 4 oversubscribes small CI machines on
+# purpose.
 for THREADS in 1 4; do
-    for SUITE in equivalence provenance resolve_identity; do
+    for SUITE in equivalence assignment_oracle provenance resolve_identity; do
         PIPEMAP_THREADS=$THREADS cargo test -q -p pipemap-core --test "$SUITE"
     done
 done
@@ -102,7 +103,7 @@ echo "== doctor smoke: traced load run diagnosed drift-free =="
 # is also checked for structural well-formedness.
 JOURNEY_SMOKE_OUT=$(mktemp /tmp/pipemap-journeys.XXXXXX.jsonl)
 DOCTOR_SMOKE_OUT=$(mktemp /tmp/pipemap-doctor.XXXXXX.json)
-trap 'rm -f "$JOURNEY_SMOKE_OUT" "$DOCTOR_SMOKE_OUT" "${UDS_SMOKE_CAL:-}" "${UDS_SMOKE_REPORT:-}" "${UDS_SMOKE_JOURNEYS:-}" "${UDS_SMOKE_DOCTOR:-}" "${BENCH_SMOKE_OUT:-}" "${LIVE_SMOKE_LOG:-}" "${TELEM_SMOKE_LOG:-}" "${TELEM_SMOKE_TOP:-}" "${EXPLAIN_SMOKE_SPEC:-}" "${EXPLAIN_SMOKE_OUT:-}" "${EXPLAIN_SMOKE_JOURNEYS:-}" "${RESOLVE_SMOKE_SPEC:-}" "${RESOLVE_SMOKE_JOURNEYS:-}" "${RESOLVE_SMOKE_DOCTOR:-}" "${RESOLVE_SMOKE_OUT:-}"; kill "${LIVE_SMOKE_PID:-}" "${TELEM_SMOKE_PID:-}" 2>/dev/null || true' EXIT
+trap 'rm -f "$JOURNEY_SMOKE_OUT" "$DOCTOR_SMOKE_OUT" "${UDS_SMOKE_CAL:-}" "${UDS_SMOKE_REPORT:-}" "${UDS_SMOKE_JOURNEYS:-}" "${UDS_SMOKE_DOCTOR:-}" "${BENCH_SMOKE_OUT:-}" "${LIVE_SMOKE_LOG:-}" "${TELEM_SMOKE_LOG:-}" "${TELEM_SMOKE_TOP:-}" "${EXPLAIN_SMOKE_SPEC:-}" "${EXPLAIN_SMOKE_OUT:-}" "${EXPLAIN_SMOKE_ASSIGN_OUT:-}" "${EXPLAIN_SMOKE_JOURNEYS:-}" "${RESOLVE_SMOKE_SPEC:-}" "${RESOLVE_SMOKE_JOURNEYS:-}" "${RESOLVE_SMOKE_DOCTOR:-}" "${RESOLVE_SMOKE_OUT:-}"; kill "${LIVE_SMOKE_PID:-}" "${TELEM_SMOKE_PID:-}" 2>/dev/null || true' EXIT
 ./target/release/pipemap load fft-hist --duration 2s --size 64 \
     --journey-out "$JOURNEY_SMOKE_OUT" --journey-sample 8
 ./target/release/pipemap doctor "$JOURNEY_SMOKE_OUT" \
@@ -175,6 +176,7 @@ echo "== explain smoke: decision provenance, exact margins, doctor --margins =="
 # genuine margin crossing.
 EXPLAIN_SMOKE_SPEC=$(mktemp /tmp/pipemap-explain.XXXXXX.pmap)
 EXPLAIN_SMOKE_OUT=$(mktemp /tmp/pipemap-explain.XXXXXX.json)
+EXPLAIN_SMOKE_ASSIGN_OUT=$(mktemp /tmp/pipemap-explain-a.XXXXXX.json)
 EXPLAIN_SMOKE_JOURNEYS=$(mktemp /tmp/pipemap-explain-j.XXXXXX.jsonl)
 cat > "$EXPLAIN_SMOKE_SPEC" <<'SPEC'
 procs 12
@@ -207,6 +209,23 @@ assert r["min_exec_up"] is not None and 1.0 < r["min_exec_up"] < 2.0, r["min_exe
 # Perturbations inside the margin must cost nothing in the sampled study.
 assert r["robustness"]["regret_max"] == 0, r["robustness"]
 print("explain smoke: min margin %.1f%%" % ((r["min_exec_up"] - 1) * 100))
+EOF
+# The assignment DP explains the same chain: each task keeps its own
+# module, so the same two stages and the same knife-edge margin.
+./target/release/pipemap explain "$EXPLAIN_SMOKE_SPEC" --assignment --report json \
+    --out "$EXPLAIN_SMOKE_ASSIGN_OUT" > /dev/null
+python3 - "$EXPLAIN_SMOKE_ASSIGN_OUT" <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+assert r["schema"] == "pipemap-explain/v1", r.get("schema")
+assert r["algorithm"] == "dp_assignment", r["algorithm"]
+assert len(r["stages"]) == 2, r["stages"]
+for s in r["stages"]:
+    m = s["margins"]
+    for key in ("exec_up", "exec_down", "ecom_in_up", "ecom_in_down"):
+        assert key in m, (key, s)
+assert r["min_exec_up"] is not None and 1.0 < r["min_exec_up"] < 2.0, r["min_exec_up"]
+print("explain smoke (assignment): min margin %.1f%%" % ((r["min_exec_up"] - 1) * 100))
 EOF
 ./target/release/pipemap simulate "$EXPLAIN_SMOKE_SPEC" "0-0:1x7,1-1:1x5" \
     --datasets 60 --noise 0.02 --seed 11 \

@@ -1,4 +1,6 @@
-//! Optimal mapping with clustering by dynamic programming (§3.3).
+//! The one DP value sweep: optimal mapping with clustering (§3.3), and
+//! with every module one task long, optimal processor assignment
+//! (§3.1–§3.2).
 //!
 //! The full mapping problem decides, jointly: where the module boundaries
 //! fall, how many processors each module receives, and (via the §3.2 rule)
@@ -6,7 +8,11 @@
 //! with one extra state component — the *length* of the module following
 //! the current subchain — because a module's memory requirement, and hence
 //! its processor floor and replication degree, is known only once its full
-//! extent is known.
+//! extent is known. Read the other way, the assignment DP is this sweep
+//! restricted to one-task modules: [`Clustering::Singletons`] limits the
+//! module lengths the sweep enumerates, the successor axes and the suffix
+//! bounds to length 1, and nothing else changes. [`crate::dp`] is the thin
+//! assignment front end.
 //!
 //! ## State space used here
 //!
@@ -53,9 +59,8 @@
 //!
 //! ## Performance layer
 //!
-//! [`dp_mapping_with`] exposes the same knobs as the assignment DP (see
-//! [`crate::dp`] and [`SolveOptions`]); all of them preserve bit-identical
-//! results:
+//! [`dp_mapping_with`] and [`crate::dp_assignment_with`] expose the knobs
+//! of [`SolveOptions`]; all of them preserve bit-identical results:
 //!
 //! * the `ne` axis of each stage is restricted (under `dedup`) to the
 //!   *achievable instance sizes* of modules starting at the next task —
@@ -76,19 +81,67 @@
 
 use std::sync::OnceLock;
 
-use pipemap_chain::{CostTable, Mapping, ModuleAssignment, Problem};
+use pipemap_chain::{
+    module_throughput, CostTable, Mapping, ModuleAssignment, Problem, ResponseBreakdown,
+};
 use pipemap_model::Procs;
 
-use crate::dp::response_throughput;
 use crate::greedy;
 use crate::options::SolveOptions;
 use crate::pool::{self, CellStats};
 use crate::provenance::{DecisionCell, Provenance, RunnerUp, StageCells};
 use crate::solution::{checked_table, Solution, SolveError};
 
-/// Relative slack on the pruning incumbent; kept so that the cells
-/// skipped, a tracked benchmark metric, do not move (see `dp.rs`).
+/// Relative slack on the pruning incumbent. The greedy bound and the DP
+/// cells price modules with the same evaluator, so the slack is not
+/// needed for soundness; it stays because it decides exactly which cells
+/// are skipped, and the cell counts are a tracked benchmark metric. Far
+/// smaller than any real throughput gap.
 const PRUNE_MARGIN: f64 = 1e-12;
+
+/// Which modules the sweep may form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Clustering {
+    /// Every task is its own module: the assignment DP (§3.1–§3.2).
+    Singletons,
+    /// Any run of consecutive tasks is a module: the clustering DP (§3.3).
+    Contiguous,
+}
+
+impl Clustering {
+    /// Longest module that fits in `avail` consecutive tasks.
+    fn max_len(self, avail: usize) -> usize {
+        match self {
+            Clustering::Singletons => avail.min(1),
+            Clustering::Contiguous => avail,
+        }
+    }
+
+    /// The solver's name in spans, metrics and provenance.
+    fn name(self) -> &'static str {
+        match self {
+            Clustering::Singletons => "dp_assignment",
+            Clustering::Contiguous => "dp_mapping",
+        }
+    }
+}
+
+/// Throughput of one module from its response components, priced by the
+/// evaluator ([`ResponseBreakdown::effective`], then [`module_throughput`])
+/// so that every DP value is `pipemap_chain::throughput` of its path to
+/// the bit.
+#[inline]
+pub(crate) fn response_throughput(incoming: f64, exec: f64, outgoing: f64, replicas: usize) -> f64 {
+    module_throughput(
+        ResponseBreakdown {
+            incoming,
+            exec,
+            outgoing,
+            replicas,
+        }
+        .effective(),
+    )
+}
 
 /// Packed parent record: the maximising previous-module choice.
 #[derive(Clone, Copy, Debug, Default)]
@@ -101,12 +154,14 @@ struct Parent {
 /// lazily-computed derived structures that several entry points need.
 /// Today that is the branch-and-bound [`suffix_bounds`] table, which
 /// `pipemap explain` used to recompute once per provenance / pruned-stats
-/// / production solve; a `SolveCtx` computes it at most once.
+/// / production solve; a `SolveCtx` computes it at most once per
+/// clustering policy.
 pub struct SolveCtx {
     table: CostTable,
     k: usize,
     p: usize,
-    suffix: OnceLock<Vec<f64>>,
+    /// Suffix bounds, indexed by `Clustering as usize`.
+    suffix: [OnceLock<Vec<f64>>; 2],
 }
 
 impl SolveCtx {
@@ -128,7 +183,7 @@ impl SolveCtx {
             table,
             k,
             p,
-            suffix: OnceLock::new(),
+            suffix: Default::default(),
         }
     }
 
@@ -137,15 +192,22 @@ impl SolveCtx {
         &self.table
     }
 
-    /// The cached suffix-bound table, computed on first use.
-    fn suffix(&self) -> &[f64] {
-        self.suffix
-            .get_or_init(|| suffix_bounds(&self.table, self.k, self.p))
+    /// The policy's cached suffix-bound table, computed on first use.
+    fn suffix(&self, clustering: Clustering) -> &[f64] {
+        self.suffix[clustering as usize]
+            .get_or_init(|| suffix_bounds(&self.table, self.k, self.p, clustering))
     }
 }
 
+/// `stages` index of the stage whose module ends at task `j` and is `l`
+/// tasks long, in a `k`-task sweep; only `l ≤ j + 1` exist.
+pub(crate) fn stage_key(k: usize, j: usize, l: usize) -> usize {
+    debug_assert!(l >= 1 && l <= j + 1);
+    j * k + (l - 1)
+}
+
 /// Per-(j, L) stage table.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub(crate) struct Stage {
     /// `value[(s * (P+1) + pt) * P + (pl - 1)]`, where `s` is the slot of
     /// the next-module instance size on this stage's `ne` axis. The `pl`
@@ -160,12 +222,19 @@ pub(crate) struct Stage {
     floor: Procs,
 }
 
+impl Stage {
+    /// The cell `(ne slot, pt, pl)` of a sweep over `p` processors.
+    pub(crate) fn value(&self, p: usize, slot: usize, pt: usize, pl: usize) -> f64 {
+        self.value[(slot * (p + 1) + pt) * p + (pl - 1)]
+    }
+}
+
 /// The `ne` axis of stages whose subchain ends just before `start`:
 /// the distinct instance sizes of modules beginning at task `start`.
-struct NeAxis {
+pub(crate) struct NeAxis {
     insts: Vec<Procs>,
     /// instance size → slot (`usize::MAX` = never read).
-    slot_of_inst: Vec<usize>,
+    pub(crate) slot_of_inst: Vec<usize>,
     /// Per slot: the fewest processors any module starting at `start`
     /// needs to realise this instance size (`usize::MAX` when no module
     /// does). A consumer reading slot `s` holds at least `min_procs[s]`
@@ -174,7 +243,7 @@ struct NeAxis {
     min_procs: Vec<usize>,
 }
 
-const NO_SLOT: usize = usize::MAX;
+pub(crate) const NO_SLOT: usize = usize::MAX;
 
 impl NeAxis {
     fn sentinel() -> Self {
@@ -185,14 +254,22 @@ impl NeAxis {
         }
     }
 
-    /// Axis for modules starting at `start` (< k). With `dedup`, only the
-    /// instance sizes actually achievable by some `(last, pl)` pair;
-    /// otherwise the raw `1..=P` enumeration of the reference path.
-    fn for_start(table: &CostTable, start: usize, k: usize, p: Procs, dedup: bool) -> Self {
+    /// Axis for the modules the policy allows to start at `start` (< k).
+    /// With `dedup`, only the instance sizes actually achievable by some
+    /// `(last, pl)` pair; otherwise the raw `1..=P` enumeration of the
+    /// reference path.
+    fn for_start(
+        table: &CostTable,
+        start: usize,
+        k: usize,
+        p: Procs,
+        dedup: bool,
+        clustering: Clustering,
+    ) -> Self {
         // Fewest processors realising each instance size, over every
         // module `(start..=last, pl)`.
         let mut min_pl = vec![usize::MAX; p + 1];
-        for last in start..k {
+        for last in start..start + clustering.max_len(k - start) {
             let Some(floor) = table.module_floor(start, last) else {
                 continue;
             };
@@ -243,18 +320,18 @@ impl NeAxis {
 ///
 /// `out[j * (P+1) + r]` bounds the throughput of *any* completion of a
 /// partial mapping that ends at task `j` with `r` processors left for
-/// tasks `j+1..k`: every later task `t` lives in some module covering it
-/// on at most `r` processors, and that module's response time is at
-/// least its execution time plus the *cheapest possible* incoming and
-/// outgoing transfers at its instance size (the recurrence charges a
-/// module `cin + exec + out`, and the actual neighbour sizes can only
-/// cost more than the slab minima). Taking the minimum over the later
-/// tasks gives an admissible upper bound, so a cell whose bound falls
-/// below the incumbent cannot lie on the optimal path. In particular
-/// `r = 0` (or `r` below every covering module's floor) yields `-∞` and
-/// kills the provably dead full-budget cells of non-final stages. The
-/// `j = k-1` row is unused (`+∞`: nothing remains).
-fn suffix_bounds(table: &CostTable, k: usize, p: usize) -> Vec<f64> {
+/// tasks `j+1..k`: every later task `t` lives in some module the policy
+/// allows, covering it on at most `r` processors, and that module's
+/// response time is at least its execution time plus the *cheapest
+/// possible* incoming and outgoing transfers at its instance size (the
+/// recurrence charges a module `cin + exec + out`, and the actual
+/// neighbour sizes can only cost more than the slab minima). Taking the
+/// minimum over the later tasks gives an admissible upper bound, so a
+/// cell whose bound falls below the incumbent cannot lie on the optimal
+/// path. In particular `r = 0` (or `r` below every covering module's
+/// floor) yields `-∞` and kills the provably dead full-budget cells of
+/// non-final stages. The `j = k-1` row is unused (`+∞`: nothing remains).
+fn suffix_bounds(table: &CostTable, k: usize, p: usize, clustering: Clustering) -> Vec<f64> {
     let dense = table.dense();
     // Cheapest transfer on edge e for one fixed endpoint instance size:
     // in_min[e * P + (i-1)] = min over sender sizes of ecom(e)[s][i]
@@ -282,7 +359,7 @@ fn suffix_bounds(table: &CostTable, k: usize, p: usize) -> Vec<f64> {
     // every module covering task t on at most b processors.
     let mut task_ub = vec![f64::NEG_INFINITY; k * (p + 1)];
     for start in 0..k {
-        for end in start..k {
+        for end in start..start + clustering.max_len(k - start) {
             let Some(floor) = table.module_floor(start, end) else {
                 continue;
             };
@@ -371,7 +448,8 @@ pub fn dp_mapping(problem: &Problem) -> Result<Solution, SolveError> {
 /// returns bit-identical results; the options only trade wall-clock time.
 pub fn dp_mapping_with(problem: &Problem, opts: &SolveOptions) -> Result<Solution, SolveError> {
     let ctx = SolveCtx::new(problem)?;
-    run_cluster_dp_with_fallback(problem, &ctx, opts, false, None).map(|run| run.solution)
+    run_cluster_dp_with_fallback(problem, &ctx, opts, Clustering::Contiguous, false, None)
+        .map(|run| run.solution)
 }
 
 /// [`run_cluster_dp`] with a defensive retry: an admissible incumbent can
@@ -383,19 +461,43 @@ pub(crate) fn run_cluster_dp_with_fallback(
     problem: &Problem,
     ctx: &SolveCtx,
     opts: &SolveOptions,
+    clustering: Clustering,
     keep_stages: bool,
     resume: Option<&ClusterResume<'_>>,
 ) -> Result<ClusterRun, SolveError> {
-    match run_cluster_dp(problem, ctx, opts, keep_stages, resume) {
+    match run_cluster_dp(problem, ctx, opts, clustering, keep_stages, resume) {
         Err(SolveError::Infeasible) if opts.prune => {
             let unpruned = SolveOptions {
                 prune: false,
                 ..*opts
             };
-            run_cluster_dp(problem, ctx, &unpruned, keep_stages, resume)
+            run_cluster_dp(problem, ctx, &unpruned, clustering, keep_stages, resume)
         }
         r => r,
     }
+}
+
+/// The provenance-recording solve behind both policies' `_provenance`
+/// (`prune` off: exact runner-ups) and `_pruned_stats_ctx` (`prune` on)
+/// entry points.
+pub(crate) fn recorded_run(
+    problem: &Problem,
+    ctx: &SolveCtx,
+    opts: &SolveOptions,
+    clustering: Clustering,
+    prune: bool,
+) -> Result<(ClusterRun, Provenance), SolveError> {
+    let opts = SolveOptions {
+        prune,
+        provenance: true,
+        ..*opts
+    };
+    let mut run = run_cluster_dp(problem, ctx, &opts, clustering, false, None)?;
+    let prov = run
+        .provenance
+        .take()
+        .expect("provenance recorded when the option is set");
+    Ok((run, prov))
 }
 
 /// [`dp_mapping`] recording full decision provenance: the winning DP path
@@ -418,17 +520,8 @@ pub fn dp_mapping_provenance_ctx(
     ctx: &SolveCtx,
     opts: &SolveOptions,
 ) -> Result<(Solution, Provenance), SolveError> {
-    let opts = SolveOptions {
-        prune: false,
-        provenance: true,
-        ..*opts
-    };
-    let run = run_cluster_dp(problem, ctx, &opts, false, None)?;
-    Ok((
-        run.solution,
-        run.provenance
-            .expect("provenance recorded when the option is set"),
-    ))
+    recorded_run(problem, ctx, opts, Clustering::Contiguous, false)
+        .map(|(run, prov)| (run.solution, prov))
 }
 
 /// Per-stage cell statistics of a *pruned* cluster solve against a shared
@@ -441,16 +534,7 @@ pub fn dp_mapping_pruned_stats_ctx(
     ctx: &SolveCtx,
     opts: &SolveOptions,
 ) -> Result<Vec<StageCells>, SolveError> {
-    let opts = SolveOptions {
-        prune: true,
-        provenance: true,
-        ..*opts
-    };
-    let run = run_cluster_dp(problem, ctx, &opts, false, None)?;
-    Ok(run
-        .provenance
-        .expect("provenance recorded when the option is set")
-        .stage_cells)
+    recorded_run(problem, ctx, opts, Clustering::Contiguous, true).map(|(_, prov)| prov.stage_cells)
 }
 
 /// Warm-start state for [`run_cluster_dp`]: splice the retained `(j, L)`
@@ -473,24 +557,33 @@ pub(crate) struct ClusterResume<'a> {
 /// Result of one [`run_cluster_dp`] invocation.
 pub(crate) struct ClusterRun {
     pub(crate) solution: Solution,
+    /// Raw processors offered to each module, in pipeline order.
+    pub(crate) offers: Vec<Procs>,
     pub(crate) provenance: Option<Provenance>,
     /// The full stage tables (`stage_key` layout), kept only when
     /// `keep_stages` was set — the retained artifact of a cold solve.
     pub(crate) stages: Option<Vec<Option<Stage>>>,
+    /// The `ne` axes the stages are laid out on, indexed by the start of
+    /// the next module (`k` = the sentinel after the last task).
+    pub(crate) axes: Vec<NeAxis>,
     /// DP cells enumerated by this run (spliced stages contribute none).
     pub(crate) cells: u64,
+    /// Cells of that total skipped wholesale by pruning.
+    pub(crate) cells_pruned: u64,
 }
 
 pub(crate) fn run_cluster_dp(
     problem: &Problem,
     ctx: &SolveCtx,
     opts: &SolveOptions,
+    clustering: Clustering,
     keep_stages: bool,
     resume: Option<&ClusterResume<'_>>,
 ) -> Result<ClusterRun, SolveError> {
     let rec = pipemap_obs::global();
-    let _wall = rec.timer("solver.dp_mapping.wall_s");
-    let _span = pipemap_obs::span!("dp_mapping", "solver");
+    let name = clustering.name();
+    let _wall = rec.timer(&format!("solver.{name}.wall_s"));
+    let _span = pipemap_obs::span!(name, "solver");
     // Local accumulators, published once — no atomics in the recurrence.
     let mut totals = CellStats::default();
 
@@ -507,8 +600,8 @@ pub(crate) fn run_cluster_dp(
     };
 
     // Admissible incumbent: the refined greedy assignment is an
-    // all-singleton clustering, i.e. one feasible clustering, so the
-    // mapping optimum is ≥ its throughput. (The exact assignment-DP value
+    // all-singleton clustering, i.e. a feasible state of either policy, so
+    // the optimum is ≥ its throughput. (The exact assignment-DP value
     // is tighter still, but costs a full O(P³k) solve and in practice
     // buys only a couple of percentage points of extra pruning here.)
     // Singleton infeasibility does NOT imply mapping infeasibility — a
@@ -544,7 +637,7 @@ pub(crate) fn run_cluster_dp(
     // The bounds live on the shared ctx — entry points that solve the
     // same table repeatedly (explain, resolve) compute them once.
     let suffix_ub: &[f64] = if opts.prune && bound > f64::NEG_INFINITY && k > 1 {
-        ctx.suffix()
+        ctx.suffix(clustering)
     } else {
         &[]
     };
@@ -555,16 +648,12 @@ pub(crate) fn run_cluster_dp(
             if start == k {
                 NeAxis::sentinel()
             } else {
-                NeAxis::for_start(table, start, k, p, opts.dedup)
+                NeAxis::for_start(table, start, k, p, opts.dedup, clustering)
             }
         })
         .collect();
 
-    // stage_key(j, L) → index into `stages`; only L ≤ j+1 exist.
-    let stage_key = |j: usize, l: usize| -> usize {
-        debug_assert!(l >= 1 && l <= j + 1);
-        j * k + (l - 1)
-    };
+    let stage_key = |j: usize, l: usize| stage_key(k, j, l);
     let mut stages: Vec<Option<Stage>> = (0..k * k).map(|_| None).collect();
 
     for j in 0..k {
@@ -575,7 +664,7 @@ pub(crate) fn run_cluster_dp(
         // identical fold the cold path uses below.
         if let Some(res) = resume {
             if j < res.frontier {
-                for l in 1..=j + 1 {
+                for l in 1..=clustering.max_len(j + 1) {
                     let key = stage_key(j, l);
                     let Some(st) = res.stages[key].as_ref() else {
                         continue;
@@ -593,7 +682,7 @@ pub(crate) fn run_cluster_dp(
                 continue;
             }
         }
-        for l in 1..=j + 1 {
+        for l in 1..=clustering.max_len(j + 1) {
             let first = j + 1 - l;
             let Some(floor) = table.module_floor(first, j) else {
                 continue; // module can never fit: leave stage absent
@@ -865,9 +954,9 @@ pub(crate) fn run_cluster_dp(
         }
     }
 
-    rec.add("solver.dp_mapping.cells", totals.cells);
-    rec.add("solver.dp_mapping.lookups", totals.lookups);
-    rec.add("solver.dp_mapping.pruned", totals.qskips);
+    rec.add(&format!("solver.{name}.cells"), totals.cells);
+    rec.add(&format!("solver.{name}.lookups"), totals.lookups);
+    rec.add(&format!("solver.{name}.pruned"), totals.qskips);
     rec.add(pipemap_obs::names::SOLVER_CELLS_TOTAL, totals.cells);
     rec.add(pipemap_obs::names::SOLVER_CELLS_PRUNED, totals.cells_pruned);
 
@@ -876,12 +965,12 @@ pub(crate) fn run_cluster_dp(
     let mut best = f64::NEG_INFINITY;
     let mut best_l = 0usize;
     let mut best_pl = 0usize;
-    for l in 1..=k {
+    for l in 1..=clustering.max_len(k) {
         let Some(stage) = stages[stage_key(k - 1, l)].as_ref() else {
             continue;
         };
         for pl in 1..=p {
-            let v = stage.value[p * p + (pl - 1)]; // slot 0, pt = P
+            let v = stage.value(p, 0, p, pl);
             if v > best {
                 best = v;
                 best_l = l;
@@ -896,6 +985,7 @@ pub(crate) fn run_cluster_dp(
     // Reconstruct modules right-to-left, recording the visited cells for
     // the provenance harvest.
     let mut modules_rev: Vec<ModuleAssignment> = Vec::new();
+    let mut offers: Vec<Procs> = Vec::new();
     let mut path: Vec<PathCell> = Vec::new();
     let mut j = k - 1;
     let mut l = best_l;
@@ -913,6 +1003,7 @@ pub(crate) fn run_cluster_dp(
             rep.instances,
             rep.procs_per_instance,
         ));
+        offers.push(pl);
         if opts.provenance {
             path.push(PathCell { j, l, pl, pt, slot });
         }
@@ -928,6 +1019,7 @@ pub(crate) fn run_cluster_dp(
         pl = par.prev_procs as usize;
     }
     modules_rev.reverse();
+    offers.reverse();
     let prov = if opts.provenance {
         Some(harvest_cluster(
             table,
@@ -939,6 +1031,7 @@ pub(crate) fn run_cluster_dp(
             p,
             best,
             !opts.prune,
+            name,
         ))
     } else {
         None
@@ -948,15 +1041,18 @@ pub(crate) fn run_cluster_dp(
     debug_assert_eq!(
         solution.throughput.to_bits(),
         best.to_bits(),
-        "cluster DP internal value {} disagrees with evaluator {}",
+        "{name} internal value {} disagrees with evaluator {}",
         best,
         solution.throughput
     );
     Ok(ClusterRun {
         solution,
+        offers,
         provenance: prov,
         stages: keep_stages.then_some(stages),
+        axes,
         cells: totals.cells,
+        cells_pruned: totals.cells_pruned,
     })
 }
 
@@ -971,9 +1067,9 @@ struct PathCell {
     slot: usize,
 }
 
-/// Rebuild [`DecisionCell`]s for the cluster DP's winning path by
-/// re-scanning each visited cell's candidates (exact when the solve ran
-/// unpruned — the entry point forces that).
+/// Rebuild [`DecisionCell`]s for the sweep's winning path by re-scanning
+/// each visited cell's candidates (exact when the solve ran unpruned — the
+/// entry points force that).
 #[allow(clippy::too_many_arguments)]
 fn harvest_cluster(
     table: &CostTable,
@@ -985,6 +1081,7 @@ fn harvest_cluster(
     p: usize,
     throughput: f64,
     exact: bool,
+    algorithm: &'static str,
 ) -> Provenance {
     let dense = table.dense();
     let mut cells: Vec<DecisionCell> = Vec::with_capacity(path.len());
@@ -993,7 +1090,7 @@ fn harvest_cluster(
         let stage = stages[stage_key(pc.j, pc.l)]
             .as_ref()
             .expect("path visits existing stages");
-        let value = stage.value[(pc.slot * (p + 1) + pc.pt) * p + (pc.pl - 1)];
+        let value = stage.value(p, pc.slot, pc.pt, pc.pl);
         let rep = table
             .module_replication(first, pc.j, pc.pl)
             .expect("path offer respects the floor");
@@ -1019,7 +1116,7 @@ fn harvest_cluster(
                 };
                 let prev_first = first - prev_len;
                 for q in pstage.floor..=budget {
-                    let sub = pstage.value[(s_in * (p + 1) + budget) * p + (q - 1)];
+                    let sub = pstage.value(p, s_in, budget, q);
                     let prep = table
                         .module_replication(prev_first, first - 1, q)
                         .expect("q >= floor");
@@ -1083,7 +1180,7 @@ fn harvest_cluster(
         })
         .collect();
     Provenance {
-        algorithm: "dp_mapping",
+        algorithm,
         throughput,
         cells,
         stage_cells,

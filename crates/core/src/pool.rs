@@ -21,12 +21,12 @@ use std::thread;
 pub(crate) struct CellStats {
     /// DP cells enumerated (including bound-pruned ones).
     pub cells: u64,
-    /// Cells skipped wholesale by the incumbent bound.
+    /// Cells skipped wholesale by a bound or by reachability.
     pub cells_pruned: u64,
     /// Subproblem value lookups (inner candidate scans).
     pub lookups: u64,
-    /// Candidates skipped because their subvalue could not beat the
-    /// running best (`min(sub, ·) ≤ sub ≤ best`).
+    /// Candidates skipped because their subvalue, or their row's maximum,
+    /// could not beat the running best (`min(sub, ·) ≤ sub ≤ best`).
     pub qskips: u64,
 }
 

@@ -41,9 +41,10 @@ use pipemap_chain::{
 use pipemap_model::Procs;
 
 use crate::cluster::contract_chain;
-use crate::dp::{self, response_throughput, DpTrace};
+use crate::dp;
+use crate::dp_cluster::{response_throughput, SolveCtx};
 use crate::options::SolveOptions;
-use crate::solution::{checked_table, SolveError};
+use crate::solution::SolveError;
 
 /// Margins refuse instances beyond this processor count: the joins are
 /// polynomial but dense, and paper-scale problems sit far below it.
@@ -539,9 +540,10 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
             limit: "stability margins support P <= 192",
         });
     }
-    let table = checked_table(cp)?;
+    let ctx = SolveCtx::new(cp)?;
+    let table = ctx.table();
     let info: Vec<ModInfo> = (0..k)
-        .map(|i| ModInfo::build(&table, i, p))
+        .map(|i| ModInfo::build(table, i, p))
         .collect::<Result<_, _>>()?;
 
     // Reproduce each module's raw offer from its (replicas, procs) pair.
@@ -602,8 +604,8 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
         provenance: false,
         ..SolveOptions::default()
     };
-    let trace = dp::run_dp(cp, &table, true, &fwd_opts)?;
-    let suffix = build_suffix(&table, &info, k, p);
+    let trace = dp::trace(cp, &ctx, &fwd_opts)?;
+    let suffix = build_suffix(table, &info, k, p);
 
     let neg = f64::NEG_INFINITY;
     let mut stages_out = Vec::with_capacity(k);
@@ -901,110 +903,6 @@ pub fn stability_margins(problem: &Problem, mapping: &Mapping) -> Result<MarginR
         bottleneck,
         stages: stages_out,
     })
-}
-
-// ---------------------------------------------------------------------------
-// Winning-path harvest for the assignment DP.
-// ---------------------------------------------------------------------------
-
-/// Rebuild the winning decision path of an (unpruned, stage-keeping)
-/// assignment-DP trace: one [`DecisionCell`] per task with its chosen and
-/// runner-up predecessor.
-pub(crate) fn harvest_assignment(
-    problem: &Problem,
-    table: &CostTable,
-    trace: &DpTrace,
-) -> Provenance {
-    let k = problem.num_tasks();
-    let p = problem.total_procs;
-    let floors: Vec<usize> = (0..k)
-        .map(|i| problem.task_floor(i).expect("solved problem is feasible"))
-        .collect();
-    let inst = |i: usize, q: usize| -> usize {
-        table
-            .module_replication(i, i, q)
-            .expect("offer >= floor implies a replication exists")
-            .procs_per_instance
-    };
-    let mut cells: Vec<DecisionCell> = Vec::with_capacity(k);
-    let mut pt = p;
-    for j in (0..k).rev() {
-        let pl = trace.assignment[j];
-        let rep = table
-            .module_replication(j, j, pl)
-            .expect("assignment respects floors");
-        let im = rep.procs_per_instance;
-        let pn_raw = if j + 1 < k {
-            trace.assignment[j + 1]
-        } else {
-            0
-        };
-        let value = trace.stages[j].get(pt, pl, pn_raw);
-        let e = table.exec(j, im);
-        let eout = if j + 1 < k {
-            table.ecom(j, im, inst(j + 1, trace.assignment[j + 1]))
-        } else {
-            0.0
-        };
-        let (prev_procs, ein, runner_up) = if j > 0 {
-            let q_star = trace.assignment[j - 1];
-            let budget = pt - pl;
-            let ein_star = table.ecom(j - 1, inst(j - 1, q_star), im);
-            let mut alt_val = f64::NEG_INFINITY;
-            let mut alt_q = 0usize;
-            for q in floors[j - 1]..=budget {
-                if q == q_star {
-                    continue;
-                }
-                let sub = trace.stages[j - 1].get(budget, q, pl);
-                if sub == f64::NEG_INFINITY {
-                    continue;
-                }
-                let ein = table.ecom(j - 1, inst(j - 1, q), im);
-                let own = response_throughput(ein, e, eout, rep.instances);
-                let cand = sub.min(own);
-                if cand > alt_val {
-                    alt_val = cand;
-                    alt_q = q;
-                }
-            }
-            let ru = (alt_val > f64::NEG_INFINITY).then_some(RunnerUp {
-                prev_len: 1,
-                prev_procs: alt_q,
-                value: alt_val,
-            });
-            (q_star, ein_star, ru)
-        } else {
-            (0, 0.0, None)
-        };
-        cells.push(DecisionCell {
-            index: j,
-            first: j,
-            last: j,
-            offer: pl,
-            instances: rep.instances,
-            instance_procs: im,
-            budget: pt,
-            value,
-            chosen_prev_len: usize::from(j > 0),
-            chosen_prev_procs: prev_procs,
-            runner_up,
-            exec_s: e,
-            ecom_in_s: ein,
-            ecom_out_s: eout,
-        });
-        if j > 0 {
-            pt -= pl;
-        }
-    }
-    cells.reverse();
-    Provenance {
-        algorithm: "dp_assignment",
-        throughput: trace.throughput,
-        cells,
-        stage_cells: trace.stage_cells.clone(),
-        exact_runner_ups: true,
-    }
 }
 
 #[cfg(test)]

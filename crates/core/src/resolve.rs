@@ -1,9 +1,9 @@
 //! Incremental warm-start re-solving (delta-aware DP).
 //!
 //! A cold solve prices every `(stage, budget, offer, next-size)` cell from
-//! scratch. In the serving loop (ROADMAP item 1) the problem rarely
-//! changes shape — the doctor reports that a handful of *costs* drifted by
-//! fitted multiplicative factors. This module re-solves such re-priced
+//! scratch. In a serving loop the problem rarely changes shape — the
+//! doctor reports that a handful of *costs* drifted by fitted
+//! multiplicative factors. This module re-solves such re-priced
 //! problems **bit-identically** to a cold solve at a fraction of the
 //! cost, with three stacked mechanisms:
 //!
@@ -28,18 +28,19 @@
 //!    disagree about which tied representative to report. Deltas that
 //!    take the suffix path reproduce the cold argmax exactly, mapping
 //!    included.
-//! 2. **Suffix invalidation.** Both DPs sweep stages left to right and a
+//! 2. **Suffix invalidation.** The DP sweeps stages left to right and a
 //!    stage's cells read only costs of tasks `0..=j` (plus the outgoing
 //!    edge `j`). A delta therefore invalidates only stages at or right of
 //!    its *frontier*: `exec` of task `d` → frontier `d`; `ecom` of edge
 //!    `e` → frontier `e` (the stage ending at `e` charges it as its
 //!    out-transfer); `icom` of edge `e` → frontier `e + 1` (internal only
-//!    to modules ending at or after `e + 1`; fully inert for the
-//!    assignment DP, whose modules are singletons). The retained dense
-//!    cost table is patched in place ([`CostTable::rescale`], bitwise
-//!    equal to rebuilding from the scaled cost functions) and only the
-//!    invalidated suffix is recomputed, splicing the retained prefix
-//!    tables verbatim.
+//!    to modules ending at or after `e + 1`; fully inert under the
+//!    one-task policy, whose modules never contain an edge). The retained
+//!    dense cost table is patched in place ([`CostTable::rescale`],
+//!    bitwise equal to rebuilding from the scaled cost functions) and only
+//!    the invalidated suffix is recomputed, splicing the retained prefix
+//!    tables verbatim. Both artifact kinds retain the same sweep's tables;
+//!    they differ only in the clustering policy they were solved under.
 //! 3. **Warm incumbent.** The previous optimum stays feasible (floors and
 //!    memory are cost-independent), so its throughput on the re-priced
 //!    problem — `pipemap_chain::throughput`, which is exactly the DP's
@@ -61,12 +62,11 @@
 //! never be the first argmax on-path. Identical terminal scans then
 //! reconstruct identical mappings.
 
-use pipemap_chain::{Assignment, ChainBuilder, Edge, Mapping, Problem, Task};
+use pipemap_chain::{ChainBuilder, Edge, Problem, Task};
 use pipemap_model::{BinaryCost, UnaryCost};
 use pipemap_obs::names;
 
-use crate::dp::{self, DpResume, DpTrace};
-use crate::dp_cluster::{self, ClusterResume, SolveCtx, Stage};
+use crate::dp_cluster::{self, ClusterResume, Clustering, SolveCtx, Stage};
 use crate::options::SolveOptions;
 use crate::provenance::{self, MarginReport};
 use crate::solution::{Solution, SolveError};
@@ -161,31 +161,13 @@ impl CostDeltas {
     /// task) whose DP cells can read a changed cost. `k` when nothing is
     /// invalidated.
     pub fn frontier(&self, k: usize) -> usize {
-        let mut f = k;
-        for (d, &g) in self.exec.iter().enumerate() {
-            if g != 1.0 {
-                f = f.min(d);
-            }
-        }
-        for (e, &g) in self.ecom.iter().enumerate() {
-            if g != 1.0 {
-                f = f.min(e);
-            }
-        }
-        for (e, &g) in self.icom.iter().enumerate() {
-            if g != 1.0 {
-                // Internal to modules containing edge e, which end at
-                // task e+1 or later.
-                f = f.min(e + 1);
-            }
-        }
-        f
+        self.frontier_for(k, Clustering::Contiguous)
     }
 
-    /// Invalidation frontier for the *assignment* DP, whose singleton
-    /// modules never charge internal communication: icom deltas are
+    /// [`Self::frontier`] under a clustering policy. One-task modules
+    /// never charge internal communication, so there icom deltas are
     /// inert.
-    fn assignment_frontier(&self, k: usize) -> usize {
+    fn frontier_for(&self, k: usize, clustering: Clustering) -> usize {
         let mut f = k;
         for (d, &g) in self.exec.iter().enumerate() {
             if g != 1.0 {
@@ -195,6 +177,15 @@ impl CostDeltas {
         for (e, &g) in self.ecom.iter().enumerate() {
             if g != 1.0 {
                 f = f.min(e);
+            }
+        }
+        if clustering == Clustering::Contiguous {
+            for (e, &g) in self.icom.iter().enumerate() {
+                if g != 1.0 {
+                    // Internal to modules containing edge e, which end at
+                    // task e+1 or later.
+                    f = f.min(e + 1);
+                }
             }
         }
         f
@@ -258,15 +249,6 @@ pub fn reprice_problem(problem: &Problem, deltas: &CostDeltas) -> Problem {
     p
 }
 
-/// Which solver produced the retained artifact.
-enum ArtifactKind {
-    /// Assignment DP (`dp_assignment*`): singleton clustering. Retains
-    /// the full stage tables and the optimal per-task offers.
-    Assignment { trace: DpTrace },
-    /// Cluster DP (`dp_mapping*`): retains every `(end, length)` stage.
-    Cluster { stages: Vec<Option<Stage>> },
-}
-
 /// Mechanism an incremental re-solve used.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResolveMechanism {
@@ -314,20 +296,38 @@ pub struct ResolveArtifact {
     ctx: SolveCtx,
     solution: Solution,
     margins: Option<MarginReport>,
-    kind: ArtifactKind,
+    /// The policy the artifact was solved, and re-solves, under.
+    clustering: Clustering,
+    /// Every `(end, length)` stage table of the cold solve.
+    stages: Vec<Option<Stage>>,
 }
 
 impl ResolveArtifact {
     /// Cold-solve `problem` with the cluster DP and retain everything a
     /// warm re-solve needs.
     pub fn build(problem: &Problem, opts: &SolveOptions) -> Result<Self, SolveError> {
+        Self::build_with(problem, opts, Clustering::Contiguous)
+    }
+
+    /// Cold-solve `problem` with the assignment DP (singleton clustering)
+    /// and retain everything a warm re-solve needs. Only this artifact
+    /// kind can fire the margin short-circuit (see module docs).
+    pub fn build_assignment(problem: &Problem, opts: &SolveOptions) -> Result<Self, SolveError> {
+        Self::build_with(problem, opts, Clustering::Singletons)
+    }
+
+    fn build_with(
+        problem: &Problem,
+        opts: &SolveOptions,
+        clustering: Clustering,
+    ) -> Result<Self, SolveError> {
         let ctx = SolveCtx::new(problem)?;
         let unpruned = SolveOptions {
             prune: false,
             provenance: false,
             ..*opts
         };
-        let run = dp_cluster::run_cluster_dp(problem, &ctx, &unpruned, true, None)?;
+        let run = dp_cluster::run_cluster_dp(problem, &ctx, &unpruned, clustering, true, None)?;
         let margins = provenance::stability_margins(problem, &run.solution.mapping).ok();
         Ok(Self {
             problem: problem.clone(),
@@ -335,36 +335,8 @@ impl ResolveArtifact {
             ctx,
             solution: run.solution,
             margins,
-            kind: ArtifactKind::Cluster {
-                stages: run.stages.expect("stages kept by the artifact solve"),
-            },
-        })
-    }
-
-    /// Cold-solve `problem` with the assignment DP (singleton clustering)
-    /// and retain everything a warm re-solve needs. Only this artifact
-    /// kind can fire the margin short-circuit (see module docs).
-    pub fn build_assignment(problem: &Problem, opts: &SolveOptions) -> Result<Self, SolveError> {
-        let ctx = SolveCtx::new(problem)?;
-        let unpruned = SolveOptions {
-            prune: false,
-            provenance: false,
-            ..*opts
-        };
-        let trace = dp::run_dp(problem, ctx.table(), true, &unpruned)?;
-        let assignment = Assignment(trace.assignment.clone());
-        let mapping: Mapping = assignment
-            .to_mapping(problem)
-            .expect("DP respects per-task floors");
-        let solution = Solution::from_mapping(problem, mapping);
-        let margins = provenance::stability_margins(problem, &solution.mapping).ok();
-        Ok(Self {
-            problem: problem.clone(),
-            opts: *opts,
-            ctx,
-            solution,
-            margins,
-            kind: ArtifactKind::Assignment { trace },
+            clustering,
+            stages: run.stages.expect("stages kept by the artifact solve"),
         })
     }
 
@@ -391,7 +363,7 @@ impl ResolveArtifact {
 
     /// True for cluster-DP artifacts, false for assignment-DP ones.
     pub fn is_cluster(&self) -> bool {
-        matches!(self.kind, ArtifactKind::Cluster { .. })
+        self.clustering == Clustering::Contiguous
     }
 
     /// Re-solve the re-priced problem incrementally. The returned
@@ -410,10 +382,7 @@ impl ResolveArtifact {
         let p = self.problem.total_procs;
         deltas.check_tasks(k);
 
-        let frontier = match self.kind {
-            ArtifactKind::Cluster { .. } => deltas.frontier(k),
-            ArtifactKind::Assignment { .. } => deltas.assignment_frontier(k),
-        };
+        let frontier = deltas.frontier_for(k, self.clustering);
         let repriced = reprice_problem(&self.problem, deltas);
 
         // Mechanism 1: nothing this solver reads changed, or the single
@@ -431,40 +400,21 @@ impl ResolveArtifact {
         // old optimum's re-priced throughput.
         let mut table = self.ctx.table().clone();
         table.rescale(&deltas.exec, &deltas.icom, &deltas.ecom);
-        let warm = pipemap_chain::throughput(&repriced.chain, &self.solution.mapping);
-        match &self.kind {
-            ArtifactKind::Assignment { trace } => {
-                let resume = DpResume {
-                    frontier,
-                    stages: &trace.stages,
-                    incumbent: warm,
-                };
-                let t =
-                    dp::run_dp_with_fallback(&repriced, &table, false, &self.opts, Some(&resume))?;
-                let assignment = Assignment(t.assignment.clone());
-                let mapping: Mapping = assignment
-                    .to_mapping(&repriced)
-                    .expect("DP respects per-task floors");
-                let solution = Solution::from_mapping(&repriced, mapping);
-                Ok(self.finish(solution, ResolveMechanism::Suffix, t.cells, frontier))
-            }
-            ArtifactKind::Cluster { stages } => {
-                let ctx = SolveCtx::from_table(table, k, p);
-                let resume = ClusterResume {
-                    frontier,
-                    stages,
-                    incumbent: warm,
-                };
-                let run = dp_cluster::run_cluster_dp_with_fallback(
-                    &repriced,
-                    &ctx,
-                    &self.opts,
-                    false,
-                    Some(&resume),
-                )?;
-                Ok(self.finish(run.solution, ResolveMechanism::Suffix, run.cells, frontier))
-            }
-        }
+        let ctx = SolveCtx::from_table(table, k, p);
+        let resume = ClusterResume {
+            frontier,
+            stages: &self.stages,
+            incumbent: pipemap_chain::throughput(&repriced.chain, &self.solution.mapping),
+        };
+        let run = dp_cluster::run_cluster_dp_with_fallback(
+            &repriced,
+            &ctx,
+            &self.opts,
+            self.clustering,
+            false,
+            Some(&resume),
+        )?;
+        Ok(self.finish(run.solution, ResolveMechanism::Suffix, run.cells, frontier))
     }
 
     /// Mechanism-1 test: assignment artifact, margins available, exactly
@@ -477,11 +427,11 @@ impl ResolveArtifact {
     /// throughput matches a cold solve bitwise, but value-tied alternate
     /// optima may still win the cold argmax (module docs).
     fn margin_short_circuit(&self, deltas: &CostDeltas) -> bool {
-        let ArtifactKind::Assignment { .. } = self.kind else {
+        if self.clustering != Clustering::Singletons {
             // Margins hold the clustering fixed; a different clustering
             // can overtake strictly inside the interval.
             return false;
-        };
+        }
         let Some(margins) = &self.margins else {
             return false;
         };
@@ -489,43 +439,29 @@ impl ResolveArtifact {
         if margins.stages.len() != k {
             return false;
         }
-        // Exactly one non-unit delta among the costs the assignment DP
-        // reads (icom is inert for singleton modules — any number of
-        // icom deltas rides along for free).
-        enum Hit {
-            Exec(usize, f64),
-            Ecom(usize, f64),
-        }
-        let mut hit: Option<Hit> = None;
-        for (d, &g) in deltas.exec.iter().enumerate() {
-            if g != 1.0 {
-                if hit.is_some() {
-                    return false;
-                }
-                hit = Some(Hit::Exec(d, g));
-            }
-        }
-        for (e, &g) in deltas.ecom.iter().enumerate() {
-            if g != 1.0 {
-                if hit.is_some() {
-                    return false;
-                }
-                hit = Some(Hit::Ecom(e, g));
-            }
-        }
-        let (down, up, g) = match hit {
-            Some(Hit::Exec(d, g)) => {
+        // Exactly one non-unit delta among the costs one-task modules read
+        // (icom is inert for them — any number of icom deltas rides along
+        // for free).
+        let changed = |factors: &[f64]| -> Vec<(usize, f64)> {
+            factors
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(_, g)| g != 1.0)
+                .collect()
+        };
+        match (&changed(&deltas.exec)[..], &changed(&deltas.ecom)[..]) {
+            (&[(d, g)], []) => {
                 let s = &margins.stages[d];
-                (s.exec_down, s.exec_up, g)
+                strictly_inside(g, s.exec_down, s.exec_up)
             }
-            Some(Hit::Ecom(e, g)) => {
+            ([], &[(e, g)]) => {
                 // Edge e is stage e+1's incoming transfer.
                 let s = &margins.stages[e + 1];
-                (s.ecom_in_down, s.ecom_in_up, g)
+                strictly_inside(g, s.ecom_in_down, s.ecom_in_up)
             }
-            None => return false, // identity: handled before us
-        };
-        strictly_inside(g, down, up)
+            _ => false,
+        }
     }
 
     fn finish(

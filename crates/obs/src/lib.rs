@@ -71,9 +71,13 @@ pub mod names {
     /// `dp_mapping` both add to it). A "cell" is one `(p_total, p_last,
     /// next-size)` state of the stage recurrence.
     pub const SOLVER_CELLS_TOTAL: &str = "solver.cells_total";
-    /// DP cells skipped wholesale by incumbent-bound pruning (their
-    /// single-module upper bound cannot reach the greedy incumbent).
-    /// `cells_pruned / cells_total` is the pruning effectiveness.
+    /// DP cells never computed, by one rule for both solvers: a cell
+    /// counts when its row cap (the module's best response) or the suffix
+    /// bound (what the processors left can sustain) falls below the
+    /// incumbent, or when no consumer can read it (structural
+    /// reachability). Candidates a computed cell skips, row-maximum skips
+    /// included, are not cells. `cells_pruned / cells_total` is the
+    /// pruning effectiveness.
     pub const SOLVER_CELLS_PRUNED: &str = "solver.cells_pruned";
 
     /// Tightest upward execution-cost stability margin across the mapped

@@ -457,19 +457,33 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
             problem.mem_per_proc
         );
     }
-    let greedy = cluster_heuristic(&problem, GreedyOptions::adaptive())
-        .map_err(|e| format!("mapping failed: {e}"))?;
-    let mut solutions = vec![("greedy", greedy)];
+    // The heuristic starts from singleton floors, so it can fail where a
+    // merged module fits; only when no solver maps the chain is it an error.
+    let mut solutions = Vec::new();
+    let mut failure = None;
+    match cluster_heuristic(&problem, GreedyOptions::adaptive()) {
+        Ok(greedy) => solutions.push(("greedy", greedy)),
+        Err(e) => failure = Some(e),
+    }
     if !greedy_only {
+        if let Some(e) = &failure {
+            eprintln!("greedy mapping failed: {e}");
+        }
         match dp_mapping(&problem) {
             Ok(optimal) => solutions.push(("optimal", optimal)),
-            Err(e) => eprintln!("optimal mapping failed: {e}"),
+            Err(e) => {
+                eprintln!("optimal mapping failed: {e}");
+                failure = Some(e);
+            }
         }
         // Free replication degrees (an extension beyond the paper's
         // maximal-replication rule): report only when it differs.
         if let Ok(free) = dp_mapping_free(&problem) {
             solutions.push(("free_replication", free));
         }
+    }
+    if let (None, Some(e)) = (solutions.first(), failure) {
+        return Err(format!("mapping failed: {e}"));
     }
     let latency_sol = latency_floor.and_then(|floor| match best_latency_mapping(&problem, floor) {
         Ok(sol) => Some((floor, sol)),

@@ -19,7 +19,7 @@
 
 use pipemap_chain::Problem;
 use pipemap_core::{
-    dp_assignment_provenance_on, dp_assignment_pruned_stats_on, dp_mapping_provenance_ctx,
+    dp_assignment_provenance_ctx, dp_assignment_pruned_stats_ctx, dp_mapping_provenance_ctx,
     dp_mapping_pruned_stats_ctx, stability_margins, MarginReport, Provenance, Solution, SolveCtx,
     SolveError, SolveOptions, StageCells,
 };
@@ -121,20 +121,17 @@ fn marginal_gains(margins: &MarginReport) -> Vec<f64> {
 pub fn explain(problem: &Problem, opts: &ExplainOptions) -> Result<Explanation, SolveError> {
     let solve = SolveOptions::default();
     // One context for both solves: the cost table is evaluated once and
-    // the cluster DP's suffix bounds are computed once and shared between
-    // the provenance (unpruned) and heatmap (pruned) runs.
+    // the sweep's suffix bounds are computed once and shared between the
+    // provenance (unpruned) and heatmap (pruned) runs.
     let ctx = SolveCtx::new(problem)?;
-    let (algorithm, solution, provenance) = if opts.cluster {
+    let (algorithm, solution, provenance, pruned_cells) = if opts.cluster {
         let (s, p) = dp_mapping_provenance_ctx(problem, &ctx, &solve)?;
-        ("dp_mapping", s, p)
+        let pruned = dp_mapping_pruned_stats_ctx(problem, &ctx, &solve)?;
+        ("dp_mapping", s, p, pruned)
     } else {
-        let (s, _, p) = dp_assignment_provenance_on(problem, ctx.table(), &solve)?;
-        ("dp_assignment", s, p)
-    };
-    let pruned_cells = if opts.cluster {
-        dp_mapping_pruned_stats_ctx(problem, &ctx, &solve)?
-    } else {
-        dp_assignment_pruned_stats_on(problem, ctx.table(), &solve)?
+        let (s, _, p) = dp_assignment_provenance_ctx(problem, &ctx, &solve)?;
+        let pruned = dp_assignment_pruned_stats_ctx(problem, &ctx, &solve)?;
+        ("dp_assignment", s, p, pruned)
     };
     let margins = stability_margins(problem, &solution.mapping)?;
     let rec = pipemap_obs::global();

@@ -80,6 +80,69 @@ fn map_solves_a_spec() {
     assert!(text.contains("procs"), "{text}");
 }
 
+/// Two tasks that each need 3 of the 4 processors: no all-singleton
+/// mapping fits, so the greedy heuristic fails, but the merged module does
+/// and the DP finds it.
+const MERGE_ONLY_SPEC: &str = "\
+procs 4
+mem_per_proc 1e9
+
+task a
+  exec poly 0.0 1.0 0.0
+  min_procs 3
+
+edge
+  icom poly 0.0 0.0 0.0
+  ecom poly 0.01 0 0 0 0
+
+task b
+  exec poly 0.0 1.0 0.0
+  min_procs 3
+";
+
+#[test]
+fn map_reports_the_dp_when_only_merging_fits() {
+    let dir = std::env::temp_dir().join("pipemap-cli-test-merge-only");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = write_spec(&dir, "m.pmap", MERGE_ONLY_SPEC);
+
+    let out = pipemap().arg("map").arg(&spec).output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("optimal  : [a+b: 1 x 4p]"), "{text}");
+    assert!(!text.contains("greedy"), "{text}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("greedy mapping failed"),
+        "the greedy failure goes to stderr"
+    );
+
+    let out = pipemap()
+        .arg("map")
+        .arg(&spec)
+        .args(["--report", "json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let doc = pipemap_obs::Value::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let solutions = doc.get("solutions").unwrap();
+    assert!(solutions.get("optimal").is_some(), "{solutions:?}");
+    assert!(solutions.get("greedy").is_none(), "{solutions:?}");
+
+    let out = pipemap()
+        .arg("map")
+        .arg(&spec)
+        .arg("--greedy-only")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("no valid mapping exists"), "{err}");
+}
+
 #[test]
 fn simulate_runs_a_mapping() {
     let dir = std::env::temp_dir().join("pipemap-cli-test-sim");
