@@ -52,9 +52,9 @@ echo "== solver bit-identity suites under forced thread counts =="
 # The differential suite, the assignment DP's serial-recurrence oracle,
 # the provenance recorder and the incremental re-solver must hold bit for
 # bit regardless of the worker-pool size the environment imposes; 1
-# exercises the serial fallback, 4 oversubscribes small CI machines on
-# purpose.
-for THREADS in 1 4; do
+# exercises the serial fallback, 3 divides no stage's line count evenly,
+# 4 oversubscribes small CI machines on purpose.
+for THREADS in 1 3 4; do
     for SUITE in equivalence assignment_oracle provenance resolve_identity; do
         PIPEMAP_THREADS=$THREADS cargo test -q -p pipemap-core --test "$SUITE"
     done

@@ -66,19 +66,25 @@
 //!   *achievable instance sizes* of modules starting at the next task —
 //!   the only values the recurrence ever reads — instead of all of
 //!   `1..=P`;
-//! * whole `(pl, ne)` rows are skipped when the module's best possible
-//!   response cannot reach the greedy incumbent (`prune`), individual
-//!   cells are skipped when the processors they leave for the *rest* of
-//!   the chain cannot sustain the incumbent (a cheapest-transfer
+//! * all cells of a `(pl, ne)` pair are skipped when the module's best
+//!   possible response cannot reach the greedy incumbent (`prune`),
+//!   individual cells are skipped when the processors they leave for the
+//!   *rest* of the chain cannot sustain the incumbent (a cheapest-transfer
 //!   branch-and-bound suffix bound — see [`suffix_bounds`]) or when no
 //!   consumer can ever read them (structural reachability), the scan
-//!   over a previous stage is skipped when that stage's row maximum
+//!   over a previous stage is skipped when that stage's line maximum
 //!   cannot beat the running best, and the candidate loop breaks once a
 //!   cell attains its own response cap;
-//! * the `pl` rows of every `(j, L)` stage are computed on the scoped
-//!   worker pool (`par`), reading the already-finished stages and the
-//!   dense cost slabs, and merged deterministically at the stage barrier.
+//! * the lines of every `(j, L)` stage — one per `(ne slot, pt)`, the `P`
+//!   contiguous `pl` cells the table stores together — are filled on the
+//!   scoped worker pool (`par`). Workers read the already-finished stages,
+//!   the dense cost slabs and per-stage tables of per-offer data, and
+//!   write each cell, its parent and the line's maximum straight into the
+//!   stage table. Nothing is merged afterwards, and every cell is computed
+//!   once from read-only inputs, so results do not depend on the thread
+//!   count.
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use pipemap_chain::{
@@ -88,7 +94,7 @@ use pipemap_model::Procs;
 
 use crate::greedy;
 use crate::options::SolveOptions;
-use crate::pool::{self, CellStats};
+use crate::pool::{self, CellStats, Line};
 use crate::provenance::{DecisionCell, Provenance, RunnerUp, StageCells};
 use crate::solution::{checked_table, Solution, SolveError};
 
@@ -143,11 +149,26 @@ pub(crate) fn response_throughput(incoming: f64, exec: f64, outgoing: f64, repli
     )
 }
 
-/// Packed parent record: the maximising previous-module choice.
+/// Parent record: the maximising previous-module choice. Stage tables
+/// store it packed into a `u32`, so that a parent table is allocated
+/// zeroed and `0` reads as "none".
 #[derive(Clone, Copy, Debug, Default)]
 struct Parent {
     prev_len: u16,
     prev_procs: u16,
+}
+
+impl Parent {
+    fn pack(self) -> u32 {
+        (self.prev_len as u32) << 16 | self.prev_procs as u32
+    }
+
+    fn unpack(bits: u32) -> Self {
+        Self {
+            prev_len: (bits >> 16) as u16,
+            prev_procs: bits as u16,
+        }
+    }
 }
 
 /// Shared solver context for one cost table: the dense table plus
@@ -213,10 +234,11 @@ pub(crate) struct Stage {
     /// the next-module instance size on this stage's `ne` axis. The `pl`
     /// scan of the recurrence walks a row contiguously.
     value: Vec<f64>,
-    /// Same layout.
-    parent: Vec<Parent>,
-    /// `rowmax[s * (P+1) + pt]` = max of the row over `pl` (only built
-    /// when pruning: it bounds what any predecessor scan can contribute).
+    /// Same layout, packed [`Parent`]s; empty for base-case stages (no
+    /// predecessor).
+    parent: Vec<u32>,
+    /// `rowmax[s * (P+1) + pt]` = max of the line over `pl`: it bounds
+    /// what any predecessor scan can contribute.
     rowmax: Vec<f64>,
     /// The module's processor floor (first feasible `pl`).
     floor: Procs,
@@ -418,12 +440,15 @@ fn suffix_bounds(table: &CostTable, k: usize, p: usize, clustering: Clustering) 
     suffix
 }
 
-/// One computed row (a single `pl`) of a stage, layout `[s * (P+1) + pt]`.
-struct Row {
-    value: Vec<f64>,
-    /// Empty for base-case stages (no predecessor).
-    parent: Vec<Parent>,
-    stats: CellStats,
+/// What the cells of one `(pl, ne)` pair share: the outgoing transfer,
+/// the response cap (the cells' value in base stages), and the live `pt`
+/// range — empty when the cap cannot reach the incumbent.
+#[derive(Clone, Copy)]
+struct Offer {
+    out: f64,
+    cap: f64,
+    lo: usize,
+    hi: usize,
 }
 
 /// A predecessor stage reachable by the current stage's recurrence: the
@@ -543,7 +568,7 @@ pub fn dp_mapping_pruned_stats_ctx(
 /// See `resolve.rs` for the admissibility argument.
 pub(crate) struct ClusterResume<'a> {
     /// First end task whose costs — or transitive inputs — changed;
-    /// stages with `j < frontier` are copied from `stages` verbatim.
+    /// stages with `j < frontier` are read from `stages` verbatim.
     pub(crate) frontier: usize,
     /// Retained stage tables (`stage_key` layout, all `k * k` slots) of
     /// the previous unpruned solve.
@@ -572,13 +597,13 @@ pub(crate) struct ClusterRun {
     pub(crate) cells_pruned: u64,
 }
 
-pub(crate) fn run_cluster_dp(
+pub(crate) fn run_cluster_dp<'a>(
     problem: &Problem,
     ctx: &SolveCtx,
     opts: &SolveOptions,
     clustering: Clustering,
     keep_stages: bool,
-    resume: Option<&ClusterResume<'_>>,
+    resume: Option<&ClusterResume<'a>>,
 ) -> Result<ClusterRun, SolveError> {
     let rec = pipemap_obs::global();
     let name = clustering.name();
@@ -654,30 +679,20 @@ pub(crate) fn run_cluster_dp(
         .collect();
 
     let stage_key = |j: usize, l: usize| stage_key(k, j, l);
-    let mut stages: Vec<Option<Stage>> = (0..k * k).map(|_| None).collect();
+    // Spliced stages are borrowed from the resume state, computed ones
+    // owned; only `keep_stages` ever copies a borrowed one.
+    let mut stages: Vec<Option<Cow<'a, Stage>>> = (0..k * k).map(|_| None).collect();
 
     for j in 0..k {
         // Warm start: stages whose subchain ends left of the invalidation
         // frontier are exact on the patched table — splice the retained
-        // tables instead of recomputing. Retained tables come from an
-        // unpruned solve and carry no rowmax; materialise it with the
-        // identical fold the cold path uses below.
+        // tables instead of recomputing. Every stage carries its line
+        // maxima, so a pruned re-solve reads them as they are.
         if let Some(res) = resume {
             if j < res.frontier {
                 for l in 1..=clustering.max_len(j + 1) {
                     let key = stage_key(j, l);
-                    let Some(st) = res.stages[key].as_ref() else {
-                        continue;
-                    };
-                    let mut st = st.clone();
-                    if opts.prune && st.rowmax.is_empty() {
-                        st.rowmax = st
-                            .value
-                            .chunks_exact(p)
-                            .map(|row| row.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)))
-                            .collect();
-                    }
-                    stages[key] = Some(st);
+                    stages[key] = res.stages[key].as_ref().map(Cow::Borrowed);
                 }
                 continue;
             }
@@ -695,7 +710,7 @@ pub(crate) fn run_cluster_dp(
             let rows = p - floor + 1;
 
             // Per-offer replication data for this module, shared read-only
-            // by the row workers.
+            // by the line workers.
             let mut inst_of = vec![0usize; p + 1];
             let mut r_of = vec![0usize; p + 1];
             let mut exec_of = vec![0.0f64; p + 1];
@@ -719,7 +734,7 @@ pub(crate) fn run_cluster_dp(
             let mut groups: Vec<PrevGroup<'_>> = Vec::new();
             if first > 0 {
                 for prev_len in 1..=first {
-                    let Some(stage) = stages[stage_key(first - 1, prev_len)].as_ref() else {
+                    let Some(stage) = stages[stage_key(first - 1, prev_len)].as_deref() else {
                         continue;
                     };
                     let prev_first = first - prev_len;
@@ -750,207 +765,170 @@ pub(crate) fn run_cluster_dp(
                 None
             };
 
-            let worker = |ri: usize| -> Row {
-                let pl = floor + ri;
-                let inst = inst_of[pl];
-                let r = r_of[pl];
-                let exec = exec_of[pl];
-                let mut value = vec![f64::NEG_INFINITY; nslots * (p + 1)];
-                let mut parent =
-                    vec![Parent::default(); if first == 0 { 0 } else { nslots * (p + 1) }];
-                let mut st = CellStats::default();
-
-                // Incoming-transfer columns at this module size, one per
-                // predecessor group: cin[gi * P + (q - 1)]. The q scan
-                // walks the column and the group's value row contiguously.
-                let mut cin = Vec::new();
-                let mut min_cin = f64::INFINITY;
-                let mut s_in = NO_SLOT;
-                if first > 0 {
-                    let slab = in_slab.expect("in_slab exists when first > 0");
-                    cin = vec![f64::INFINITY; groups.len() * p];
+            // Per offer: the incoming-transfer column of every predecessor
+            // group at this module's instance size,
+            // cin[((pl - floor) * groups + gi) * P + (q - 1)], so the q
+            // scan walks a column and the group's value line contiguously;
+            // the cheapest of them; and the slot the predecessors are read
+            // through. The largest per-stage table, rows × groups × P.
+            let block = groups.len() * p;
+            let mut cin = vec![f64::INFINITY; rows * block];
+            let mut min_cin = vec![f64::INFINITY; p + 1];
+            let mut s_in_of = vec![NO_SLOT; p + 1];
+            if let Some(slab) = in_slab {
+                for pl in floor..=p {
+                    let inst = inst_of[pl];
+                    let col = &mut cin[(pl - floor) * block..][..block];
                     for (gi, g) in groups.iter().enumerate() {
                         for q in g.stage.floor..=p {
                             let c = slab[(g.prev_inst[q - 1] - 1) * p + (inst - 1)];
-                            cin[gi * p + (q - 1)] = c;
-                            if c < min_cin {
-                                min_cin = c;
+                            col[gi * p + (q - 1)] = c;
+                            if c < min_cin[pl] {
+                                min_cin[pl] = c;
                             }
                         }
                     }
-                    s_in = axes[first].slot_of_inst[inst];
-                    debug_assert_ne!(s_in, NO_SLOT, "own instance size on the in-axis");
+                    s_in_of[pl] = axes[first].slot_of_inst[inst];
+                    debug_assert_ne!(s_in_of[pl], NO_SLOT, "own instance size on the in-axis");
                 }
+            }
 
-                for (s, &ne) in axis.insts.iter().enumerate() {
+            // Per (pl, ne) pair, offers[s * rows + (pl - floor)].
+            let mut offers = Vec::with_capacity(nslots * rows);
+            for (s, &ne) in axis.insts.iter().enumerate() {
+                for pl in floor..=p {
+                    let inst = inst_of[pl];
                     let out = match out_slab {
                         Some(slab) if ne != 0 => slab[(inst - 1) * p + (ne - 1)],
                         _ => 0.0,
                     };
-                    let nominal = (p + 1 - pl) as u64;
-
-                    // Structural reachability (the other half of `prune`):
-                    // a consumer module reading this slot holds at least
-                    // `min_procs[s]` processors of its own, and final
-                    // stages are read by the terminal scan at pt = P
-                    // only — cells outside [lo, hi] are never read by
-                    // anything, so skipping them is exact even without
-                    // an incumbent.
+                    // Best possible response of M at this (pl, ne): the
+                    // cheapest incoming transfer over every predecessor —
+                    // none for the base case, where M is the leftmost
+                    // module (slack allowed) and this is the cells' value.
+                    let cin_min = if first == 0 { 0.0 } else { min_cin[pl] };
+                    let cap = response_throughput(cin_min, exec_of[pl], out, r_of[pl]);
+                    // Below the incumbent, every cell of the pair is off
+                    // the optimal path. Otherwise structural reachability
+                    // (the other half of `prune`): a consumer module
+                    // reading this slot holds at least `min_procs[s]`
+                    // processors of its own, and final stages are read by
+                    // the terminal scan at pt = P only — cells outside
+                    // [lo, hi] are never read by anything, so skipping
+                    // them is exact even without an incumbent.
                     let (lo, hi) = if !opts.prune {
                         (pl, p)
+                    } else if cap < bound {
+                        (usize::MAX, 0)
                     } else if j + 1 == k {
                         (p, p)
                     } else {
                         (pl, p - axis.min_procs[s].min(p))
                     };
+                    offers.push(Offer { out, cap, lo, hi });
+                }
+            }
 
+            // One line: the cells (s, pt, pl) for every pl, written in
+            // place together with the parents of updated cells and the
+            // line maximum.
+            let fill = |line: Line<'_, f64, u32>, st: &mut CellStats| {
+                let (s, pt) = (line.index / (p + 1), line.index % (p + 1));
+                line.values.fill(f64::NEG_INFINITY);
+                // The P - pt processors left for tasks j+1..k cannot
+                // sustain the incumbent: no completion through any cell
+                // of this line can be optimal.
+                let starved = suffix_row.is_some_and(|sfx| sfx[p - pt] < bound);
+                for pl in floor..=pt {
+                    let o = offers[s * rows + (pl - floor)];
+                    st.cells += 1;
+                    if pt < o.lo || pt > o.hi || starved {
+                        st.cells_pruned += 1;
+                        continue;
+                    }
                     if first == 0 {
-                        // Base case: M is the leftmost module; slack allowed.
-                        st.cells += nominal;
-                        let thr = response_throughput(0.0, exec, out, r);
-                        if opts.prune && thr < bound {
-                            st.cells_pruned += nominal;
-                            continue; // below the incumbent: never optimal
-                        }
-                        if hi < lo {
-                            st.cells_pruned += nominal;
+                        line.values[pl - 1] = o.cap;
+                        continue;
+                    }
+                    let (exec, r, s_in) = (exec_of[pl], r_of[pl], s_in_of[pl]);
+                    let cin = &cin[(pl - floor) * block..][..block];
+                    let budget = pt - pl;
+                    // Start the running best at the pruning bound
+                    // (`-∞` when pruning is off): candidates at or
+                    // below the incumbent can never sit on the
+                    // optimal chain, so letting the `sub ≤ best` and
+                    // line-max skips drop them wholesale is exact —
+                    // sub-bound cells merely become `-∞` instead of
+                    // carrying their (never reconstructed) value.
+                    let mut best = bound;
+                    let mut updated = false;
+                    let mut best_parent = Parent::default();
+                    'groups: for (gi, g) in groups.iter().enumerate() {
+                        let pfloor = g.stage.floor;
+                        if pfloor > budget {
                             continue;
                         }
-                        st.cells_pruned += nominal - (hi - lo + 1) as u64;
-                        for pt in lo..=hi {
-                            if let Some(sfx) = suffix_row {
-                                if sfx[p - pt] < bound {
-                                    st.cells_pruned += 1;
-                                    continue; // rest of chain can't keep up
-                                }
-                            }
-                            value[s * (p + 1) + pt] = thr;
+                        if opts.prune && g.stage.rowmax[s_in * (p + 1) + budget] <= best {
+                            // No value in this stage's line can strictly
+                            // beat the running best: min(sub, ·) ≤ sub.
+                            st.qskips += (budget - pfloor + 1) as u64;
+                            continue;
                         }
-                        continue;
-                    }
-
-                    // Best possible response of M at this (pl, ne): the
-                    // cheapest incoming transfer over every predecessor.
-                    // Below the incumbent, the whole row is off the
-                    // optimal path.
-                    let cap = response_throughput(min_cin, exec, out, r);
-                    st.cells += nominal;
-                    if opts.prune && cap < bound {
-                        st.cells_pruned += nominal;
-                        continue;
-                    }
-                    if hi < lo {
-                        st.cells_pruned += nominal;
-                        continue;
-                    }
-                    st.cells_pruned += nominal - (hi - lo + 1) as u64;
-
-                    for pt in lo..=hi {
-                        if let Some(sfx) = suffix_row {
-                            // The P - pt processors left for tasks j+1..k
-                            // cannot sustain the incumbent: no completion
-                            // through this cell can be optimal.
-                            if sfx[p - pt] < bound {
-                                st.cells_pruned += 1;
-                                continue;
+                        let row_base = (s_in * (p + 1) + budget) * p;
+                        let prev_row = &g.stage.value[row_base..row_base + p];
+                        let col = &cin[gi * p..gi * p + p];
+                        for q in pfloor..=budget {
+                            st.lookups += 1;
+                            let sub = prev_row[q - 1];
+                            if sub <= best {
+                                st.qskips += 1;
+                                continue; // min(sub, _) cannot beat best
                             }
-                        }
-                        let budget = pt - pl;
-                        // Start the running best at the pruning bound
-                        // (`-∞` when pruning is off): candidates at or
-                        // below the incumbent can never sit on the
-                        // optimal chain, so letting the `sub ≤ best` and
-                        // row-max skips drop them wholesale is exact —
-                        // sub-bound cells merely become `-∞` instead of
-                        // carrying their (never reconstructed) value.
-                        let mut best = bound;
-                        let mut updated = false;
-                        let mut best_parent = Parent::default();
-                        'groups: for (gi, g) in groups.iter().enumerate() {
-                            let pfloor = g.stage.floor;
-                            if pfloor > budget {
-                                continue;
-                            }
-                            if opts.prune && g.stage.rowmax[s_in * (p + 1) + budget] <= best {
-                                // No value in this stage's row can strictly
-                                // beat the running best: min(sub, ·) ≤ sub.
-                                st.qskips += (budget - pfloor + 1) as u64;
-                                continue;
-                            }
-                            let row_base = (s_in * (p + 1) + budget) * p;
-                            let prev_row = &g.stage.value[row_base..row_base + p];
-                            let col = &cin[gi * p..gi * p + p];
-                            for q in pfloor..=budget {
-                                st.lookups += 1;
-                                let sub = prev_row[q - 1];
-                                if sub <= best {
-                                    st.qskips += 1;
-                                    continue; // min(sub, _) cannot beat best
-                                }
-                                let thr = response_throughput(col[q - 1], exec, out, r);
-                                let cand = sub.min(thr);
-                                if cand > best {
-                                    best = cand;
-                                    updated = true;
-                                    best_parent = Parent {
-                                        prev_len: g.prev_len as u16,
-                                        prev_procs: q as u16,
-                                    };
-                                    if opts.prune && best >= cap {
-                                        // Ties cannot displace the first
-                                        // argmax (strict update), so later
-                                        // candidates change nothing.
-                                        break 'groups;
-                                    }
+                            let thr = response_throughput(col[q - 1], exec, o.out, r);
+                            let cand = sub.min(thr);
+                            if cand > best {
+                                best = cand;
+                                updated = true;
+                                best_parent = Parent {
+                                    prev_len: g.prev_len as u16,
+                                    prev_procs: q as u16,
+                                };
+                                if opts.prune && best >= o.cap {
+                                    // Ties cannot displace the first
+                                    // argmax (strict update), so later
+                                    // candidates change nothing.
+                                    break 'groups;
                                 }
                             }
                         }
-                        value[s * (p + 1) + pt] = if updated { best } else { f64::NEG_INFINITY };
-                        parent[s * (p + 1) + pt] = best_parent;
+                    }
+                    if updated {
+                        line.values[pl - 1] = best;
+                        line.parents[pl - 1] = best_parent.pack();
                     }
                 }
-                Row {
-                    value,
-                    parent,
-                    stats: st,
-                }
+                *line.summary = line.values.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
             };
 
-            let computed = pool::run_strided(threads, rows, worker);
-
-            // Stage barrier: merge per-row buffers into the stage table.
-            let mut value = vec![f64::NEG_INFINITY; nslots * (p + 1) * p];
-            let mut parent =
-                vec![Parent::default(); if first == 0 { 0 } else { nslots * (p + 1) * p }];
-            for (ri, row) in computed.into_iter().enumerate() {
-                let pl = floor + ri;
-                for src in 0..nslots * (p + 1) {
-                    let dst = src * p + (pl - 1);
-                    value[dst] = row.value[src];
-                    if first > 0 {
-                        parent[dst] = row.parent[src];
-                    }
-                }
-                if opts.provenance {
-                    stage_stats[j].absorb(&row.stats);
-                }
-                totals.absorb(&row.stats);
+            // Every value and line maximum is written by its line's worker,
+            // and a zeroed parent reads "none", so the zeroed allocations
+            // only map pages: the workers touch them first, in parallel.
+            let lines = nslots * (p + 1);
+            let mut value = vec![0.0; lines * p];
+            let mut parent = vec![0; if first == 0 { 0 } else { lines * p }];
+            let mut rowmax = vec![0.0; lines];
+            let st = pool::run_lines(threads, p, &mut value, &mut parent, &mut rowmax, fill);
+            if opts.provenance {
+                stage_stats[j].absorb(&st);
             }
-            let rowmax = if opts.prune {
-                value
-                    .chunks_exact(p)
-                    .map(|row| row.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            totals.absorb(&st);
             drop(groups);
-            stages[stage_key(j, l)] = Some(Stage {
+            stages[stage_key(j, l)] = Some(Cow::Owned(Stage {
                 value,
                 parent,
                 rowmax,
                 floor,
-            });
+            }));
         }
     }
 
@@ -966,7 +944,7 @@ pub(crate) fn run_cluster_dp(
     let mut best_l = 0usize;
     let mut best_pl = 0usize;
     for l in 1..=clustering.max_len(k) {
-        let Some(stage) = stages[stage_key(k - 1, l)].as_ref() else {
+        let Some(stage) = stages[stage_key(k - 1, l)].as_deref() else {
             continue;
         };
         for pl in 1..=p {
@@ -1010,8 +988,8 @@ pub(crate) fn run_cluster_dp(
         if first == 0 {
             break;
         }
-        let stage = stages[stage_key(j, l)].as_ref().expect("visited stage");
-        let par = stage.parent[(slot * (p + 1) + pt) * p + (pl - 1)];
+        let stage = stages[stage_key(j, l)].as_deref().expect("visited stage");
+        let par = Parent::unpack(stage.parent[(slot * (p + 1) + pt) * p + (pl - 1)]);
         slot = axes[first].slot_of_inst[rep.procs_per_instance];
         pt -= pl;
         j = first - 1;
@@ -1049,7 +1027,12 @@ pub(crate) fn run_cluster_dp(
         solution,
         offers,
         provenance: prov,
-        stages: keep_stages.then_some(stages),
+        stages: keep_stages.then(|| {
+            stages
+                .into_iter()
+                .map(|st| st.map(Cow::into_owned))
+                .collect()
+        }),
         axes,
         cells: totals.cells,
         cells_pruned: totals.cells_pruned,
@@ -1073,7 +1056,7 @@ struct PathCell {
 #[allow(clippy::too_many_arguments)]
 fn harvest_cluster(
     table: &CostTable,
-    stages: &[Option<Stage>],
+    stages: &[Option<Cow<'_, Stage>>],
     axes: &[NeAxis],
     stage_stats: &[CellStats],
     path: &[PathCell],
@@ -1088,7 +1071,7 @@ fn harvest_cluster(
     for pc in path {
         let first = pc.j + 1 - pc.l;
         let stage = stages[stage_key(pc.j, pc.l)]
-            .as_ref()
+            .as_deref()
             .expect("path visits existing stages");
         let value = stage.value(p, pc.slot, pc.pt, pc.pl);
         let rep = table
@@ -1103,7 +1086,7 @@ fn harvest_cluster(
         };
         let exec = table.module_exec(first, pc.j, inst);
         let (chosen, ein, runner_up) = if first > 0 {
-            let par = stage.parent[(pc.slot * (p + 1) + pc.pt) * p + (pc.pl - 1)];
+            let par = Parent::unpack(stage.parent[(pc.slot * (p + 1) + pc.pt) * p + (pc.pl - 1)]);
             let budget = pc.pt - pc.pl;
             let in_slab = dense.ecom_slab(first - 1);
             let s_in = axes[first].slot_of_inst[inst];
@@ -1111,7 +1094,7 @@ fn harvest_cluster(
             let mut alt_val = f64::NEG_INFINITY;
             let mut alt = Parent::default();
             for prev_len in 1..=first {
-                let Some(pstage) = stages[stage_key(first - 1, prev_len)].as_ref() else {
+                let Some(pstage) = stages[stage_key(first - 1, prev_len)].as_deref() else {
                     continue;
                 };
                 let prev_first = first - prev_len;

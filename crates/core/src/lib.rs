@@ -32,7 +32,8 @@
 //!
 //! The sweep carries a performance layer — dense shared cost tables,
 //! bound-based cell pruning seeded by the greedy incumbent, and a
-//! scoped-thread row pool ([`pool`]) — controlled by [`SolveOptions`].
+//! scoped-thread line pool ([`pool`]) that fills each stage table in
+//! place — controlled by [`SolveOptions`].
 //! Every option combination returns bit-identical results (enforced by
 //! `tests/equivalence.rs`); [`SolveOptions::reference`] is the faithful
 //! serial enumeration used as the speedup baseline.

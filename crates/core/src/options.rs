@@ -18,10 +18,10 @@
 /// [`crate::dp_mapping_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SolveOptions {
-    /// Evaluate each DP stage's independent cell rows on a scoped-thread
+    /// Fill each DP stage's independent cell lines on a scoped-thread
     /// worker pool ([`crate::pool`]). Results are identical for any thread
-    /// count: rows are partitioned deterministically and merged at the
-    /// stage barrier.
+    /// count: each line is computed once, by one worker, straight into
+    /// the stage table, and nothing is merged.
     pub par: bool,
     /// Bound-based cell pruning: seed the DP with the greedy heuristic's
     /// throughput as an incumbent, skip cells whose single-module upper

@@ -12,22 +12,27 @@
 //!    the same mapping as the reference path, on models large enough for
 //!    pruning and dedup to actually engage (P = 32/64 with replication,
 //!    convex response curves, real communication terms).
-//! 3. **Across thread counts** — explicit 1/2/4-thread runs at P = 128
-//!    must agree bitwise, proving the strided row partition and stage
-//!    barrier merge are deterministic.
+//! 3. **Across thread counts** — explicit 1/2/3/4/7-thread runs must
+//!    agree bitwise with the serial path, answers and recorded decision
+//!    paths and per-stage counters alike, proving that the strided line
+//!    partition, whose workers write the stage tables in place, is
+//!    deterministic.
 //! 4. **Against the period probe** — every mapping optimum, small or at
 //!    P = 32/64, certifies in one probe: `min_procs_mapping` finds no
 //!    mapping at the next float above it and one worth exactly it at it.
 //!
 //! `PIPEMAP_THREADS` only affects runs with `threads: None`; the explicit
 //! matrix pins counts so CI can run the whole suite under
-//! `PIPEMAP_THREADS=1` and `=4` (see ci.sh) without changing coverage.
+//! `PIPEMAP_THREADS=1`, `=3` and `=4` (see ci.sh) without changing
+//! coverage.
 
 use pipemap_chain::{ChainBuilder, Edge, Problem, Task};
 use pipemap_core::{
-    brute_force_assignment, brute_force_mapping, dp_assignment, dp_assignment_with, dp_mapping,
-    dp_mapping_with, greedy_assignment, min_procs_mapping, GreedyOptions, Solution, SolveError,
-    SolveOptions,
+    brute_force_assignment, brute_force_mapping, dp_assignment, dp_assignment_provenance,
+    dp_assignment_pruned_stats_ctx, dp_assignment_with, dp_mapping, dp_mapping_provenance,
+    dp_mapping_pruned_stats_ctx, dp_mapping_with, greedy_assignment, min_procs_mapping,
+    DecisionCell, GreedyOptions, Provenance, Solution, SolveCtx, SolveError, SolveOptions,
+    StageCells,
 };
 use pipemap_model::{MemoryReq, PolyEcom, PolyUnary};
 use proptest::prelude::*;
@@ -272,20 +277,29 @@ fn mapping_optimum_certifies_in_one_probe_at_p32_and_p64() {
     }
 }
 
+/// Explicit pool widths of the thread-count tests: 3 and 7 split the
+/// stages' lines unevenly, so an off-by-one in the strided partition
+/// shows there.
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 7];
+
+/// The serial optimised path: the reference of the thread-count tests,
+/// whose knob under test is `par`/`threads` alone.
+fn serial() -> SolveOptions {
+    SolveOptions {
+        par: false,
+        ..SolveOptions::default()
+    }
+}
+
 /// Thread-count determinism at P = 128 on a replication-friendly chain
 /// (floor-1 tasks collapse the dedup axis, keeping the debug-mode run
-/// fast). The reference here is the serial *optimised* path: the knob
-/// under test is `par`/`threads` alone.
+/// fast).
 #[test]
 fn thread_counts_agree_bitwise_at_p128() {
     let problem = with_budget(convex_chain(6, 13, 0.0), 128, 8.0);
-    let serial = SolveOptions {
-        par: false,
-        ..SolveOptions::default()
-    };
-    let (rs, ra) = dp_assignment_with(&problem, &serial).expect("feasible");
-    let rm = dp_mapping_with(&problem, &serial).expect("feasible");
-    for threads in [1usize, 2, 4] {
+    let (rs, ra) = dp_assignment_with(&problem, &serial()).expect("feasible");
+    let rm = dp_mapping_with(&problem, &serial()).expect("feasible");
+    for threads in THREAD_COUNTS {
         let opts = SolveOptions::with_threads(threads);
         let (s, a) = dp_assignment_with(&problem, &opts).expect("feasible");
         assert_eq!(
@@ -301,6 +315,99 @@ fn thread_counts_agree_bitwise_at_p128() {
             "threads={threads}"
         );
         assert_eq!(m.mapping, rm.mapping, "threads={threads}");
+    }
+}
+
+/// One decision cell, field by field, floats as bits.
+type CellFields = ([usize; 9], [u64; 4], Option<(usize, usize, u64)>);
+
+fn cell_fields(c: &DecisionCell) -> CellFields {
+    (
+        [
+            c.index,
+            c.first,
+            c.last,
+            c.offer,
+            c.instances,
+            c.instance_procs,
+            c.budget,
+            c.chosen_prev_len,
+            c.chosen_prev_procs,
+        ],
+        [
+            c.value.to_bits(),
+            c.exec_s.to_bits(),
+            c.ecom_in_s.to_bits(),
+            c.ecom_out_s.to_bits(),
+        ],
+        c.runner_up
+            .map(|r| (r.prev_len, r.prev_procs, r.value.to_bits())),
+    )
+}
+
+fn stage_fields(cells: &[StageCells]) -> Vec<[u64; 5]> {
+    cells
+        .iter()
+        .map(|s| [s.stage as u64, s.cells, s.pruned, s.lookups, s.skips])
+        .collect()
+}
+
+/// Everything one policy's recording entry points report: the exact
+/// run's throughput bits, decision cells and per-stage counters, and the
+/// pruned run's per-stage counters.
+#[derive(Debug, PartialEq)]
+struct Recorded {
+    throughput: u64,
+    cells: Vec<CellFields>,
+    stage_cells: Vec<[u64; 5]>,
+    pruned_stage_cells: Vec<[u64; 5]>,
+}
+
+impl Recorded {
+    fn new(prov: Provenance, pruned: Vec<StageCells>) -> Self {
+        assert!(prov.exact_runner_ups);
+        Self {
+            throughput: prov.throughput.to_bits(),
+            cells: prov.cells.iter().map(cell_fields).collect(),
+            stage_cells: stage_fields(&prov.stage_cells),
+            pruned_stage_cells: stage_fields(&pruned),
+        }
+    }
+}
+
+/// The mapping and the assignment DP's recordings of `problem`.
+fn recorded(problem: &Problem, opts: &SolveOptions) -> [Recorded; 2] {
+    let ctx = SolveCtx::new(problem).expect("valid costs");
+    let (_, mapping) = dp_mapping_provenance(problem, opts).expect("feasible");
+    let (_, _, assignment) = dp_assignment_provenance(problem, opts).expect("feasible");
+    [
+        Recorded::new(
+            mapping,
+            dp_mapping_pruned_stats_ctx(problem, &ctx, opts).expect("feasible"),
+        ),
+        Recorded::new(
+            assignment,
+            dp_assignment_pruned_stats_ctx(problem, &ctx, opts).expect("feasible"),
+        ),
+    ]
+}
+
+/// The whole recorded path is independent of the pool width: every
+/// decision cell and runner-up, and every stage's `cells`, `pruned`,
+/// `lookups` and `skips` of both the exact and the pruned run, on the
+/// P = 128 chain above and on a P = 64 chain whose memory floors give
+/// the stages many successor slots.
+#[test]
+fn recorded_paths_and_stage_counters_agree_across_thread_counts() {
+    for problem in [
+        with_budget(convex_chain(6, 13, 0.0), 128, 8.0),
+        with_budget(convex_chain(5, 7, 12.0), 64, 8.0),
+    ] {
+        let want = recorded(&problem, &serial());
+        for threads in THREAD_COUNTS {
+            let got = recorded(&problem, &SolveOptions::with_threads(threads));
+            assert_eq!(got, want, "P={}, threads={threads}", problem.total_procs);
+        }
     }
 }
 
