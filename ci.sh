@@ -31,20 +31,23 @@ echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
 
-echo "== benchmark: its own tests and the frozen seed-1 planning answers =="
+echo "== benchmark: its own tests and the frozen planning answers =="
 # The benchmark is a standalone package; building it into the root target/
-# reuses the workspace build. On seed 1 each planning workload compares its
-# answers bit for bit with benchmark/expected/seed_1.txt, so a solver change
-# that moves an optimum fails here as "correct": false.
+# reuses the workspace build. On each seed with a committed answer file,
+# benchmark/expected/seed_<seed>.txt, each planning workload compares its
+# answers bit for bit with that file, so a solver change that moves an
+# optimum on either seed fails here as "correct": false.
 export CARGO_TARGET_DIR=target
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for WORKLOAD in plan_cold plan_replan plan_automap; do
-    RESULT=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
-        --workload "$WORKLOAD" --seed 1 --seconds 1 | tail -n 1)
-    case "$RESULT" in
-        '{"correct": true,'*) echo "benchmark $WORKLOAD seed 1: correct" ;;
-        *) echo "benchmark $WORKLOAD seed 1 failed its checks: $RESULT" >&2; exit 1 ;;
-    esac
+for SEED in 1 7919; do
+    for WORKLOAD in plan_cold plan_replan plan_automap; do
+        RESULT=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+            --workload "$WORKLOAD" --seed "$SEED" --seconds 1 | tail -n 1)
+        case "$RESULT" in
+            '{"correct": true,'*) echo "benchmark $WORKLOAD seed $SEED: correct" ;;
+            *) echo "benchmark $WORKLOAD seed $SEED failed its checks: $RESULT" >&2; exit 1 ;;
+        esac
+    done
 done
 unset CARGO_TARGET_DIR
 

@@ -11,8 +11,27 @@
 //! the unconstrained optimum for the 512×512/systolic configuration.
 //!
 //! Packing is exact-cover backtracking with a node budget: the first free
-//! cell (row-major) must be the top-left corner of some rectangle, so the
-//! branching factor is the number of distinct (area, shape) choices.
+//! cell (row-major) is either the top-left corner of some rectangle or is
+//! masked off and left empty for good, so the branching factor is the
+//! number of distinct (area, shape) choices plus one. A search that uses
+//! up its budget reads as "practically infeasible", so the node order and
+//! what counts as a node decide verdicts and are pinned by tests.
+//!
+//! Every packing leaves exactly `rows·cols − Σ areas` cells uncovered, and
+//! a masked cell is never covered afterwards. So [`pack_rectangles`] first
+//! runs the same search with a *waste bound*: the mask branch is cut once
+//! that many cells are masked on the current path. The cut subtrees hold
+//! no packing, and the bounded run visits the unbounded search's nodes in
+//! the same order with those subtrees removed. Under the request's budget:
+//!
+//! * the bounded run finds nothing → `None`. Inside the budget this is a
+//!   proof that no packing exists; out of budget, the unbounded search's
+//!   first `node_budget` nodes contain the bounded run's as a subsequence
+//!   and no packing among them, so it runs out too;
+//! * it finds a packing without having cut → that packing; its node trace
+//!   is the unbounded search's, so placement and node count are too;
+//! * it finds a packing after a cut → the unbounded search decides, since
+//!   only its node count says whether the budget would have been met.
 
 /// A packing request: rectangle areas to place (one per module instance).
 #[derive(Clone, Debug)]
@@ -90,9 +109,53 @@ struct Packer {
     placements: Vec<(usize, usize, usize, usize, usize)>,
     nodes: u64,
     budget: u64,
+    /// Most cells the search may mask on one path (`usize::MAX`: no bound).
+    waste_bound: usize,
+    /// Cells masked on the current path.
+    wasted: usize,
+    /// Whether the waste bound has cut a mask branch.
+    cut: bool,
 }
 
 impl Packer {
+    /// The search for `request` under `waste_bound`; `None` if some area
+    /// has no legal shape, which makes the request infeasible outright.
+    fn new(request: &PackRequest, waste_bound: usize) -> Option<Self> {
+        // Group identical areas (instances are interchangeable).
+        let mut groups: Vec<Group> = Vec::new();
+        let mut sorted = request.areas.clone();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        for a in sorted {
+            match groups.last_mut() {
+                Some(g) if g.area == a => g.unplaced += 1,
+                _ => {
+                    let shapes = shapes(a, request.rows, request.cols);
+                    if shapes.is_empty() {
+                        return None;
+                    }
+                    groups.push(Group {
+                        area: a,
+                        shapes,
+                        unplaced: 1,
+                    });
+                }
+            }
+        }
+        Some(Packer {
+            rows: request.rows,
+            cols: request.cols,
+            grid: vec![0; request.rows],
+            groups,
+            unplaced: request.areas.len(),
+            placements: Vec::with_capacity(request.areas.len()),
+            nodes: 0,
+            budget: request.node_budget,
+            waste_bound,
+            wasted: 0,
+            cut: false,
+        })
+    }
+
     fn fits(&self, row: usize, col: usize, h: usize, w: usize) -> bool {
         if row + h > self.rows || col + w > self.cols {
             return false;
@@ -156,59 +219,44 @@ impl Packer {
                 self.set(row, col, h, w, false);
             }
         }
-        // Nothing can cover the first free cell: dead end. (Leaving the
-        // cell permanently empty is allowed only if no instance could ever
-        // use it, which we approximate by masking it off and recursing.)
+        // Leave the first free cell empty for good: mask it and recurse,
+        // unless the path has already masked every cell a packing leaves.
+        if self.wasted == self.waste_bound {
+            self.cut = true;
+            return false;
+        }
+        self.wasted += 1;
         self.set(row, col, 1, 1, true);
         let ok = self.solve();
         self.set(row, col, 1, 1, false);
+        self.wasted -= 1;
         ok
     }
 }
 
-/// Pack the requested rectangles; `None` if no packing was found within
-/// the node budget (either genuinely infeasible or budget-exhausted).
+/// Pack the requested rectangles; `None` if no packing exists or the
+/// unbounded search would find none within the node budget.
 pub fn pack_rectangles(request: &PackRequest) -> Option<Vec<Placement>> {
     assert!(request.cols <= 64, "grid wider than 64 columns unsupported");
     let total: usize = request.areas.iter().sum();
-    if total > request.rows * request.cols {
+    let capacity = request.rows * request.cols;
+    if total > capacity {
         return None;
     }
-    // Group identical areas (instances are interchangeable).
-    let mut groups: Vec<Group> = Vec::new();
-    let mut sorted = request.areas.clone();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    for a in sorted {
-        match groups.last_mut() {
-            Some(g) if g.area == a => g.unplaced += 1,
-            _ => {
-                let shapes = shapes(a, request.rows, request.cols);
-                // Any area with no legal shape is immediately infeasible.
-                if shapes.is_empty() {
-                    return None;
-                }
-                groups.push(Group {
-                    area: a,
-                    shapes,
-                    unplaced: 1,
-                });
-            }
+    // The decision rule of the module doc.
+    let mut bounded = Packer::new(request, capacity - total)?;
+    if !bounded.solve() {
+        return None;
+    }
+    let placements = if bounded.cut {
+        let mut unbounded = Packer::new(request, usize::MAX)?;
+        if !unbounded.solve() {
+            return None;
         }
-    }
-
-    let mut packer = Packer {
-        rows: request.rows,
-        cols: request.cols,
-        grid: vec![0; request.rows],
-        groups,
-        unplaced: request.areas.len(),
-        placements: Vec::with_capacity(request.areas.len()),
-        nodes: 0,
-        budget: request.node_budget,
+        unbounded.placements
+    } else {
+        bounded.placements
     };
-    if !packer.solve() {
-        return None;
-    }
 
     // Re-attach original item indices by area.
     let mut by_area: std::collections::HashMap<usize, Vec<usize>> =
@@ -216,8 +264,7 @@ pub fn pack_rectangles(request: &PackRequest) -> Option<Vec<Placement>> {
     for (i, &a) in request.areas.iter().enumerate() {
         by_area.entry(a).or_default().push(i);
     }
-    let out = packer
-        .placements
+    let out = placements
         .into_iter()
         .map(|(area, row, col, h, w)| {
             let item = by_area.get_mut(&area).unwrap().pop().unwrap();
@@ -364,6 +411,41 @@ mod tests {
         let mut table1 = vec![3; 8];
         table1.extend([4; 10]);
         assert_eq!(min_budget(&table1), 19);
+    }
+
+    /// Nodes the waste-bounded search spends on `areas` on 8×8 with no
+    /// budget at all, asserting that it proves them unpackable.
+    fn certificate_nodes(areas: &[usize]) -> u64 {
+        let request = PackRequest {
+            node_budget: u64::MAX,
+            ..PackRequest::new(8, 8, areas.to_vec())
+        };
+        let waste = 64 - areas.iter().sum::<usize>();
+        let mut packer = Packer::new(&request, waste).unwrap();
+        assert!(!packer.solve(), "{areas:?} packs");
+        packer.nodes
+    }
+
+    #[test]
+    fn unpackable_verdicts_do_not_depend_on_the_node_budget() {
+        // Radar's two candidates that used to spend the whole default
+        // budget, and Table 2's footnoted 512/message mapping: the bounded
+        // run exhausts its tree in these many nodes, so under any budget
+        // at or above them `None` is a proof, not a give-up.
+        let radar = [vec![21, 14, 14, 5, 5, 5], vec![15, 8, 8, 8, 8, 8, 8]];
+        assert_eq!(certificate_nodes(&radar[0]), 249);
+        assert_eq!(certificate_nodes(&radar[1]), 2_461);
+        assert_eq!(certificate_nodes(&[20, 14, 14, 14]), 106);
+        // The unbounded search alone is still searching at 100 000 nodes.
+        for areas in radar {
+            let request = PackRequest {
+                node_budget: 100_000,
+                ..PackRequest::new(8, 8, areas)
+            };
+            let mut unbounded = Packer::new(&request, usize::MAX).unwrap();
+            assert!(!unbounded.solve());
+            assert!(unbounded.nodes > request.node_budget);
+        }
     }
 
     #[test]
