@@ -1,30 +1,41 @@
-//! Figure 4's table is frozen: the `figure4` binary must print
-//! `tests/golden/figure4.txt` byte for byte. After a deliberate change,
-//! rewrite the golden file with `PIPEMAP_BLESS=1 cargo test -p
-//! pipemap-bench --test figure4` and review its diff.
+//! Frozen artifacts: each binary below must print its file under
+//! `tests/golden/` byte for byte — Figure 4's table and the E1
+//! latency/throughput frontier. After a deliberate change, rewrite the
+//! golden files with `PIPEMAP_BLESS=1 cargo test -p pipemap-bench --test
+//! figure4` and review their diff.
 
 use std::process::Command;
 
-#[test]
-fn figure4_matches_its_golden_file() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figure4"))
-        .output()
-        .expect("figure4 runs");
+/// Runs the binary at `exe` and compares its stdout with
+/// `tests/golden/<name>.txt`, or rewrites that file under
+/// `PIPEMAP_BLESS=1`.
+fn matches_golden(exe: &str, name: &str) {
+    let out = Command::new(exe).output().expect("binary runs");
     assert!(
         out.status.success(),
-        "figure4 failed: {}",
+        "{name} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/figure4.txt");
+    let golden = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("PIPEMAP_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(golden, &out.stdout).expect("golden file is writable");
+        std::fs::write(&golden, &out.stdout).expect("golden file is writable");
         return;
     }
-    let want = std::fs::read(golden).expect("golden file exists");
+    let want = std::fs::read(&golden).expect("golden file exists");
     assert!(
         out.stdout == want,
-        "figure4 output differs from {golden}:\n--- got ---\n{}\n--- want ---\n{}",
+        "{name} output differs from {golden}:\n--- got ---\n{}\n--- want ---\n{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&want)
     );
+}
+
+#[test]
+fn figure4_matches_its_golden_file() {
+    matches_golden(env!("CARGO_BIN_EXE_figure4"), "figure4");
+}
+
+#[test]
+fn latency_frontier_matches_its_golden_file() {
+    matches_golden(env!("CARGO_BIN_EXE_latency_frontier"), "latency_frontier");
 }
