@@ -149,6 +149,14 @@ pub(crate) fn response_throughput(incoming: f64, exec: f64, outgoing: f64, repli
     )
 }
 
+/// `x` as a `u16` parent field. Module lengths, processor counts and
+/// choice indices fit: a spec refuses `P > u16::MAX`.
+#[inline]
+pub(crate) fn narrow(x: usize) -> u16 {
+    debug_assert!(x <= u16::MAX as usize, "{x} overflows a u16");
+    x as u16
+}
+
 /// Parent record: the maximising previous-module choice. Stage tables
 /// store it packed into a `u32`, so that a parent table is allocated
 /// zeroed and `0` reads as "none".
@@ -890,8 +898,8 @@ pub(crate) fn run_cluster_dp<'a>(
                                 best = cand;
                                 updated = true;
                                 best_parent = Parent {
-                                    prev_len: g.prev_len as u16,
-                                    prev_procs: q as u16,
+                                    prev_len: narrow(g.prev_len),
+                                    prev_procs: narrow(q),
                                 };
                                 if opts.prune && best >= o.cap {
                                     // Ties cannot displace the first
@@ -1115,8 +1123,8 @@ fn harvest_cluster(
                     if cand > alt_val {
                         alt_val = cand;
                         alt = Parent {
-                            prev_len: prev_len as u16,
-                            prev_procs: q as u16,
+                            prev_len: narrow(prev_len),
+                            prev_procs: narrow(q),
                         };
                     }
                 }

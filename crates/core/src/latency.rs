@@ -13,15 +13,15 @@
 //!   that is Figure 3's trade-off: response time per data set goes *up*
 //!   with replication while throughput goes up too.
 //! * [`best_latency_mapping`] — minimise pipeline latency subject to a
-//!   throughput floor, over the same search space as the throughput DP
-//!   (clustering × allocation × policy replication). The state space is
-//!   identical to `dp_mapping`'s; only the objective changes from
-//!   `max(min throughput)` to `min(sum of stage times)` with a
-//!   throughput feasibility filter — so the solver doubles as an
-//!   independent check of the DP state construction.
+//!   throughput floor, over clusterings, instance sizes and free
+//!   replication: the period probe at the floor, asked for its
+//!   least-latency label instead of its fewest processors (Benoit,
+//!   Rehn-Sonigo & Robert's bi-criteria question: fix the period, then
+//!   minimise latency).
 
-use pipemap_chain::{min_replicas, module_response, Mapping, ModuleAssignment, Problem, TaskChain};
+use pipemap_chain::{module_response, Mapping, Problem, TaskChain};
 
+use crate::probe::least_latency;
 use crate::solution::{checked_table, SolveError};
 
 /// Pipeline latency of one data set under `mapping`: the unloaded
@@ -53,19 +53,14 @@ pub struct LatencySolution {
 /// Minimise pipeline latency subject to `throughput ≥ min_throughput`,
 /// over clusterings, allocations, and replication.
 ///
-/// Dynamic program over module boundaries, as in [`crate::dp_cluster`],
-/// but with two changes fitting the latency objective:
-///
-/// * the value is the *sum* of `incoming + exec` stage times of the
-///   prefix (minimised), not the bottleneck;
-/// * replication is a free per-module choice rather than the §3.2
-///   maximal rule — replication never reduces latency, so the optimal
-///   degree is the *smallest* `r` meeting the floor. Since a stage's
-///   response `f = cin + exec + out` is a function of instance sizes
-///   only, `r*` is [`min_replicas`] of `f`, decided by the evaluator so
-///   that the mapping's throughput is never below the floor, and the
-///   state is keyed by the module's *instance size* with `r*` folded into
-///   the budget accounting at each transition.
+/// One free-rule probe at the floor ([`crate::probe`]) whose cells keep
+/// Pareto frontiers of `(processors, latency)` labels; the answer is the
+/// least-latency label at the chain's end. Replication is a free
+/// per-module choice rather than the §3.2 maximal rule: it never reduces
+/// latency, so the optimal degree is the *smallest* `r` meeting the
+/// floor, [`pipemap_chain::min_replicas`] of the module's response,
+/// decided by the evaluator so that the mapping's throughput is never
+/// below the floor.
 pub fn best_latency_mapping(
     problem: &Problem,
     min_throughput: f64,
@@ -75,194 +70,16 @@ pub fn best_latency_mapping(
         "throughput floor must be a finite non-negative rate"
     );
     let table = checked_table(problem)?;
-    let k = problem.num_tasks();
-    let p = problem.total_procs;
-
-    // Fewest replicas with which stage response `f` meets the floor, by
-    // the evaluator's own test; `None` if no degree ≤ max_r does or the
-    // module may not replicate.
-    let required_r = |f: f64, replicable: bool, max_r: usize| {
-        min_replicas(f, min_throughput, if replicable { max_r } else { 1 })
-    };
-
-    // Stage tables keyed by (end task j, module length L):
-    // value[(inst-1, ne, pt)] = minimal prefix latency with the last
-    // module at instance size `inst`, given the next module's instance
-    // size `ne` (0 = none) and at most `pt` processors for the prefix.
-    let idx =
-        |inst: usize, ne: usize, pt: usize| -> usize { ((inst - 1) * (p + 1) + ne) * (p + 1) + pt };
-    let stage_len = p * (p + 1) * (p + 1);
-    let stage_key = |j: usize, l: usize| j * k + (l - 1);
-    let mut value: Vec<Option<Vec<f64>>> = (0..k * k).map(|_| None).collect();
-    let mut parent: Vec<Option<Vec<(u16, u16)>>> = (0..k * k).map(|_| None).collect();
-
-    for j in 0..k {
-        for l in 1..=j + 1 {
-            let first = j + 1 - l;
-            let Some(floor) = table.module_floor(first, j) else {
-                continue;
-            };
-            if floor > p {
-                continue;
-            }
-            let replicable = table.module_replicable(first, j);
-            let mut v = vec![f64::INFINITY; stage_len];
-            let mut par = vec![(0u16, 0u16); stage_len];
-            let ne_values: Vec<usize> = if j + 1 == k {
-                vec![0]
-            } else {
-                (1..=p).collect()
-            };
-            for inst in floor..=p {
-                let exec = table.module_exec(first, j, inst);
-                // Previous-module options: (prev_len, prev_inst, cin).
-                let mut prev_opts: Vec<(usize, usize, f64)> = Vec::new();
-                if first > 0 {
-                    for prev_len in 1..=first {
-                        let prev_first = first - prev_len;
-                        let Some(pf) = table.module_floor(prev_first, first - 1) else {
-                            continue;
-                        };
-                        for prev_inst in pf..=p {
-                            prev_opts.push((
-                                prev_len,
-                                prev_inst,
-                                table.ecom(first - 1, prev_inst, inst),
-                            ));
-                        }
-                    }
-                }
-                for &ne in &ne_values {
-                    let out = if ne == 0 {
-                        0.0
-                    } else {
-                        table.ecom(j, inst, ne)
-                    };
-                    if first == 0 {
-                        let f = exec + out;
-                        let Some(r) = required_r(f, replicable, p / inst) else {
-                            continue;
-                        };
-                        let spend = inst * r;
-                        for pt in spend..=p {
-                            let slot = &mut v[idx(inst, ne, pt)];
-                            if exec < *slot {
-                                *slot = exec;
-                            }
-                        }
-                    } else {
-                        for pt in inst..=p {
-                            let mut best = f64::INFINITY;
-                            let mut best_par = (0u16, 0u16);
-                            for &(prev_len, prev_inst, cin) in &prev_opts {
-                                let f = cin + exec + out;
-                                let Some(r) = required_r(f, replicable, p / inst) else {
-                                    continue;
-                                };
-                                let spend = inst * r;
-                                if spend > pt {
-                                    continue;
-                                }
-                                let budget = pt - spend;
-                                let Some(sub_v) = value[stage_key(first - 1, prev_len)].as_ref()
-                                else {
-                                    continue;
-                                };
-                                if prev_inst > budget {
-                                    continue;
-                                }
-                                let sub = sub_v[idx(prev_inst, inst, budget)];
-                                if !sub.is_finite() {
-                                    continue;
-                                }
-                                let cand = sub + cin + exec;
-                                if cand < best {
-                                    best = cand;
-                                    best_par = (prev_len as u16, prev_inst as u16);
-                                }
-                            }
-                            let slot = &mut v[idx(inst, ne, pt)];
-                            if best < *slot {
-                                *slot = best;
-                                par[idx(inst, ne, pt)] = best_par;
-                            }
-                        }
-                    }
-                }
-            }
-            value[stage_key(j, l)] = Some(v);
-            parent[stage_key(j, l)] = Some(par);
-        }
-    }
-
-    // Answer.
-    let mut best = f64::INFINITY;
-    let mut best_l = 0;
-    let mut best_inst = 0;
-    for l in 1..=k {
-        let Some(v) = value[stage_key(k - 1, l)].as_ref() else {
-            continue;
-        };
-        for inst in 1..=p {
-            let cand = v[idx(inst, 0, p)];
-            if cand < best {
-                best = cand;
-                best_l = l;
-                best_inst = inst;
-            }
-        }
-    }
-    if !best.is_finite() {
-        return Err(SolveError::Infeasible);
-    }
-
-    // Reconstruct, recomputing each module's r* from its neighbours.
-    let mut modules_rev: Vec<ModuleAssignment> = Vec::new();
-    let (mut j, mut l, mut inst, mut ne, mut pt) = (k - 1, best_l, best_inst, 0usize, p);
-    loop {
-        let first = j + 1 - l;
-        let replicable = table.module_replicable(first, j);
-        let exec = table.module_exec(first, j, inst);
-        let out = if ne == 0 {
-            0.0
-        } else {
-            table.ecom(j, inst, ne)
-        };
-        let (prev_len, prev_inst) = if first == 0 {
-            (0usize, 0usize)
-        } else {
-            let par = parent[stage_key(j, l)].as_ref().expect("visited stage")[idx(inst, ne, pt)];
-            (par.0 as usize, par.1 as usize)
-        };
-        let cin = if first == 0 {
-            0.0
-        } else {
-            table.ecom(first - 1, prev_inst, inst)
-        };
-        let r = required_r(cin + exec + out, replicable, p / inst)
-            .expect("reconstruction follows feasible states");
-        modules_rev.push(ModuleAssignment::new(first, j, r, inst));
-        if first == 0 {
-            break;
-        }
-        pt -= inst * r;
-        ne = inst;
-        j = first - 1;
-        l = prev_len;
-        inst = prev_inst;
-    }
-    modules_rev.reverse();
-    let mapping = Mapping::new(modules_rev);
+    let (mapping, summed) = least_latency(&table, min_throughput).ok_or(SolveError::Infeasible)?;
     let lat = latency(&problem.chain, &mapping);
-    let thr = pipemap_chain::throughput(&problem.chain, &mapping);
     debug_assert!(
-        (lat - best).abs() <= 1e-9 * best.max(1.0),
-        "latency DP value {best} disagrees with evaluator {lat}"
+        (lat - summed).abs() <= 1e-9 * summed.max(1.0),
+        "probe latency {summed} disagrees with evaluator {lat}"
     );
     Ok(LatencySolution {
+        throughput: pipemap_chain::throughput(&problem.chain, &mapping),
         mapping,
         latency: lat,
-        throughput: thr,
     })
 }
 
@@ -270,7 +87,7 @@ pub fn best_latency_mapping(
 mod tests {
     use super::*;
     use crate::dp_cluster::dp_mapping;
-    use pipemap_chain::{validate, ChainBuilder, Edge, Task};
+    use pipemap_chain::{validate, ChainBuilder, Edge, ModuleAssignment, Task};
     use pipemap_model::{PolyEcom, PolyUnary};
 
     /// Fusing on all 8 procs gives stage time 1.0 + 0.2 + 1.0 = 2.2

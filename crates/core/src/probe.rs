@@ -1,5 +1,5 @@
-//! The period probe: fix a target throughput `T`, then find the fewest
-//! processors that sustain it — the question Benoit, Rehn-Sonigo & Robert
+//! The period probe: fix a target throughput `T`, then find the cheapest
+//! mapping that sustains it — the question Benoit, Rehn-Sonigo & Robert
 //! ask of a pipeline before optimising anything else. The value DPs
 //! ([`crate::dp_cluster`]) carry the processor budget as a state axis; the
 //! probe is a min-sum DP over the same module boundaries without it:
@@ -27,7 +27,16 @@
 //! exactly when its mapping's `chain::throughput >= T`. Costs are
 //! non-negative ([`checked_table`]), so a choice whose execution alone
 //! misses `T` is dropped before any transfer is priced; near the optimum
-//! most are. A probe costs `O(k³P³)` work and `O(k²P²)` memory.
+//! most are.
+//!
+//! What a cell keeps depends on the question (`Cells`). The processor
+//! question keeps the fewest processors and one way back, `O(k³P³)` work
+//! and `O(k²P²)` memory. The latency question keeps a Pareto frontier of
+//! `(processors, latency)` labels, the latency summed as `(prefix +
+//! incoming) + exec`: a label another one matches or beats on both counts
+//! is dropped, which is exact for a min-sum. Its answer is the
+//! least-latency label at the chain's end (`least_latency`, behind
+//! [`crate::best_latency_mapping`]).
 //!
 //! [`min_procs_mapping`] is one maximal probe plus one [`dp_mapping`] at
 //! the budget it found. [`dp_mapping_free`] bisects `T` over `f64` bit
@@ -40,7 +49,7 @@ use pipemap_chain::{
 };
 use pipemap_model::{Procs, Seconds};
 
-use crate::dp_cluster::dp_mapping;
+use crate::dp_cluster::{dp_mapping, narrow};
 use crate::solution::{checked_table, Solution, SolveError};
 
 /// How a module's choice turns processors into replicas (module docs).
@@ -106,24 +115,144 @@ impl Rule {
     }
 }
 
-/// The probe table of one module `first..=j`: its choices that can reach
-/// the target at all, and per `(choice, next instance size)` cell the
-/// fewest processors for the prefix and the predecessor that gives them.
-struct Stage {
-    choices: Vec<Choice>,
-    /// `value[c * (P + 1) + ne]`.
-    value: Vec<usize>,
-    /// Same layout: the predecessor's length and choice index, and the
-    /// module's replicas.
-    parent: Vec<(u16, u16, u16)>,
+/// A prefix: the processors it spends and its latency.
+type Label = (Procs, Seconds);
+
+/// The way back from a label: the predecessor's length, choice index and
+/// label index ([`Cells::labels`]), and the module's replicas.
+#[derive(Clone, Copy, Default)]
+struct Back {
+    len: u16,
+    choice: u16,
+    replicas: u16,
+    from: u32,
+}
+
+/// What a probe keeps per `(choice, ne)` cell of the prefixes offered to
+/// it. [`probe`] writes the recurrence once, generic over this.
+trait Cells {
+    fn new(cells: usize, p: Procs) -> Self;
+    /// Calls `f` with each label of `cell` and its index.
+    fn labels(&self, cell: usize, f: impl FnMut(Label, u32));
+    /// Offers `cell` a prefix and the way back from it.
+    fn offer(&mut self, cell: usize, label: Label, back: Back);
+    /// Ends `cell`'s offers.
+    fn close(&mut self, _cell: usize) {}
+    /// Whether `a` answers the question better than `b`.
+    fn better(a: Label, b: Label) -> bool;
+    /// The way back from label `at` of `cell`.
+    fn back(&self, cell: usize, at: u32) -> Back;
 }
 
 const UNREACHABLE: usize = usize::MAX;
 
-/// The mapping with the fewest processors under `rule` in which every
-/// module reaches `target`, and that number of processors; `None` if no
-/// such mapping fits in `P`.
-fn probe(table: &CostTable, rule: Rule, target: f64) -> Option<(Mapping, Procs)> {
+/// The processor question: a cell keeps the fewest processors and the
+/// way back from them.
+struct Fewest {
+    value: Vec<Procs>,
+    back: Vec<Back>,
+}
+
+impl Cells for Fewest {
+    fn new(cells: usize, _: Procs) -> Self {
+        Self {
+            value: vec![UNREACHABLE; cells],
+            back: vec![Back::default(); cells],
+        }
+    }
+
+    fn labels(&self, cell: usize, mut f: impl FnMut(Label, u32)) {
+        if self.value[cell] != UNREACHABLE {
+            f((self.value[cell], 0.0), 0);
+        }
+    }
+
+    fn offer(&mut self, cell: usize, (procs, _): Label, back: Back) {
+        if procs < self.value[cell] {
+            self.value[cell] = procs;
+            self.back[cell] = back;
+        }
+    }
+
+    fn better(a: Label, b: Label) -> bool {
+        a.0 < b.0
+    }
+
+    fn back(&self, cell: usize, _: u32) -> Back {
+        self.back[cell]
+    }
+}
+
+/// The latency question: a cell keeps the Pareto frontier of its
+/// prefixes' labels. Latency is a sum, so a prefix that spends no fewer
+/// processors and takes no less time than another ends no better mapping;
+/// dropping it is exact.
+struct Frontier {
+    /// Per cell, its labels' range in `labels`.
+    cells: Vec<(u32, u32)>,
+    /// Per cell, in ascending processors and strictly descending latency.
+    labels: Vec<(Label, Back)>,
+    /// The open cell's least-latency offer per processor count.
+    open: Vec<(Seconds, Back)>,
+}
+
+impl Cells for Frontier {
+    fn new(cells: usize, p: Procs) -> Self {
+        Self {
+            cells: vec![(0, 0); cells],
+            labels: Vec::new(),
+            open: vec![(f64::INFINITY, Back::default()); p + 1],
+        }
+    }
+
+    fn labels(&self, cell: usize, mut f: impl FnMut(Label, u32)) {
+        let (start, end) = self.cells[cell];
+        for at in start..end {
+            f(self.labels[at as usize].0, at);
+        }
+    }
+
+    fn offer(&mut self, _: usize, (procs, latency): Label, back: Back) {
+        if latency < self.open[procs].0 {
+            self.open[procs] = (latency, back);
+        }
+    }
+
+    fn close(&mut self, cell: usize) {
+        let index = |n: usize| u32::try_from(n).expect("a stage holds under 2^32 labels");
+        let start = index(self.labels.len());
+        let mut least = f64::INFINITY;
+        for (procs, slot) in self.open.iter_mut().enumerate() {
+            let (latency, back) = std::mem::replace(slot, (f64::INFINITY, Back::default()));
+            if latency < least {
+                least = latency;
+                self.labels.push(((procs, latency), back));
+            }
+        }
+        self.cells[cell] = (start, index(self.labels.len()));
+    }
+
+    fn better(a: Label, b: Label) -> bool {
+        a.1 < b.1
+    }
+
+    fn back(&self, _: usize, at: u32) -> Back {
+        self.labels[at as usize].1
+    }
+}
+
+/// The probe table of one module `first..=j`: its choices that can reach
+/// the target at all, and its cells, `c * (P + 1) + ne` per `(choice,
+/// next instance size)`.
+struct Stage<C> {
+    choices: Vec<Choice>,
+    cells: C,
+}
+
+/// The mapping under `rule` in which every module reaches `target`, that
+/// fits in `P`, and whose label `C` finds best, with that label; `None`
+/// if no such mapping fits.
+fn probe<C: Cells>(table: &CostTable, rule: Rule, target: f64) -> Option<(Mapping, Label)> {
     let (k, p) = (table.num_tasks(), table.max_procs());
     let w = p + 1;
     let key = |j: usize, l: usize| j * k + (l - 1);
@@ -150,7 +279,7 @@ fn probe(table: &CostTable, rule: Rule, target: f64) -> Option<(Mapping, Procs)>
         *axis = (1..=p).filter(|&i| seen[i]).collect();
     }
 
-    let mut stages: Vec<Option<Stage>> = (0..k * k).map(|_| None).collect();
+    let mut stages: Vec<Option<Stage<C>>> = (0..k * k).map(|_| None).collect();
     for j in 0..k {
         for l in 1..=j + 1 {
             let first = j + 1 - l;
@@ -158,27 +287,26 @@ fn probe(table: &CostTable, rule: Rule, target: f64) -> Option<(Mapping, Procs)>
             if choices.is_empty() {
                 continue;
             }
-            let mut value = vec![UNREACHABLE; choices.len() * w];
-            let mut parent = vec![(0u16, 0u16, 0u16); value.len()];
+            let mut cells = C::new(choices.len() * w, p);
             for (ci, c) in choices.iter().enumerate() {
-                // Predecessors that reach the target and read M's instance
-                // size: (transfer into M, their processors, length, choice).
-                // A module starting at task 0 has the chain's start, which
-                // sends nothing and spends nothing.
+                // The labels of predecessors that reach the target and
+                // read M's instance size: (transfer into M, label, length,
+                // choice, label index). A module starting at task 0 has
+                // the chain's start, which sends nothing and spends
+                // nothing.
                 let mut preds = Vec::new();
                 if first == 0 {
-                    preds.push((0.0, 0, 0, 0));
+                    preds.push((0.0, (0, 0.0), 0, 0, 0));
                 }
                 for prev_len in 1..=first {
                     let Some(prev) = stages[key(first - 1, prev_len)].as_ref() else {
                         continue;
                     };
                     for (qi, q) in prev.choices.iter().enumerate() {
-                        let sub = prev.value[qi * w + c.inst];
-                        if sub != UNREACHABLE {
+                        prev.cells.labels(qi * w + c.inst, |sub, at| {
                             let cin = table.ecom(first - 1, q.inst, c.inst);
-                            preds.push((cin, sub, prev_len as u16, qi as u16));
-                        }
+                            preds.push((cin, sub, narrow(prev_len), narrow(qi), at));
+                        });
                     }
                 }
                 for &ne in &ne_axis[j + 1] {
@@ -188,7 +316,7 @@ fn probe(table: &CostTable, rule: Rule, target: f64) -> Option<(Mapping, Procs)>
                         table.ecom(j, c.inst, ne)
                     };
                     let cell = ci * w + ne;
-                    for &(incoming, sub, prev_len, qi) in &preds {
+                    for &(incoming, (procs, latency), len, choice, from) in &preds {
                         let f = ResponseBreakdown {
                             incoming,
                             exec: c.exec,
@@ -198,39 +326,41 @@ fn probe(table: &CostTable, rule: Rule, target: f64) -> Option<(Mapping, Procs)>
                         let Some((r, spend)) = rule.spend(c, f.total(), target) else {
                             continue;
                         };
-                        let n = sub + spend;
-                        if n <= p && n < value[cell] {
-                            value[cell] = n;
-                            parent[cell] = (prev_len, qi, r as u16);
+                        let n = procs + spend;
+                        if n <= p {
+                            let replicas = narrow(r);
+                            let back = Back {
+                                len,
+                                choice,
+                                replicas,
+                                from,
+                            };
+                            cells.offer(cell, (n, latency + incoming + c.exec), back);
                         }
                     }
+                    cells.close(cell);
                 }
             }
-            stages[key(j, l)] = Some(Stage {
-                choices,
-                value,
-                parent,
-            });
+            stages[key(j, l)] = Some(Stage { choices, cells });
         }
     }
 
-    // The last module, at the chain's end (`ne = 0`): fewest processors,
-    // first in (length, choice) order on ties.
-    let mut best = (UNREACHABLE, 0, 0);
+    // The last module, at the chain's end (`ne = 0`): the best label,
+    // first in (length, choice, label) order on ties.
+    let mut best: Option<(Label, usize, usize, u32)> = None;
     for l in 1..=k {
         let Some(st) = stages[key(k - 1, l)].as_ref() else {
             continue;
         };
         for ci in 0..st.choices.len() {
-            if st.value[ci * w] < best.0 {
-                best = (st.value[ci * w], l, ci);
-            }
+            st.cells.labels(ci * w, |label, at| {
+                if best.is_none_or(|b| C::better(label, b.0)) {
+                    best = Some((label, l, ci, at));
+                }
+            });
         }
     }
-    let (procs, mut l, mut ci) = best;
-    if procs == UNREACHABLE {
-        return None;
-    }
+    let (label, mut l, mut ci, mut at) = best?;
 
     let mut modules = Vec::new();
     let (mut j, mut ne) = (k - 1, 0);
@@ -238,15 +368,24 @@ fn probe(table: &CostTable, rule: Rule, target: f64) -> Option<(Mapping, Procs)>
         let first = j + 1 - l;
         let st = stages[key(j, l)].as_ref().expect("the walk visits stages");
         let inst = st.choices[ci].inst;
-        let (prev_len, qi, r) = st.parent[ci * w + ne];
-        modules.push(ModuleAssignment::new(first, j, r as usize, inst));
+        let back = st.cells.back(ci * w + ne, at);
+        let r = back.replicas as usize;
+        modules.push(ModuleAssignment::new(first, j, r, inst));
         if first == 0 {
             break;
         }
-        (j, l, ci, ne) = (first - 1, prev_len as usize, qi as usize, inst);
+        (l, ci, at) = (back.len as usize, back.choice as usize, back.from);
+        (j, ne) = (first - 1, inst);
     }
     modules.reverse();
-    Some((Mapping::new(modules), procs))
+    Some((Mapping::new(modules), label))
+}
+
+/// The least-latency mapping under free replication in which every
+/// module reaches `floor` and that fits in `P`, with its latency summed
+/// as `(prefix + incoming) + exec`; `None` if no mapping fits.
+pub(crate) fn least_latency(table: &CostTable, floor: f64) -> Option<(Mapping, Seconds)> {
+    probe::<Frontier>(table, Rule::Free, floor).map(|(mapping, (_, latency))| (mapping, latency))
 }
 
 /// Result of a processor-minimisation query.
@@ -278,7 +417,8 @@ pub fn min_procs_mapping(
         "throughput target must be positive and finite"
     );
     let table = checked_table(problem)?;
-    let (_, procs) = probe(&table, Rule::Maximal, min_throughput).ok_or(SolveError::Infeasible)?;
+    let (_, (procs, _)) =
+        probe::<Fewest>(&table, Rule::Maximal, min_throughput).ok_or(SolveError::Infeasible)?;
     let mut budget = problem.clone();
     budget.total_procs = procs;
     Ok(ProcsSolution {
@@ -295,7 +435,7 @@ pub fn min_procs_mapping(
 pub fn dp_mapping_free(problem: &Problem) -> Result<Solution, SolveError> {
     let table = checked_table(problem)?;
     let probe_at = |target: f64| {
-        probe(&table, Rule::Free, target)
+        probe::<Fewest>(&table, Rule::Free, target)
             .map(|(mapping, _)| Solution::from_mapping(problem, mapping))
     };
     // Every mapping that fits reaches 0.

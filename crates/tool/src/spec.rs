@@ -207,11 +207,15 @@ pub fn parse_spec(text: &str) -> Result<Problem, SpecError> {
         let toks: Vec<&str> = line.split_whitespace().collect();
         match toks[0] {
             "procs" => {
-                procs = Some(parse_usize(
-                    lineno,
-                    toks.get(1).copied().unwrap_or(""),
-                    "procs",
-                )?)
+                let n = parse_usize(lineno, toks.get(1).copied().unwrap_or(""), "procs")?;
+                // The solvers' parent tables hold processor counts as u16.
+                if n > u16::MAX as usize {
+                    return Err(err(
+                        lineno,
+                        format!("procs {n} exceeds the solvers' limit of {}", u16::MAX),
+                    ));
+                }
+                procs = Some(n);
             }
             "mem_per_proc" => {
                 mem = Some(parse_f64(
@@ -492,6 +496,14 @@ task back
     fn trailing_edge_rejected() {
         let e = parse_spec("procs 4\ntask a\n exec zero\nedge\n").unwrap_err();
         assert!(e.message.contains("end on a task"), "{e}");
+    }
+
+    #[test]
+    fn procs_above_u16_max_rejected_with_its_line() {
+        assert!(parse_spec("procs 65535\ntask t\n exec zero\n").is_ok());
+        let e = parse_spec("# big\nprocs 65536\ntask t\n exec zero\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("65535"), "{e}");
     }
 
     #[test]

@@ -223,6 +223,26 @@ fn bad_spec_reports_line_numbers() {
 }
 
 #[test]
+fn map_refuses_procs_above_u16_max() {
+    let dir = std::env::temp_dir().join("pipemap-cli-test-procs");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = write_spec(
+        &dir,
+        "huge.pmap",
+        "# too many processors\nprocs 70000\ntask t\n  exec poly 0 1 0\n",
+    );
+    let start = std::time::Instant::now();
+    let out = pipemap().arg("map").arg(&spec).output().unwrap();
+    assert!(start.elapsed().as_secs_f64() < 5.0, "{:?}", start.elapsed());
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("line 2") && err.contains("procs 70000"),
+        "{err}"
+    );
+}
+
+#[test]
 fn unknown_command_fails() {
     let out = pipemap().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());

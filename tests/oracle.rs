@@ -3,10 +3,13 @@
 //! throughput must match the independent evaluator. Property-based via
 //! proptest.
 
-use pipemap::chain::{validate, ChainBuilder, Edge, Problem, Task};
+use pipemap::chain::{
+    throughput, validate, ChainBuilder, Edge, Mapping, ModuleAssignment, Problem, Task,
+};
+use pipemap::core::brute::all_clusterings;
 use pipemap::core::{
     best_latency_mapping, brute_force_assignment, brute_force_mapping, dp_assignment, dp_mapping,
-    SolveError,
+    latency, min_procs_mapping, SolveError,
 };
 use pipemap::model::{MemoryReq, PolyEcom, PolyUnary};
 use proptest::prelude::*;
@@ -197,6 +200,107 @@ proptest! {
                 opt.throughput,
                 sol.map(|s| s.throughput)
             );
+        }
+    }
+}
+
+/// Every mapping of `problem` under free replication: each clustering,
+/// each module's instance size and replica count, kept when `validate`
+/// accepts it.
+fn free_mappings(problem: &Problem) -> Vec<Mapping> {
+    let p = problem.total_procs;
+    let mut all = Vec::new();
+    for clustering in all_clusterings(problem.num_tasks()) {
+        let mut prefixes: Vec<Vec<ModuleAssignment>> = vec![Vec::new()];
+        for &(first, last) in &clustering {
+            let mut longer = Vec::new();
+            for prefix in &prefixes {
+                let left = p - prefix.iter().map(|m| m.total_procs()).sum::<usize>();
+                for inst in 1..=left {
+                    for r in 1..=left / inst {
+                        let mut modules = prefix.clone();
+                        modules.push(ModuleAssignment::new(first, last, r, inst));
+                        longer.push(modules);
+                    }
+                }
+            }
+            prefixes = longer;
+        }
+        all.extend(
+            prefixes
+                .into_iter()
+                .map(Mapping::new)
+                .filter(|m| validate(problem, m).is_ok()),
+        );
+    }
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn least_latency_and_fewest_procs_match_brute_force(
+        problem in arb_problem(3, 8),
+        u in 0.01..1.0f64,
+    ) {
+        let next = |t: f64| f64::from_bits(t.to_bits() + 1);
+        // (throughput, latency, processors) of every free mapping.
+        let scored: Vec<(f64, f64, usize)> = free_mappings(&problem)
+            .iter()
+            .map(|m| (throughput(&problem.chain, m), latency(&problem.chain, m), m.total_procs()))
+            .collect();
+        let t_free = scored.iter().map(|s| s.0).fold(0.0, f64::max);
+        for floor in [0.0, u * t_free, t_free, next(t_free)] {
+            let brute = scored
+                .iter()
+                .filter(|s| s.0 >= floor)
+                .map(|s| s.1)
+                .min_by(f64::total_cmp);
+            match (best_latency_mapping(&problem, floor), brute) {
+                (Ok(sol), Some(lat)) => prop_assert!(
+                    (sol.latency - lat).abs() <= 1e-12 * lat,
+                    "floor {floor}: solver {} ({:?}) vs brute {lat}",
+                    sol.latency,
+                    sol.mapping
+                ),
+                (Err(SolveError::Infeasible), None) => {}
+                (sol, brute) => prop_assert!(
+                    false,
+                    "floor {floor}: solver {:?} vs brute {brute:?}",
+                    sol.map(|s| s.latency)
+                ),
+            }
+        }
+
+        // The fewest processors: the first budget whose brute-force
+        // optimum (the §3.2 rule) reaches the target. Free replication
+        // never needs more.
+        let Ok(full) = brute_force_mapping(&problem) else {
+            return Ok(());
+        };
+        let optima: Vec<f64> = (1..=problem.total_procs)
+            .map(|b| {
+                let mut budget = problem.clone();
+                budget.total_procs = b;
+                brute_force_mapping(&budget).map_or(0.0, |s| s.throughput)
+            })
+            .collect();
+        for target in [u * full.throughput, full.throughput, next(full.throughput)] {
+            let scan = optima.iter().position(|&t| t >= target).map(|i| i + 1);
+            let free = scored.iter().filter(|s| s.0 >= target).map(|s| s.2).min();
+            match (min_procs_mapping(&problem, target), scan) {
+                (Ok(sol), Some(b)) => {
+                    prop_assert_eq!(sol.procs, b, "target {}", target);
+                    prop_assert!(free.is_some_and(|f| f <= b), "target {target}: free {free:?}");
+                }
+                (Err(SolveError::Infeasible), None) => {}
+                (sol, scan) => prop_assert!(
+                    false,
+                    "target {target}: solver {:?} vs brute {scan:?}",
+                    sol.map(|s| s.procs)
+                ),
+            }
         }
     }
 }
