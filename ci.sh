@@ -47,6 +47,17 @@ for SEED in 1 7919; do
             '{"correct": true,'*) echo "benchmark $WORKLOAD seed $SEED: correct" ;;
             *) echo "benchmark $WORKLOAD seed $SEED failed its checks: $RESULT" >&2; exit 1 ;;
         esac
+        if [ "$WORKLOAD" = plan_cold ]; then
+            # The sweep stores only the stage lines that hold a value: the
+            # dense layout peaked near 500 MiB here, the line directory
+            # near 130 MiB.
+            python3 - "$SEED" "$RESULT" <<'EOF'
+import json, sys
+mib = json.loads(sys.argv[2])["metrics"]["peak_rss_mb"]["value"]
+assert mib <= 256, "plan_cold seed %s peaked at %.0f MiB (limit 256)" % (sys.argv[1], mib)
+print("plan_cold seed %s: peak rss %.1f MiB" % (sys.argv[1], mib))
+EOF
+        fi
     done
 done
 unset CARGO_TARGET_DIR

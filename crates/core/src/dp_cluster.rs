@@ -79,10 +79,12 @@
 //!   contiguous `pl` cells the table stores together — are filled on the
 //!   scoped worker pool (`par`). Workers read the already-finished stages,
 //!   the dense cost slabs and per-stage tables of per-offer data, and
-//!   write each cell, its parent and the line's maximum straight into the
-//!   stage table. Nothing is merged afterwards, and every cell is computed
-//!   once from read-only inputs, so results do not depend on the thread
-//!   count.
+//!   write each cell, its parent and the line's maximum at the tail of
+//!   their own row store. Only *live* lines, whose maximum is above `-∞`,
+//!   keep a row; a line directory maps the others to "dead", which reads
+//!   `-∞` everywhere. Nothing is merged afterwards, and every cell is
+//!   computed once from read-only inputs, so results do not depend on the
+//!   thread count.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -94,7 +96,7 @@ use pipemap_model::Procs;
 
 use crate::greedy;
 use crate::options::SolveOptions;
-use crate::pool::{self, CellStats, Line};
+use crate::pool::{self, CellStats, Line, Rows};
 use crate::provenance::{DecisionCell, Provenance, RunnerUp, StageCells};
 use crate::solution::{checked_table, Solution, SolveError};
 
@@ -158,8 +160,7 @@ pub(crate) fn narrow(x: usize) -> u16 {
 }
 
 /// Parent record: the maximising previous-module choice. Stage tables
-/// store it packed into a `u32`, so that a parent table is allocated
-/// zeroed and `0` reads as "none".
+/// store it packed into a `u32`, and `0` reads as "none".
 #[derive(Clone, Copy, Debug, Default)]
 struct Parent {
     prev_len: u16,
@@ -235,27 +236,46 @@ pub(crate) fn stage_key(k: usize, j: usize, l: usize) -> usize {
     j * k + (l - 1)
 }
 
-/// Per-(j, L) stage table.
+/// Per-(j, L) stage table. Line `s * (P+1) + pt`, where `s` is the slot
+/// of the next-module instance size on this stage's `ne` axis, holds the
+/// `P` cells `pl = 1..=P`, so the `pl` scan of the recurrence walks a row
+/// contiguously. Only live lines, whose maximum is above `-∞`, store a
+/// row: a line whose maximum is `-∞` holds only `-∞`, and a dead line
+/// reads so, with parent "none".
 #[derive(Clone, Debug)]
 pub(crate) struct Stage {
-    /// `value[(s * (P+1) + pt) * P + (pl - 1)]`, where `s` is the slot of
-    /// the next-module instance size on this stage's `ne` axis. The `pl`
-    /// scan of the recurrence walks a row contiguously.
-    value: Vec<f64>,
-    /// Same layout, packed [`Parent`]s; empty for base-case stages (no
-    /// predecessor).
-    parent: Vec<u32>,
-    /// `rowmax[s * (P+1) + pt]` = max of the line over `pl`: it bounds
-    /// what any predecessor scan can contribute.
-    rowmax: Vec<f64>,
+    /// The line directory over the live lines' values and packed
+    /// [`Parent`]s (none for base-case stages, which have no
+    /// predecessor). Its summaries are the line maxima: they bound what
+    /// any predecessor scan can contribute.
+    rows: Rows<f64, u32>,
     /// The module's processor floor (first feasible `pl`).
     floor: Procs,
 }
 
 impl Stage {
+    /// The line maxima, `rowmax[s * (P+1) + pt]`.
+    fn rowmax(&self) -> &[f64] {
+        self.rows.summaries()
+    }
+
+    /// The cells of line `(ne slot, pt)` of a sweep over `p` processors,
+    /// `None` when the line is dead.
+    fn row(&self, p: usize, slot: usize, pt: usize) -> Option<&[f64]> {
+        self.rows.values(slot * (p + 1) + pt)
+    }
+
     /// The cell `(ne slot, pt, pl)` of a sweep over `p` processors.
     pub(crate) fn value(&self, p: usize, slot: usize, pt: usize, pl: usize) -> f64 {
-        self.value[(slot * (p + 1) + pt) * p + (pl - 1)]
+        self.row(p, slot, pt)
+            .map_or(f64::NEG_INFINITY, |row| row[pl - 1])
+    }
+
+    /// The parent of cell `(ne slot, pt, pl)`: "none" in a dead line and
+    /// in a base-case stage.
+    fn parent(&self, p: usize, slot: usize, pt: usize, pl: usize) -> Parent {
+        let line = slot * (p + 1) + pt;
+        Parent::unpack(self.rows.parents(line).map_or(0, |row| row[pl - 1]))
     }
 }
 
@@ -837,12 +857,11 @@ pub(crate) fn run_cluster_dp<'a>(
                 }
             }
 
-            // One line: the cells (s, pt, pl) for every pl, written in
-            // place together with the parents of updated cells and the
-            // line maximum.
+            // One line: the cells (s, pt, pl) for every pl, which start at
+            // `-∞`, together with the parents of updated cells and the line
+            // maximum.
             let fill = |line: Line<'_, f64, u32>, st: &mut CellStats| {
                 let (s, pt) = (line.index / (p + 1), line.index % (p + 1));
-                line.values.fill(f64::NEG_INFINITY);
                 // The P - pt processors left for tasks j+1..k cannot
                 // sustain the incumbent: no completion through any cell
                 // of this line can be optimal.
@@ -876,14 +895,20 @@ pub(crate) fn run_cluster_dp<'a>(
                         if pfloor > budget {
                             continue;
                         }
-                        if opts.prune && g.stage.rowmax[s_in * (p + 1) + budget] <= best {
+                        let n = (budget - pfloor + 1) as u64;
+                        if opts.prune && g.stage.rowmax()[s_in * (p + 1) + budget] <= best {
                             // No value in this stage's line can strictly
                             // beat the running best: min(sub, ·) ≤ sub.
-                            st.qskips += (budget - pfloor + 1) as u64;
+                            st.qskips += n;
                             continue;
                         }
-                        let row_base = (s_in * (p + 1) + budget) * p;
-                        let prev_row = &g.stage.value[row_base..row_base + p];
+                        let Some(prev_row) = g.stage.row(p, s_in, budget) else {
+                            // A dead line: each of its `-∞` cells would be
+                            // looked up and skipped.
+                            st.lookups += n;
+                            st.qskips += n;
+                            continue;
+                        };
                         let col = &cin[gi * p..gi * p + p];
                         for q in pfloor..=budget {
                             st.lookups += 1;
@@ -918,25 +943,20 @@ pub(crate) fn run_cluster_dp<'a>(
                 *line.summary = line.values.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
             };
 
-            // Every value and line maximum is written by its line's worker,
-            // and a zeroed parent reads "none", so the zeroed allocations
-            // only map pages: the workers touch them first, in parallel.
-            let lines = nslots * (p + 1);
-            let mut value = vec![0.0; lines * p];
-            let mut parent = vec![0; if first == 0 { 0 } else { lines * p }];
-            let mut rowmax = vec![0.0; lines];
-            let st = pool::run_lines(threads, p, &mut value, &mut parent, &mut rowmax, fill);
+            let (rows, st) = pool::run_rows(
+                threads,
+                nslots * (p + 1),
+                p,
+                first > 0,
+                f64::NEG_INFINITY,
+                fill,
+            );
             if opts.provenance {
                 stage_stats[j].absorb(&st);
             }
             totals.absorb(&st);
             drop(groups);
-            stages[stage_key(j, l)] = Some(Cow::Owned(Stage {
-                value,
-                parent,
-                rowmax,
-                floor,
-            }));
+            stages[stage_key(j, l)] = Some(Cow::Owned(Stage { rows, floor }));
         }
     }
 
@@ -997,7 +1017,7 @@ pub(crate) fn run_cluster_dp<'a>(
             break;
         }
         let stage = stages[stage_key(j, l)].as_deref().expect("visited stage");
-        let par = Parent::unpack(stage.parent[(slot * (p + 1) + pt) * p + (pl - 1)]);
+        let par = stage.parent(p, slot, pt, pl);
         slot = axes[first].slot_of_inst[rep.procs_per_instance];
         pt -= pl;
         j = first - 1;
@@ -1094,7 +1114,7 @@ fn harvest_cluster(
         };
         let exec = table.module_exec(first, pc.j, inst);
         let (chosen, ein, runner_up) = if first > 0 {
-            let par = Parent::unpack(stage.parent[(pc.slot * (p + 1) + pc.pt) * p + (pc.pl - 1)]);
+            let par = stage.parent(p, pc.slot, pc.pt, pc.pl);
             let budget = pc.pt - pc.pl;
             let in_slab = dense.ecom_slab(first - 1);
             let s_in = axes[first].slot_of_inst[inst];
@@ -1106,8 +1126,9 @@ fn harvest_cluster(
                     continue;
                 };
                 let prev_first = first - prev_len;
+                let prev_row = pstage.row(p, s_in, budget);
                 for q in pstage.floor..=budget {
-                    let sub = pstage.value(p, s_in, budget, q);
+                    let sub = prev_row.map_or(f64::NEG_INFINITY, |row| row[q - 1]);
                     let prep = table
                         .module_replication(prev_first, first - 1, q)
                         .expect("q >= floor");
@@ -1344,6 +1365,107 @@ mod tests {
         let s = dp_mapping(&p).unwrap();
         assert_eq!(s.mapping.num_modules(), 1);
         validate(&p, &s.mapping).unwrap();
+    }
+
+    /// A deterministic 8-task chain with memory floors and real transfers.
+    fn synthetic_chain() -> TaskChain {
+        let mut state = 7919u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / ((1u64 << 31) as f64) // in [0, 2)
+        };
+        let mut b = ChainBuilder::new();
+        for i in 0..8 {
+            let work = PolyUnary::new(0.05 * next(), 2.0 + 4.0 * next(), 0.01 * next());
+            b = b.task(
+                Task::new(format!("t{i}"), work).with_memory(MemoryReq::new(0.0, 40.0 * next())),
+            );
+            if i < 7 {
+                let ecom = PolyEcom::new(0.05 * next(), 0.4 * next(), 0.4 * next(), 0.005, 0.005);
+                b = b.edge(Edge::new(PolyUnary::new(0.02 * next(), 0.0, 0.0), ecom));
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn only_live_lines_store_a_row() {
+        let p = 64;
+        let problem = Problem::new(synthetic_chain(), p, 10.0);
+        let ctx = SolveCtx::new(&problem).unwrap();
+        for prune in [true, false] {
+            let opts = SolveOptions {
+                prune,
+                ..SolveOptions::default()
+            };
+            let run =
+                run_cluster_dp(&problem, &ctx, &opts, Clustering::Contiguous, true, None).unwrap();
+            let (mut live, mut dead) = (0, 0);
+            for stage in run.stages.unwrap().iter().flatten() {
+                let mut stage_live = 0;
+                for (line, &max) in stage.rowmax().iter().enumerate() {
+                    let (slot, pt) = (line / (p + 1), line % (p + 1));
+                    let row = stage.row(p, slot, pt);
+                    assert_eq!(row.is_none(), max == f64::NEG_INFINITY, "line {line}");
+                    match row {
+                        Some(row) => {
+                            stage_live += 1;
+                            let top = row.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+                            assert_eq!(top.to_bits(), max.to_bits(), "line {line}");
+                        }
+                        None => {
+                            dead += 1;
+                            for pl in 1..=p {
+                                assert_eq!(stage.value(p, slot, pt, pl), f64::NEG_INFINITY);
+                                assert_eq!(stage.parent(p, slot, pt, pl).pack(), 0);
+                            }
+                        }
+                    }
+                }
+                assert_eq!(stage.rows.stored(), stage_live, "prune = {prune}");
+                live += stage_live;
+            }
+            assert!(
+                live > 0 && dead > 0,
+                "prune = {prune}: {live} live, {dead} dead"
+            );
+        }
+    }
+
+    #[test]
+    fn unpruned_lookups_count_every_candidate() {
+        // With `prune` off every cell scans every offer `q` of every
+        // predecessor stage, dead predecessor lines included, so each end
+        // task's `lookups` is a count of the state space alone.
+        let p = 64;
+        let problem = Problem::new(synthetic_chain(), p, 10.0);
+        let ctx = SolveCtx::new(&problem).unwrap();
+        let opts = SolveOptions::default();
+        let (run, prov) =
+            recorded_run(&problem, &ctx, &opts, Clustering::Contiguous, false).unwrap();
+        let floor =
+            |first: usize, last: usize| ctx.table().module_floor(first, last).filter(|&f| f <= p);
+        for j in 0..8 {
+            let mut want = 0;
+            for first in 1..=j {
+                let Some(own) = floor(first, j) else {
+                    continue;
+                };
+                for prev_first in 0..first {
+                    let Some(prev) = floor(prev_first, first - 1) else {
+                        continue;
+                    };
+                    let per_slot: usize = (own..=p)
+                        .flat_map(|pt| (own..=pt).map(move |pl| pt - pl))
+                        .map(|budget| (budget + 1).saturating_sub(prev))
+                        .sum();
+                    want += per_slot * run.axes[j + 1].len();
+                }
+            }
+            assert_eq!(prov.stage_cells[j].lookups, want as u64, "end task {j}");
+        }
     }
 
     #[test]
