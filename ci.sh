@@ -60,6 +60,18 @@ EOF
         fi
     done
 done
+# FFT-Hist end to end: serve_fft checks the pipeline's first outputs
+# against the benchmark's own serial 2-D FFT and histogram. It needs its
+# declared 10 s: at 1 s a paced pass holds too few samples for a p90.
+for SEED in 1 7919; do
+    START=$(date +%s)
+    RESULT=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload serve_fft --seed "$SEED" --seconds 10 | tail -n 1)
+    case "$RESULT" in
+        '{"correct": true,'*) echo "benchmark serve_fft seed $SEED: correct ($(($(date +%s) - START)) s)" ;;
+        *) echo "benchmark serve_fft seed $SEED failed its checks: $RESULT" >&2; exit 1 ;;
+    esac
+done
 unset CARGO_TARGET_DIR
 
 echo "== solver bit-identity suites under forced thread counts =="

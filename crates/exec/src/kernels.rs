@@ -43,43 +43,122 @@ impl Complex {
     }
 }
 
-/// In-place iterative radix-2 Cooley–Tukey FFT.
+/// In-place iterative radix-2 Cooley–Tukey FFT. Its twiddle factors come
+/// from a table built once per call with the running-product recurrence
+/// the butterfly loop would otherwise step, so the output bits are those
+/// of that loop.
 ///
 /// # Panics
 ///
 /// Panics if the length is not a power of two.
 pub fn fft_inplace(data: &mut [Complex]) {
-    let n = data.len();
+    fft_lanes(data, &twiddles(data.len()));
+}
+
+/// Twiddle factors of every butterfly span of an `n`-point FFT, `n - 1`
+/// values in all: the span of `len = 2·half` points holds its `half`
+/// factors at `[half - 1, 2·half - 1)`.
+///
+/// A span's factors are the serial running product `w₀ = 1`,
+/// `wᵢ₊₁ = wᵢ · wlen` with `wlen = (cos, sin)(−2π / len)`: the recurrence
+/// a textbook radix-2 loop steps inside its butterflies, evaluated with
+/// the same operations in the same order. A lookup therefore returns
+/// bit for bit the factor that loop would use, without putting the
+/// four-multiply recurrence on every butterfly's dependency chain.
+///
+/// # Panics
+///
+/// Panics if `n` is not a power of two.
+fn twiddles(n: usize) -> Vec<Complex> {
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u32).reverse_bits() >> (32 - bits);
-        let j = j as usize;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    // Butterflies.
+    let mut table = Vec::with_capacity(n - 1);
     let mut len = 2;
     while len <= n {
         let ang = -2.0 * PI / len as f64;
         let wlen = Complex::new(ang.cos(), ang.sin());
-        for chunk in data.chunks_mut(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            let half = len / 2;
-            for i in 0..half {
-                let u = chunk[i];
-                let v = chunk[i + half].mul(w);
-                chunk[i] = u.add(v);
-                chunk[i + half] = u.sub(v);
-                w = w.mul(wlen);
-            }
+        let mut w = Complex::new(1.0, 0.0);
+        for _ in 0..len / 2 {
+            table.push(w);
+            w = w.mul(wlen);
         }
         len <<= 1;
+    }
+    table
+}
+
+/// One point of the sequence an FFT transforms: a single value (an FFT
+/// along a row) or a segment of a matrix row, whose columns then
+/// transform side by side (FFTs down the columns).
+trait Lane {
+    /// The radix-2 butterfly `(a, b) ← (a + b·w, a − b·w)`.
+    fn butterfly(&mut self, hi: &mut Self, w: Complex);
+    /// Exchange two points (the bit-reversal permutation).
+    fn exchange(&mut self, other: &mut Self);
+}
+
+impl Lane for Complex {
+    #[inline(always)]
+    fn butterfly(&mut self, hi: &mut Self, w: Complex) {
+        let u = *self;
+        let v = hi.mul(w);
+        *self = u.add(v);
+        *hi = u.sub(v);
+    }
+
+    fn exchange(&mut self, other: &mut Self) {
+        std::mem::swap(self, other);
+    }
+}
+
+impl Lane for &mut [Complex] {
+    /// Every column's butterfly with the one factor `w`. Each element
+    /// sees exactly the operations, in the order, of the per-column FFT,
+    /// so the result does not depend on how the columns are grouped;
+    /// the loop runs along contiguous memory.
+    #[inline(always)]
+    fn butterfly(&mut self, hi: &mut Self, w: Complex) {
+        for (a, b) in self.iter_mut().zip(hi.iter_mut()) {
+            a.butterfly(b, w);
+        }
+    }
+
+    fn exchange(&mut self, other: &mut Self) {
+        self.swap_with_slice(other);
+    }
+}
+
+/// Radix-2 decimation-in-time FFT over `points`, in place, with the
+/// factors of [`twiddles`] for `points.len()`.
+///
+/// Bit-reversal order, span order and the butterfly's operations are
+/// those of the textbook loop that steps `w ← w · wlen` inside its
+/// butterflies; the factors are that loop's own (see [`twiddles`]); and
+/// Rust never fuses a multiply and an add into an FMA. So the output is
+/// bit for bit what that loop computes, for one sequence of values or for
+/// every column of a list of row segments.
+fn fft_lanes<L: Lane>(points: &mut [L], table: &[Complex]) {
+    let n = points.len();
+    if n <= 1 {
+        return;
+    }
+    let bits = n.trailing_zeros();
+    for i in 0..n {
+        let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
+        if i < j {
+            let (head, tail) = points.split_at_mut(j);
+            head[i].exchange(&mut tail[0]);
+        }
+    }
+    let mut half = 1;
+    while half < n {
+        let factors = &table[half - 1..2 * half - 1];
+        for chunk in points.chunks_exact_mut(2 * half) {
+            let (lo, hi) = chunk.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(factors) {
+                a.butterfly(b, w);
+            }
+        }
+        half <<= 1;
     }
 }
 
@@ -148,18 +227,12 @@ impl Matrix {
     }
 }
 
-/// FFT every row of the matrix, splitting rows across `threads`.
+/// FFT every row of the matrix, splitting rows across `threads`. One
+/// twiddle table serves every row.
 pub fn fft_rows(m: &mut Matrix, threads: usize) {
-    let n = m.n;
-    if threads <= 1 {
-        // Inline fast path: no row-pointer scratch vector, no scope.
-        for row in m.data.chunks_mut(n) {
-            fft_inplace(row);
-        }
-        return;
-    }
-    let rows: Vec<&mut [Complex]> = m.data.chunks_mut(n).collect();
-    run_chunks(rows, threads, fft_inplace);
+    let table = twiddles(m.n);
+    let rows: Vec<&mut [Complex]> = m.data.chunks_mut(m.n).collect();
+    run_chunks(rows, threads, |row| fft_lanes(row, &table));
 }
 
 /// Transpose the matrix in place (single-threaded; the transpose is the
@@ -173,11 +246,28 @@ pub fn transpose(m: &mut Matrix) {
     }
 }
 
-/// FFT every column: transpose, row-FFT, transpose back.
+/// FFT every column, without a transpose: each butterfly combines two
+/// whole rows with one twiddle factor, so the inner loop runs along
+/// contiguous memory. The columns split into contiguous stripes across
+/// `threads`; each worker transforms the row segments of its stripe.
+/// Every element sees the operations of a per-column FFT in the same
+/// order, so the bits do not depend on the split.
 pub fn fft_cols(m: &mut Matrix, threads: usize) {
-    transpose(m);
-    fft_rows(m, threads);
-    transpose(m);
+    let n = m.n;
+    let table = twiddles(n);
+    let stripes = split_ranges(n, threads);
+    let mut segments: Vec<Vec<&mut [Complex]>> =
+        stripes.iter().map(|_| Vec::with_capacity(n)).collect();
+    for row in m.data.chunks_mut(n) {
+        let mut rest = row;
+        for (stripe, range) in segments.iter_mut().zip(&stripes) {
+            let (segment, tail) = rest.split_at_mut(range.len());
+            stripe.push(segment);
+            rest = tail;
+        }
+    }
+    let stripes: Vec<&mut [&mut [Complex]]> = segments.iter_mut().map(Vec::as_mut_slice).collect();
+    run_chunks(stripes, threads, |rows| fft_lanes(rows, &table));
 }
 
 /// Histogram of squared magnitudes in `bins` buckets over `[0, max)`,
@@ -490,17 +580,27 @@ mod tests {
 
     #[test]
     fn row_and_col_ffts_are_threadcount_invariant() {
-        let m0 = Matrix::from_fn(16, |r, c| Complex::new((r * 16 + c) as f64, 0.0));
-        let mut a = m0.clone();
-        let mut b = m0.clone();
-        fft_rows(&mut a, 1);
-        fft_rows(&mut b, 4);
-        assert_eq!(a, b);
-        let mut a = m0.clone();
-        let mut b = m0;
-        fft_cols(&mut a, 1);
-        fft_cols(&mut b, 3);
-        assert_eq!(a, b);
+        // More threads than columns, the degenerate edges, and a split
+        // that divides no power of two evenly.
+        let cases: [(usize, &[usize]); 4] =
+            [(16, &[4, 3, 32]), (1, &[2, 5]), (2, &[2, 3]), (256, &[3])];
+        for (n, threads) in cases {
+            let m0 = Matrix::from_fn(n, |r, c| {
+                Complex::new((r * n + c) as f64, (r + 2 * c) as f64)
+            });
+            let mut rows1 = m0.clone();
+            let mut cols1 = m0.clone();
+            fft_rows(&mut rows1, 1);
+            fft_cols(&mut cols1, 1);
+            for &t in threads {
+                let mut a = m0.clone();
+                fft_rows(&mut a, t);
+                assert_eq!(a, rows1, "fft_rows n={n} threads={t}");
+                let mut b = m0.clone();
+                fft_cols(&mut b, t);
+                assert_eq!(b, cols1, "fft_cols n={n} threads={t}");
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   the processors assigned to the instance).
 //!
 //! [`kernels`] implements the actual computations of the paper's
-//! applications — an iterative radix-2 FFT, matrix transpose, histogram
-//! with parallel merge, stereo SSD and disparity reduction — so the
-//! examples run the real FFT-Hist and stereo pipelines end to end and
-//! measure genuine throughput.
+//! applications — an iterative radix-2 FFT along rows and, with row-wise
+//! butterflies, down columns; histogram with parallel merge; stereo SSD
+//! and disparity reduction — so the examples run the real FFT-Hist and
+//! stereo pipelines end to end and measure genuine throughput.
 
 pub mod driver;
 pub mod executor;

@@ -44,7 +44,8 @@ pub enum WireKernel {
     },
     /// FFT of every row of a square complex matrix.
     FftRows,
-    /// FFT of every column (transpose · row-FFT · transpose).
+    /// FFT of every column, as butterflies between whole rows (no
+    /// transpose).
     FftCols,
     /// Histogram of squared magnitudes into `bins` buckets over
     /// `[0, max)`; output is the `u64` bin counts.
