@@ -79,12 +79,36 @@
 //!   contiguous `pl` cells the table stores together — are filled on the
 //!   scoped worker pool (`par`). Workers read the already-finished stages,
 //!   the dense cost slabs and per-stage tables of per-offer data, and
-//!   write each cell, its parent and the line's maximum at the tail of
-//!   their own row store. Only *live* lines, whose maximum is above `-∞`,
-//!   keep a row; a line directory maps the others to "dead", which reads
-//!   `-∞` everywhere. Nothing is merged afterwards, and every cell is
-//!   computed once from read-only inputs, so results do not depend on the
-//!   thread count.
+//!   write each cell's value and the line's maximum at the tail of their
+//!   own row store. Only *live* lines, whose maximum is above `-∞`, keep
+//!   a row; a line directory maps the others to "dead", which reads `-∞`
+//!   everywhere. Nothing is merged afterwards, and every cell is computed
+//!   once from read-only inputs, so results do not depend on the thread
+//!   count.
+//!
+//! ## Reconstruction
+//!
+//! The tables store values only. The mapping is rebuilt by one walk from
+//! the terminal scan's `(L, pl)` leftwards: at each of the ≤ `k` cells of
+//! the optimal path it re-scans the cell's candidates in the sweep's
+//! order (`L'` ascending, then `q` ascending), with the sweep's
+//! arithmetic, and takes the *first strict argmax* from `-∞` as the
+//! previous module. That is exactly the candidate the sweep stored the
+//! cell's value from, pruned or not:
+//!
+//! * an on-path cell's value is `≥ T*`, the optimum, which lies strictly
+//!   above the pruning bound `incumbent · (1 − PRUNE_MARGIN)`;
+//! * the sweep keeps the first candidate strictly above a running best
+//!   that starts at the bound, so it keeps the first candidate that
+//!   attains the cell's maximum, provided neither shortcut skips it;
+//! * the line-maximum skip (`rowmax ≤ best`) and the `sub ≤ best` skip
+//!   drop only candidates that cannot exceed `best`, and the cap break
+//!   fires at `best ≥ cap` when every later candidate is `≤ cap`.
+//!
+//! A resumed suffix re-scans the same spliced tables its sweep read, so
+//! the argument holds there too (`resolve.rs`). The walk also yields the
+//! provenance of each cell: the chosen candidate's incoming transfer and
+//! the runner-up, the first strict argmax among the other candidates.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -151,35 +175,6 @@ pub(crate) fn response_throughput(incoming: f64, exec: f64, outgoing: f64, repli
     )
 }
 
-/// `x` as a `u16` parent field. Module lengths, processor counts and
-/// choice indices fit: a spec refuses `P > u16::MAX`.
-#[inline]
-pub(crate) fn narrow(x: usize) -> u16 {
-    debug_assert!(x <= u16::MAX as usize, "{x} overflows a u16");
-    x as u16
-}
-
-/// Parent record: the maximising previous-module choice. Stage tables
-/// store it packed into a `u32`, and `0` reads as "none".
-#[derive(Clone, Copy, Debug, Default)]
-struct Parent {
-    prev_len: u16,
-    prev_procs: u16,
-}
-
-impl Parent {
-    fn pack(self) -> u32 {
-        (self.prev_len as u32) << 16 | self.prev_procs as u32
-    }
-
-    fn unpack(bits: u32) -> Self {
-        Self {
-            prev_len: (bits >> 16) as u16,
-            prev_procs: bits as u16,
-        }
-    }
-}
-
 /// Shared solver context for one cost table: the dense table plus
 /// lazily-computed derived structures that several entry points need.
 /// Today that is the branch-and-bound [`suffix_bounds`] table, which
@@ -241,14 +236,13 @@ pub(crate) fn stage_key(k: usize, j: usize, l: usize) -> usize {
 /// `P` cells `pl = 1..=P`, so the `pl` scan of the recurrence walks a row
 /// contiguously. Only live lines, whose maximum is above `-∞`, store a
 /// row: a line whose maximum is `-∞` holds only `-∞`, and a dead line
-/// reads so, with parent "none".
+/// reads so.
 #[derive(Clone, Debug)]
 pub(crate) struct Stage {
-    /// The line directory over the live lines' values and packed
-    /// [`Parent`]s (none for base-case stages, which have no
-    /// predecessor). Its summaries are the line maxima: they bound what
-    /// any predecessor scan can contribute.
-    rows: Rows<f64, u32>,
+    /// The line directory over the live lines' values. Its summaries are
+    /// the line maxima: they bound what any predecessor scan can
+    /// contribute.
+    rows: Rows<f64>,
     /// The module's processor floor (first feasible `pl`).
     floor: Procs,
 }
@@ -269,13 +263,6 @@ impl Stage {
     pub(crate) fn value(&self, p: usize, slot: usize, pt: usize, pl: usize) -> f64 {
         self.row(p, slot, pt)
             .map_or(f64::NEG_INFINITY, |row| row[pl - 1])
-    }
-
-    /// The parent of cell `(ne slot, pt, pl)`: "none" in a dead line and
-    /// in a base-case stage.
-    fn parent(&self, p: usize, slot: usize, pt: usize, pl: usize) -> Parent {
-        let line = slot * (p + 1) + pt;
-        Parent::unpack(self.rows.parents(line).map_or(0, |row| row[pl - 1]))
     }
 }
 
@@ -480,9 +467,8 @@ struct Offer {
 }
 
 /// A predecessor stage reachable by the current stage's recurrence: the
-/// previous module has length `prev_len` and its table is `stage`.
+/// previous module's table is `stage`.
 struct PrevGroup<'a> {
-    prev_len: usize,
     stage: &'a Stage,
     /// Instance size of the previous module at each offer `q`
     /// (`prev_inst[q - 1]`, valid for `q >= stage.floor`).
@@ -773,11 +759,7 @@ pub(crate) fn run_cluster_dp<'a>(
                             .expect("q >= floor");
                         prev_inst[q - 1] = prep.procs_per_instance;
                     }
-                    groups.push(PrevGroup {
-                        prev_len,
-                        stage,
-                        prev_inst,
-                    });
+                    groups.push(PrevGroup { stage, prev_inst });
                 }
             }
             let in_slab = if first > 0 {
@@ -858,9 +840,8 @@ pub(crate) fn run_cluster_dp<'a>(
             }
 
             // One line: the cells (s, pt, pl) for every pl, which start at
-            // `-∞`, together with the parents of updated cells and the line
-            // maximum.
-            let fill = |line: Line<'_, f64, u32>, st: &mut CellStats| {
+            // `-∞`, and the line maximum.
+            let fill = |line: Line<'_, f64>, st: &mut CellStats| {
                 let (s, pt) = (line.index / (p + 1), line.index % (p + 1));
                 // The P - pt processors left for tasks j+1..k cannot
                 // sustain the incumbent: no completion through any cell
@@ -888,8 +869,6 @@ pub(crate) fn run_cluster_dp<'a>(
                     // sub-bound cells merely become `-∞` instead of
                     // carrying their (never reconstructed) value.
                     let mut best = bound;
-                    let mut updated = false;
-                    let mut best_parent = Parent::default();
                     'groups: for (gi, g) in groups.iter().enumerate() {
                         let pfloor = g.stage.floor;
                         if pfloor > budget {
@@ -921,11 +900,6 @@ pub(crate) fn run_cluster_dp<'a>(
                             let cand = sub.min(thr);
                             if cand > best {
                                 best = cand;
-                                updated = true;
-                                best_parent = Parent {
-                                    prev_len: narrow(g.prev_len),
-                                    prev_procs: narrow(q),
-                                };
                                 if opts.prune && best >= o.cap {
                                     // Ties cannot displace the first
                                     // argmax (strict update), so later
@@ -935,22 +909,14 @@ pub(crate) fn run_cluster_dp<'a>(
                             }
                         }
                     }
-                    if updated {
+                    if best > bound {
                         line.values[pl - 1] = best;
-                        line.parents[pl - 1] = best_parent.pack();
                     }
                 }
                 *line.summary = line.values.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
             };
 
-            let (rows, st) = pool::run_rows(
-                threads,
-                nslots * (p + 1),
-                p,
-                first > 0,
-                f64::NEG_INFINITY,
-                fill,
-            );
+            let (rows, st) = pool::run_rows(threads, nslots * (p + 1), p, f64::NEG_INFINITY, fill);
             if opts.provenance {
                 stage_stats[j].absorb(&st);
             }
@@ -988,62 +954,35 @@ pub(crate) fn run_cluster_dp<'a>(
         return Err(SolveError::Infeasible);
     }
 
-    // Reconstruct modules right-to-left, recording the visited cells for
-    // the provenance harvest.
-    let mut modules_rev: Vec<ModuleAssignment> = Vec::new();
-    let mut offers: Vec<Procs> = Vec::new();
-    let mut path: Vec<PathCell> = Vec::new();
-    let mut j = k - 1;
-    let mut l = best_l;
-    let mut pl = best_pl;
-    let mut slot = 0usize; // sentinel slot of the final stages
-    let mut pt = p;
-    loop {
-        let first = j + 1 - l;
-        let rep = table
-            .module_replication(first, j, pl)
-            .expect("reconstructed module respects its floor");
-        modules_rev.push(ModuleAssignment::new(
-            first,
-            j,
-            rep.instances,
-            rep.procs_per_instance,
-        ));
-        offers.push(pl);
-        if opts.provenance {
-            path.push(PathCell { j, l, pl, pt, slot });
+    let (modules, offers, cells) = walk_path(
+        table,
+        &stages,
+        &axes,
+        (k, p),
+        (best_l, best_pl),
+        opts.provenance,
+    );
+    let prov = opts.provenance.then(|| {
+        let stage_cells = stage_stats
+            .iter()
+            .enumerate()
+            .map(|(stage, st)| StageCells {
+                stage,
+                cells: st.cells,
+                pruned: st.cells_pruned,
+                lookups: st.lookups,
+                skips: st.qskips,
+            })
+            .collect();
+        Provenance {
+            algorithm: name,
+            throughput: best,
+            cells,
+            stage_cells,
+            exact_runner_ups: !opts.prune,
         }
-        if first == 0 {
-            break;
-        }
-        let stage = stages[stage_key(j, l)].as_deref().expect("visited stage");
-        let par = stage.parent(p, slot, pt, pl);
-        slot = axes[first].slot_of_inst[rep.procs_per_instance];
-        pt -= pl;
-        j = first - 1;
-        l = par.prev_len as usize;
-        pl = par.prev_procs as usize;
-    }
-    modules_rev.reverse();
-    offers.reverse();
-    let prov = if opts.provenance {
-        Some(harvest_cluster(
-            table,
-            &stages,
-            &axes,
-            &stage_stats,
-            &path,
-            stage_key,
-            p,
-            best,
-            !opts.prune,
-            name,
-        ))
-    } else {
-        None
-    };
-    let mapping = Mapping::new(modules_rev);
-    let solution = Solution::from_mapping(problem, mapping);
+    });
+    let solution = Solution::from_mapping(problem, Mapping::new(modules));
     debug_assert_eq!(
         solution.throughput.to_bits(),
         best.to_bits(),
@@ -1067,137 +1006,133 @@ pub(crate) fn run_cluster_dp<'a>(
     })
 }
 
-/// One reconstructed cell of the winning path: module ending at task `j`
-/// with length `l`, offered `pl` of a `pt` budget, read through successor
-/// slot `slot`.
-struct PathCell {
-    j: usize,
-    l: usize,
-    pl: usize,
-    pt: usize,
-    slot: usize,
+/// One candidate predecessor of a path cell: the previous module's length
+/// and offer, the incoming transfer they imply, and the candidate's value.
+#[derive(Clone, Copy)]
+struct Pred {
+    prev_len: usize,
+    procs: usize,
+    cin: f64,
+    value: f64,
 }
 
-/// Rebuild [`DecisionCell`]s for the sweep's winning path by re-scanning
-/// each visited cell's candidates (exact when the solve ran unpruned — the
-/// entry points force that).
-#[allow(clippy::too_many_arguments)]
-fn harvest_cluster(
+/// Rebuild the optimal path of a `k`-task sweep over `p` processors from
+/// its terminal cell `(l, pl)` leftwards: each module's predecessor is the
+/// first strict argmax of its cell's candidates, re-scanned in the sweep's
+/// order with the sweep's arithmetic (module docs, "Reconstruction").
+/// Returns the modules, the offers and, when `provenance` is set, one
+/// [`DecisionCell`] per module, all in pipeline order.
+fn walk_path(
     table: &CostTable,
     stages: &[Option<Cow<'_, Stage>>],
     axes: &[NeAxis],
-    stage_stats: &[CellStats],
-    path: &[PathCell],
-    stage_key: impl Fn(usize, usize) -> usize,
-    p: usize,
-    throughput: f64,
-    exact: bool,
-    algorithm: &'static str,
-) -> Provenance {
+    (k, p): (usize, usize),
+    (mut l, mut pl): (usize, usize),
+    provenance: bool,
+) -> (Vec<ModuleAssignment>, Vec<Procs>, Vec<DecisionCell>) {
     let dense = table.dense();
-    let mut cells: Vec<DecisionCell> = Vec::with_capacity(path.len());
-    for pc in path {
-        let first = pc.j + 1 - pc.l;
-        let stage = stages[stage_key(pc.j, pc.l)]
-            .as_deref()
-            .expect("path visits existing stages");
-        let value = stage.value(p, pc.slot, pc.pt, pc.pl);
+    let (mut modules, mut offers, mut cells) = (Vec::new(), Vec::new(), Vec::new());
+    let mut j = k - 1;
+    let mut slot = 0usize; // sentinel slot of the final stages
+    let mut pt = p;
+    loop {
+        let first = j + 1 - l;
         let rep = table
-            .module_replication(first, pc.j, pc.pl)
-            .expect("path offer respects the floor");
+            .module_replication(first, j, pl)
+            .expect("reconstructed module respects its floor");
         let inst = rep.procs_per_instance;
-        let ne = axes[pc.j + 1].insts[pc.slot];
+        modules.push(ModuleAssignment::new(first, j, rep.instances, inst));
+        offers.push(pl);
+        let ne = axes[j + 1].insts[slot];
         let out = if ne != 0 {
-            dense.ecom_slab(pc.j)[(inst - 1) * p + (ne - 1)]
+            dense.ecom_slab(j)[(inst - 1) * p + (ne - 1)]
         } else {
             0.0
         };
-        let exec = table.module_exec(first, pc.j, inst);
-        let (chosen, ein, runner_up) = if first > 0 {
-            let par = stage.parent(p, pc.slot, pc.pt, pc.pl);
-            let budget = pc.pt - pc.pl;
+        let exec = table.module_exec(first, j, inst);
+        // The first strict argmax from `-∞`, and the first strict argmax
+        // of the others: a new maximum demotes the old one, which was the
+        // first argmax of everything before it.
+        let (mut chosen, mut runner_up): (Option<Pred>, Option<Pred>) = (None, None);
+        let s_in = axes[first].slot_of_inst[inst];
+        if first > 0 {
+            let budget = pt - pl;
             let in_slab = dense.ecom_slab(first - 1);
-            let s_in = axes[first].slot_of_inst[inst];
-            let mut ein_star = 0.0;
-            let mut alt_val = f64::NEG_INFINITY;
-            let mut alt = Parent::default();
+            let beats = |c: &Option<Pred>, v: f64| v > c.map_or(f64::NEG_INFINITY, |c| c.value);
             for prev_len in 1..=first {
-                let Some(pstage) = stages[stage_key(first - 1, prev_len)].as_deref() else {
+                let Some(prev) = stages[stage_key(k, first - 1, prev_len)].as_deref() else {
                     continue;
                 };
-                let prev_first = first - prev_len;
-                let prev_row = pstage.row(p, s_in, budget);
-                for q in pstage.floor..=budget {
-                    let sub = prev_row.map_or(f64::NEG_INFINITY, |row| row[q - 1]);
+                let Some(row) = prev.row(p, s_in, budget) else {
+                    continue; // a dead line: every candidate is `-∞`
+                };
+                for q in prev.floor..=budget {
                     let prep = table
-                        .module_replication(prev_first, first - 1, q)
+                        .module_replication(first - prev_len, first - 1, q)
                         .expect("q >= floor");
                     let cin = in_slab[(prep.procs_per_instance - 1) * p + (inst - 1)];
-                    if prev_len == par.prev_len as usize && q == par.prev_procs as usize {
-                        ein_star = cin;
-                        continue; // the chosen candidate is not its own runner-up
-                    }
-                    if sub == f64::NEG_INFINITY {
-                        continue;
-                    }
-                    let cand = sub.min(response_throughput(cin, exec, out, rep.instances));
-                    if cand > alt_val {
-                        alt_val = cand;
-                        alt = Parent {
-                            prev_len: narrow(prev_len),
-                            prev_procs: narrow(q),
-                        };
+                    let value = row[q - 1].min(response_throughput(cin, exec, out, rep.instances));
+                    let pred = Pred {
+                        prev_len,
+                        procs: q,
+                        cin,
+                        value,
+                    };
+                    if beats(&chosen, value) {
+                        runner_up = chosen.replace(pred);
+                    } else if beats(&runner_up, value) {
+                        runner_up = Some(pred);
                     }
                 }
             }
-            let ru = (alt_val > f64::NEG_INFINITY).then_some(RunnerUp {
-                prev_len: alt.prev_len as usize,
-                prev_procs: alt.prev_procs as usize,
-                value: alt_val,
+        }
+        let value = stages[stage_key(k, j, l)]
+            .as_deref()
+            .expect("path visits existing stages")
+            .value(p, slot, pt, pl);
+        debug_assert!(
+            chosen.is_none_or(|c| c.value.to_bits() == value.to_bits()),
+            "re-scanned maximum disagrees with the stored cell ({j}, {l}, {pl})"
+        );
+        if provenance {
+            cells.push(DecisionCell {
+                index: 0, // assigned after the reverse below
+                first,
+                last: j,
+                offer: pl,
+                instances: rep.instances,
+                instance_procs: inst,
+                budget: pt,
+                value,
+                chosen_prev_len: chosen.map_or(0, |c| c.prev_len),
+                chosen_prev_procs: chosen.map_or(0, |c| c.procs),
+                runner_up: runner_up.map(|c| RunnerUp {
+                    prev_len: c.prev_len,
+                    prev_procs: c.procs,
+                    value: c.value,
+                }),
+                exec_s: exec,
+                ecom_in_s: chosen.map_or(0.0, |c| c.cin),
+                ecom_out_s: out,
             });
-            (par, ein_star, ru)
-        } else {
-            (Parent::default(), 0.0, None)
+        }
+        let Some(c) = chosen else {
+            debug_assert_eq!(first, 0, "a non-base path cell has a predecessor");
+            break;
         };
-        cells.push(DecisionCell {
-            index: 0, // assigned after the reverse below
-            first,
-            last: pc.j,
-            offer: pc.pl,
-            instances: rep.instances,
-            instance_procs: inst,
-            budget: pc.pt,
-            value,
-            chosen_prev_len: chosen.prev_len as usize,
-            chosen_prev_procs: chosen.prev_procs as usize,
-            runner_up,
-            exec_s: exec,
-            ecom_in_s: ein,
-            ecom_out_s: out,
-        });
+        slot = s_in;
+        pt -= pl;
+        j = first - 1;
+        l = c.prev_len;
+        pl = c.procs;
     }
+    modules.reverse();
+    offers.reverse();
     cells.reverse();
     for (i, cell) in cells.iter_mut().enumerate() {
         cell.index = i;
     }
-    let stage_cells = stage_stats
-        .iter()
-        .enumerate()
-        .map(|(stage, st)| StageCells {
-            stage,
-            cells: st.cells,
-            pruned: st.cells_pruned,
-            lookups: st.lookups,
-            skips: st.qskips,
-        })
-        .collect();
-    Provenance {
-        algorithm,
-        throughput,
-        cells,
-        stage_cells,
-        exact_runner_ups: exact,
-    }
+    (modules, offers, cells)
 }
 
 #[cfg(test)]
@@ -1419,7 +1354,6 @@ mod tests {
                             dead += 1;
                             for pl in 1..=p {
                                 assert_eq!(stage.value(p, slot, pt, pl), f64::NEG_INFINITY);
-                                assert_eq!(stage.parent(p, slot, pt, pl).pack(), 0);
                             }
                         }
                     }

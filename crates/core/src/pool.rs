@@ -1,12 +1,13 @@
 //! A small std-only scoped-thread worker pool for the DP solvers.
 //!
 //! Each DP stage table is a sequence of independent *lines*: `width`
-//! cells (plus, in tables that keep them, the cells' parents) and one
-//! summary cell per line. [`run_rows`] hands the lines to `t` scoped
-//! threads in a deterministic strided fashion (worker `w` fills lines `w,
-//! w + t, w + 2t, …`), and each worker writes a line at the tail of its
-//! own row store, keeping it only when the line turns out *live* (its
-//! summary left the blank). Nothing is merged afterwards: a line
+//! value cells and one summary cell per line. Cells hold values only: a
+//! solver that needs a cell's argmax re-derives it from the values the
+//! cell read. [`run_rows`] hands the lines to `t` scoped threads in a
+//! deterministic strided fashion (worker `w` fills lines `w, w + t, w +
+//! 2t, …`), and each worker writes a line at the tail of its own row
+//! store, keeping it only when the line turns out *live* (its summary
+//! left the blank). Nothing is merged afterwards: a line
 //! directory maps every line to its row, or to [`DEAD`]. Because every
 //! line is computed by exactly one worker from read-only shared inputs,
 //! results are **bitwise independent of the thread count**; `threads ==
@@ -65,71 +66,48 @@ pub fn thread_limit(requested: Option<usize>) -> usize {
 const DEAD: u32 = u32::MAX;
 
 /// One line of a table, handed to exactly one worker.
-pub(crate) struct Line<'a, V, P> {
+pub(crate) struct Line<'a, V> {
     /// Position of the line in the table.
     pub index: usize,
     /// The line's `width` cells, each starting as the table's blank.
     pub values: &'a mut [V],
-    /// The cells' parents, each starting as `P::default()`; empty when
-    /// the table keeps none.
-    pub parents: &'a mut [P],
     /// The line's summary cell, starting as the blank.
     pub summary: &'a mut V,
 }
 
-/// One worker's rows, `width` cells each, in the order it wrote them.
-#[derive(Clone, Debug)]
-struct Store<V, P> {
-    values: Vec<V>,
-    parents: Vec<P>,
-}
-
 /// A table filled by [`run_rows`]: one summary per line, and a row of
-/// cells (with their parents, if kept) for each *live* line only — a line
-/// whose summary is still the blank stores nothing.
+/// cells for each *live* line only — a line whose summary is still the
+/// blank stores nothing.
 #[derive(Clone, Debug)]
-pub(crate) struct Rows<V, P> {
+pub(crate) struct Rows<V> {
     width: usize,
     /// Line `i` → its row in store `i % stores.len()`, or [`DEAD`].
     dir: Vec<u32>,
     summaries: Vec<V>,
-    stores: Vec<Store<V, P>>,
+    /// One store per worker: its rows, `width` cells each, in the order
+    /// it wrote them.
+    stores: Vec<Vec<V>>,
 }
 
-impl<V, P> Rows<V, P> {
+impl<V> Rows<V> {
     /// Every line's summary, in line order.
     pub fn summaries(&self) -> &[V] {
         &self.summaries
     }
 
-    /// Line `i`'s store and row start, or `None` for a dead line.
-    fn locate(&self, i: usize) -> Option<(&Store<V, P>, usize)> {
-        let row = self.dir[i];
-        (row != DEAD).then(|| {
-            (
-                &self.stores[i % self.stores.len()],
-                row as usize * self.width,
-            )
-        })
-    }
-
     /// Line `i`'s cells, or `None` for a dead line.
     pub fn values(&self, i: usize) -> Option<&[V]> {
-        self.locate(i)
-            .map(|(store, at)| &store.values[at..at + self.width])
-    }
-
-    /// Line `i`'s parents, or `None` for a dead line or a table that keeps
-    /// no parents.
-    pub fn parents(&self, i: usize) -> Option<&[P]> {
-        self.locate(i)
-            .and_then(|(store, at)| store.parents.get(at..at + self.width))
+        let row = self.dir[i];
+        (row != DEAD).then(|| {
+            let at = row as usize * self.width;
+            &self.stores[i % self.stores.len()][at..at + self.width]
+        })
     }
 
     /// Rows stored, over every worker.
     #[cfg(test)]
     pub fn stored(&self) -> usize {
-        self.stores.iter().map(|s| s.values.len()).sum::<usize>() / self.width
+        self.stores.iter().map(Vec::len).sum::<usize>() / self.width
     }
 }
 
@@ -137,26 +115,24 @@ impl<V, P> Rows<V, P> {
 /// and return the table with the sum of the workers' [`CellStats`].
 ///
 /// Worker `w` fills lines `w, w + t, …` in order, each at the tail of its
-/// own store: `width` cells set to `blank`, as many `P::default()`
-/// parents when `parents` is set, and the summary set to `blank`. A line
-/// whose summary `f` leaves at `blank` is dead: the worker truncates its
-/// row away again, so the table stores, and the pages touch, only live
-/// lines plus one row in flight per worker. `f` must leave every cell of
-/// a dead line at `blank`, be safe to call concurrently (`Sync`) and read
-/// only shared inputs besides its line: each line is filled exactly once,
-/// but on no particular worker and in no particular global order.
-pub(crate) fn run_rows<V, P, F>(
+/// own store: `width` cells set to `blank`, and the summary set to
+/// `blank`. A line whose summary `f` leaves at `blank` is dead: the
+/// worker truncates its row away again, so the table stores, and the
+/// pages touch, only live lines plus one row in flight per worker. `f`
+/// must leave every cell of a dead line at `blank`, be safe to call
+/// concurrently (`Sync`) and read only shared inputs besides its line:
+/// each line is filled exactly once, but on no particular worker and in
+/// no particular global order.
+pub(crate) fn run_rows<V, F>(
     threads: usize,
     lines: usize,
     width: usize,
-    parents: bool,
     blank: V,
     f: F,
-) -> (Rows<V, P>, CellStats)
+) -> (Rows<V>, CellStats)
 where
     V: Copy + PartialEq + Send + Sync,
-    P: Copy + Default + Send,
-    F: Fn(Line<'_, V, P>, &mut CellStats) + Sync,
+    F: Fn(Line<'_, V>, &mut CellStats) + Sync,
 {
     assert!(width > 0, "lines have at least one cell");
     // A row index is below its line count, and a stage has at most
@@ -172,30 +148,18 @@ where
     }
     let fill = |share: Vec<(usize, &mut V, &mut u32)>| {
         let mut st = CellStats::default();
-        let mut store = Store {
-            values: Vec::new(),
-            parents: Vec::new(),
-        };
+        let mut store = Vec::new();
         for (index, summary, row) in share {
-            let tail = store.values.len();
-            store.values.resize(tail + width, blank);
-            if parents {
-                store.parents.resize(tail + width, P::default());
-            }
+            let tail = store.len();
+            store.resize(tail + width, blank);
             let line = Line {
                 index,
-                values: &mut store.values[tail..],
-                parents: if parents {
-                    &mut store.parents[tail..]
-                } else {
-                    &mut []
-                },
+                values: &mut store[tail..],
                 summary: &mut *summary,
             };
             f(line, &mut st);
             if *summary == blank {
-                store.values.truncate(tail);
-                store.parents.truncate(tail);
+                store.truncate(tail);
             } else {
                 *row = (tail / width) as u32;
             }
@@ -240,12 +204,9 @@ mod tests {
 
     /// Tag every cell of line `i` with `i + 1` (so an unwritten cell reads
     /// the blank 0) and count the line in the statistics.
-    fn tag(line: Line<'_, usize, usize>, st: &mut CellStats) {
+    fn tag(line: Line<'_, usize>, st: &mut CellStats) {
         for v in line.values.iter_mut() {
             *v += line.index + 1;
-        }
-        for p in line.parents.iter_mut() {
-            *p += line.index + 1;
         }
         *line.summary += line.index + 1;
         st.cells += line.values.len() as u64;
@@ -253,24 +214,15 @@ mod tests {
         st.qskips += line.index as u64;
     }
 
-    fn run(t: usize, lines: usize, width: usize, parents: bool) -> (Rows<usize, usize>, CellStats) {
-        run_rows(t, lines, width, parents, 0, tag)
+    fn run(t: usize, lines: usize, width: usize) -> (Rows<usize>, CellStats) {
+        run_rows(t, lines, width, 0, tag)
     }
 
-    /// A line read back: its cells and parents (`None` when not stored)
-    /// and its summary.
-    type ReadLine<V, P> = (Option<Vec<V>>, Option<Vec<P>>, V);
-
-    /// Every line of `rows`, in line order.
-    fn read<V: Copy, P: Copy>(rows: &Rows<V, P>) -> Vec<ReadLine<V, P>> {
+    /// Every line of `rows`, in line order: its cells (`None` when not
+    /// stored) and its summary.
+    fn read<V: Copy>(rows: &Rows<V>) -> Vec<(Option<Vec<V>>, V)> {
         (0..rows.summaries().len())
-            .map(|i| {
-                (
-                    rows.values(i).map(<[V]>::to_vec),
-                    rows.parents(i).map(<[P]>::to_vec),
-                    rows.summaries()[i],
-                )
-            })
+            .map(|i| (rows.values(i).map(<[V]>::to_vec), rows.summaries()[i]))
             .collect()
     }
 
@@ -279,10 +231,9 @@ mod tests {
         // Every line written exactly once, whatever the count.
         let (lines, width) = (23, 5);
         for t in THREADS {
-            let (rows, _) = run(t, lines, width, true);
-            for (i, (values, parents, summary)) in read(&rows).into_iter().enumerate() {
+            let (rows, _) = run(t, lines, width);
+            for (i, (values, summary)) in read(&rows).into_iter().enumerate() {
                 assert_eq!(values, Some(vec![i + 1; width]), "threads = {t}");
-                assert_eq!(parents, Some(vec![i + 1; width]), "threads = {t}");
                 assert_eq!(summary, i + 1, "threads = {t}");
             }
             assert_eq!(rows.stored(), lines, "threads = {t}");
@@ -292,7 +243,7 @@ mod tests {
     #[test]
     fn zero_rows_is_fine() {
         for t in THREADS {
-            let (rows, st) = run(t, 0, 4, true);
+            let (rows, st) = run(t, 0, 4);
             assert_eq!(st, CellStats::default(), "threads = {t}");
             assert_eq!(rows.stored(), 0, "threads = {t}");
         }
@@ -300,7 +251,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_lines() {
-        let (rows, st) = run(64, 3, 2, false);
+        let (rows, st) = run(64, 3, 2);
         for i in 0..3 {
             assert_eq!(rows.values(i), Some(&[i + 1; 2][..]));
             assert_eq!(rows.summaries()[i], i + 1);
@@ -309,24 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_parent_table_leaves_parents_empty() {
-        for t in THREADS {
-            let (rows, seen) = run_rows(t, 9, 4, false, 0, |line, st| {
-                assert!(line.parents.is_empty());
-                tag(line, st);
-            });
-            for i in 0..9 {
-                assert_eq!(rows.values(i), Some(&[i + 1; 4][..]), "threads = {t}");
-                assert_eq!(rows.parents(i), None, "threads = {t}");
-            }
-            assert_eq!(seen.lookups, 9, "threads = {t}");
-        }
-    }
-
-    #[test]
     fn worker_stats_sum_to_the_serial_sum() {
         let (lines, width) = (41, 3);
-        let serial = run(1, lines, width, false).1;
+        let serial = run(1, lines, width).1;
         assert_eq!(
             serial,
             CellStats {
@@ -337,35 +273,33 @@ mod tests {
             }
         );
         for t in THREADS {
-            assert_eq!(run(t, lines, width, false).1, serial, "threads = {t}");
+            assert_eq!(run(t, lines, width).1, serial, "threads = {t}");
         }
     }
 
     #[test]
     fn dead_lines_store_no_row() {
         // Every third line stays at the blank −∞; the others hold finite
-        // cells (one of them −∞) and parents.
+        // cells (one of them −∞).
         let (lines, width) = (31, 4);
-        let fill = |line: Line<'_, f64, u32>, st: &mut CellStats| {
+        let fill = |line: Line<'_, f64>, st: &mut CellStats| {
             st.cells += 1;
             if line.index.is_multiple_of(3) {
                 return;
             }
             for c in 1..width {
                 line.values[c] = (line.index * width + c) as f64;
-                line.parents[c] = (line.index * width + c) as u32;
             }
             *line.summary = line.values.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
         };
-        let serial = read(&run_rows(1, lines, width, true, f64::NEG_INFINITY, fill).0);
+        let serial = read(&run_rows(1, lines, width, f64::NEG_INFINITY, fill).0);
         for t in THREADS {
-            let (rows, st) = run_rows(t, lines, width, true, f64::NEG_INFINITY, fill);
+            let (rows, st) = run_rows(t, lines, width, f64::NEG_INFINITY, fill);
             assert_eq!(st.cells, lines as u64, "threads = {t}");
             let got = read(&rows);
-            for (i, (values, parents, summary)) in got.iter().enumerate() {
+            for (i, (values, summary)) in got.iter().enumerate() {
                 let dead = i.is_multiple_of(3);
                 assert_eq!(values.is_none(), dead, "line {i}, threads = {t}");
-                assert_eq!(parents.is_none(), dead, "line {i}, threads = {t}");
                 assert_eq!(
                     *summary == f64::NEG_INFINITY,
                     dead,

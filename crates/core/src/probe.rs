@@ -49,7 +49,7 @@ use pipemap_chain::{
 };
 use pipemap_model::{Procs, Seconds};
 
-use crate::dp_cluster::{dp_mapping, narrow};
+use crate::dp_cluster::dp_mapping;
 use crate::solution::{checked_table, Solution, SolveError};
 
 /// How a module's choice turns processors into replicas (module docs).
@@ -117,6 +117,14 @@ impl Rule {
 
 /// A prefix: the processors it spends and its latency.
 type Label = (Procs, Seconds);
+
+/// `x` as a `u16` [`Back`] field. Module lengths, processor counts and
+/// choice indices fit: a spec refuses `P > u16::MAX`.
+#[inline]
+fn narrow(x: usize) -> u16 {
+    debug_assert!(x <= u16::MAX as usize, "{x} overflows a u16");
+    x as u16
+}
 
 /// The way back from a label: the predecessor's length, choice index and
 /// label index ([`Cells::labels`]), and the module's replicas.

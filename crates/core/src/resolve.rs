@@ -56,11 +56,12 @@
 //! behaves exactly like the pruned run's `-inf` (the `sub <= best` skip
 //! drops it); row maxima over true values only fire the row skip *less*
 //! often, after which the inner scan rejects each candidate anyway. Cells
-//! on the re-priced optimum's path get identical `(value, parent)` in
-//! both runs — the winning candidate's value is ≥ the optimum ≥ the
-//! bound, and candidates a pruned run drops are `< bound`, so they can
-//! never be the first argmax on-path. Identical terminal scans then
-//! reconstruct identical mappings.
+//! on the re-priced optimum's path get identical values in both runs —
+//! the winning candidate's value is ≥ the optimum ≥ the bound, and
+//! candidates a pruned run drops are `< bound`, so they can never be the
+//! first argmax on-path. The path walk re-derives each predecessor as
+//! that first argmax by re-scanning the spliced tables the resumed sweep
+//! read, so identical terminal scans reconstruct identical mappings.
 
 use pipemap_chain::{ChainBuilder, Edge, Problem, Task};
 use pipemap_model::{BinaryCost, UnaryCost};
