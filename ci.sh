@@ -47,15 +47,17 @@ for SEED in 1 7919; do
             '{"correct": true,'*) echo "benchmark $WORKLOAD seed $SEED: correct" ;;
             *) echo "benchmark $WORKLOAD seed $SEED failed its checks: $RESULT" >&2; exit 1 ;;
         esac
-        if [ "$WORKLOAD" = plan_cold ]; then
-            # The sweep stores only the stage lines that hold a value: the
-            # dense layout peaked near 500 MiB here, the line directory
-            # near 130 MiB.
-            python3 - "$SEED" "$RESULT" <<'EOF'
+        if [ "$WORKLOAD" != plan_automap ]; then
+            # The sweep stores only the stage lines that hold a value, and
+            # only their values: the dense layout peaked near 500 MiB on
+            # plan_cold. plan_replan keeps two full unpruned sweeps as
+            # retained artifacts, the largest tables the solver holds.
+            python3 - "$WORKLOAD" "$SEED" "$RESULT" <<'EOF'
 import json, sys
-mib = json.loads(sys.argv[2])["metrics"]["peak_rss_mb"]["value"]
-assert mib <= 256, "plan_cold seed %s peaked at %.0f MiB (limit 256)" % (sys.argv[1], mib)
-print("plan_cold seed %s: peak rss %.1f MiB" % (sys.argv[1], mib))
+workload, seed, result = sys.argv[1:]
+mib = json.loads(result)["metrics"]["peak_rss_mb"]["value"]
+assert mib <= 256, "%s seed %s peaked at %.0f MiB (limit 256)" % (workload, seed, mib)
+print("%s seed %s: peak rss %.1f MiB" % (workload, seed, mib))
 EOF
         fi
     done
@@ -76,12 +78,12 @@ unset CARGO_TARGET_DIR
 
 echo "== solver bit-identity suites under forced thread counts =="
 # The differential suite, the assignment DP's serial-recurrence oracle,
-# the provenance recorder and the incremental re-solver must hold bit for
-# bit regardless of the worker-pool size the environment imposes; 1
-# exercises the serial fallback, 3 divides no stage's line count evenly,
-# 4 oversubscribes small CI machines on purpose.
+# the provenance recorder, the incremental re-solver and the pinned tie
+# order must hold bit for bit regardless of the worker-pool size the
+# environment imposes; 1 exercises the serial fallback, 3 divides no
+# stage's line count evenly, 4 oversubscribes small CI machines on purpose.
 for THREADS in 1 3 4; do
-    for SUITE in equivalence assignment_oracle provenance resolve_identity; do
+    for SUITE in equivalence assignment_oracle provenance resolve_identity mapping_golden; do
         PIPEMAP_THREADS=$THREADS cargo test -q -p pipemap-core --test "$SUITE"
     done
 done

@@ -867,7 +867,7 @@ pub(crate) fn run_cluster_dp<'a>(
                     // optimal chain, so letting the `sub ≤ best` and
                     // line-max skips drop them wholesale is exact —
                     // sub-bound cells merely become `-∞` instead of
-                    // carrying their (never reconstructed) value.
+                    // carrying a value no optimal path reads.
                     let mut best = bound;
                     'groups: for (gi, g) in groups.iter().enumerate() {
                         let pfloor = g.stage.floor;
@@ -901,9 +901,9 @@ pub(crate) fn run_cluster_dp<'a>(
                             if cand > best {
                                 best = cand;
                                 if opts.prune && best >= o.cap {
-                                    // Ties cannot displace the first
-                                    // argmax (strict update), so later
-                                    // candidates change nothing.
+                                    // Every later candidate is ≤ the
+                                    // cap ≤ best, so none changes the
+                                    // value or its first argmax.
                                     break 'groups;
                                 }
                             }

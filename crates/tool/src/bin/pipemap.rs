@@ -1058,6 +1058,7 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
     use pipemap_tool::{
         load_report_json, parse_duration_s, rate_sweep_json, render_load_summary,
         render_rate_sweep, run_rate_sweep, try_run_configured_load, LoadConfig, Workload,
+        MAX_LOAD_QUEUE_DEPTH, MAX_LOAD_REPLICAS,
     };
     let mut cli = Cli::new(args);
     let mut cfg = LoadConfig::default();
@@ -1100,10 +1101,17 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
             "--datasets" => cfg.datasets = Some(cli.parse(flag, "a number")?),
             "--batch" => cfg.batch = cli.count(flag)?,
             "--flush-us" => cfg.flush_us = cli.parse(flag, "a number")?,
-            "--queue-depth" => cfg.queue_depth = cli.count(flag)?,
+            "--queue-depth" => {
+                let hint = format!("an integer from 1 to {MAX_LOAD_QUEUE_DEPTH}");
+                cfg.queue_depth =
+                    cli.parse_if(flag, &hint, |&d| (1..=MAX_LOAD_QUEUE_DEPTH).contains(&d))?;
+            }
             "--stages" => cfg.stages = cli.count(flag)?,
             "--size" => cfg.size = cli.parse(flag, "a number")?,
-            "--replicas" => cfg.replicas = cli.parse(flag, "a number")?,
+            "--replicas" => {
+                let hint = format!("a number up to {MAX_LOAD_REPLICAS}");
+                cfg.replicas = cli.parse_if(flag, &hint, |&r| r <= MAX_LOAD_REPLICAS)?;
+            }
             "--threads" => cfg.threads = cli.parse(flag, "a number")?,
             "--no-pool" => cfg.pool = false,
             "--reference" => reference = true,

@@ -42,7 +42,8 @@ pub use explain::{
 pub use load::{
     load_report_json, measured_prediction, parse_duration_s, rate_sweep_json, render_load_summary,
     render_rate_sweep, run_configured_load, run_rate_sweep, try_run_configured_load, wire_plan_for,
-    LoadConfig, LoadSummary, RateSweep, SweepPoint, Workload, KNEE_KEEPUP,
+    LoadConfig, LoadSummary, RateSweep, SweepPoint, Workload, KNEE_KEEPUP, MAX_LOAD_QUEUE_DEPTH,
+    MAX_LOAD_REPLICAS,
 };
 pub use mapper::{auto_map, MapperOptions, MappingReport};
 pub use observatory::{

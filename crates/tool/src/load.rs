@@ -57,6 +57,15 @@ impl Workload {
     }
 }
 
+/// The most replicas `pipemap load` starts per stage: the paper's 64-cell
+/// machine. Each replica is an OS thread in process, or a worker process
+/// over uds.
+pub const MAX_LOAD_REPLICAS: usize = 64;
+
+/// The deepest per-instance queue `pipemap load` accepts, in messages:
+/// the in-process channels preallocate every slot.
+pub const MAX_LOAD_QUEUE_DEPTH: usize = 65_536;
+
 /// Full configuration of one load run.
 #[derive(Clone, Debug)]
 pub struct LoadConfig {

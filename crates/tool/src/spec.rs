@@ -208,7 +208,7 @@ pub fn parse_spec(text: &str) -> Result<Problem, SpecError> {
         match toks[0] {
             "procs" => {
                 let n = parse_usize(lineno, toks.get(1).copied().unwrap_or(""), "procs")?;
-                // The solvers' parent tables hold processor counts as u16.
+                // The probe's way-back records hold processor counts as u16.
                 if n > u16::MAX as usize {
                     return Err(err(
                         lineno,

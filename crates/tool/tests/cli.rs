@@ -242,6 +242,28 @@ fn map_refuses_procs_above_u16_max() {
     );
 }
 
+/// `load` refuses sizes that would start a thread or a worker process per
+/// replica, or preallocate a queue slot per message, without bound. One
+/// past each cap is enough to show it: these sizes are cheap to run.
+#[test]
+fn load_refuses_replicas_and_queue_depth_beyond_their_caps() {
+    for (flag, value) in [("--replicas", "65"), ("--queue-depth", "65537")] {
+        let out = pipemap()
+            .args(["load", "micro", "--transport", "inproc", "--datasets", "1"])
+            .args([flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{flag} {value}: {:?}",
+            out.status
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{flag} {value}: {err}");
+    }
+}
+
 #[test]
 fn unknown_command_fails() {
     let out = pipemap().arg("frobnicate").output().unwrap();
