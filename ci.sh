@@ -50,13 +50,16 @@ for SEED in 1 7919; do
         if [ "$WORKLOAD" != plan_automap ]; then
             # The sweep stores only the stage lines that hold a value, and
             # only their values: the dense layout peaked near 500 MiB on
-            # plan_cold. plan_replan keeps two full unpruned sweeps as
-            # retained artifacts, the largest tables the solver holds.
-            python3 - "$WORKLOAD" "$SEED" "$RESULT" <<'EOF'
+            # plan_cold. plan_replan retains two unpruned sweeps as
+            # artifacts, which keep only the lines a reader can read; they
+            # peak near 56 MiB, so its limit is 128 MiB, about twice that.
+            LIMIT=256
+            if [ "$WORKLOAD" = plan_replan ]; then LIMIT=128; fi
+            python3 - "$WORKLOAD" "$SEED" "$RESULT" "$LIMIT" <<'EOF'
 import json, sys
-workload, seed, result = sys.argv[1:]
+workload, seed, result, limit = sys.argv[1:]
 mib = json.loads(result)["metrics"]["peak_rss_mb"]["value"]
-assert mib <= 256, "%s seed %s peaked at %.0f MiB (limit 256)" % (workload, seed, mib)
+assert mib <= int(limit), "%s seed %s peaked at %.0f MiB (limit %s)" % (workload, seed, mib, limit)
 print("%s seed %s: peak rss %.1f MiB" % (workload, seed, mib))
 EOF
         fi

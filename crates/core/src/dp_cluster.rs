@@ -66,12 +66,13 @@
 //!   *achievable instance sizes* of modules starting at the next task —
 //!   the only values the recurrence ever reads — instead of all of
 //!   `1..=P`;
+//! * a line no reader can read is left dead without visiting its cells
+//!   (structural reachability, below);
 //! * all cells of a `(pl, ne)` pair are skipped when the module's best
 //!   possible response cannot reach the greedy incumbent (`prune`),
 //!   individual cells are skipped when the processors they leave for the
 //!   *rest* of the chain cannot sustain the incumbent (a cheapest-transfer
-//!   branch-and-bound suffix bound — see [`suffix_bounds`]) or when no
-//!   consumer can ever read them (structural reachability), the scan
+//!   branch-and-bound suffix bound — see [`suffix_bounds`]), the scan
 //!   over a previous stage is skipped when that stage's line maximum
 //!   cannot beat the running best, and the candidate loop breaks once a
 //!   cell attains its own response cap;
@@ -85,6 +86,19 @@
 //!   everywhere. Nothing is merged afterwards, and every cell is computed
 //!   once from read-only inputs, so results do not depend on the thread
 //!   count.
+//!
+//! ## Structural reachability
+//!
+//! Line `(ne slot s, pt)` of stage `(j, L)` is read only if `pt ≤ P −
+//! min_procs[s]`, or `pt = P` for a final stage: its reader holds at
+//! least `min_procs[s]` processors of its own, and the terminal scan reads
+//! `pt = P` only. A computed cell reads line `(slot of its own instance
+//! size, pt − pl)`, which passes, as does every read of the path walk and
+//! of the stability-margin engine's forward tables (`provenance.rs`).
+//! Floors and instance sizes alone decide it, so skipping the other lines
+//! is exact for every reader and after any cost drift. Every sweep but the
+//! reference enumeration (`!prune && !dedup`, whose full tables the
+//! Figure 4 and assignment oracles read) checks it once per line.
 //!
 //! ## Reconstruction
 //!
@@ -103,7 +117,8 @@
 //!   attains the cell's maximum, provided neither shortcut skips it;
 //! * the line-maximum skip (`rowmax ≤ best`) and the `sub ≤ best` skip
 //!   drop only candidates that cannot exceed `best`, and the cap break
-//!   fires at `best ≥ cap` when every later candidate is `≤ cap`.
+//!   fires at `best ≥ cap` when every later candidate is `≤ cap`;
+//! * the walk reads only readable lines, which every sweep fills.
 //!
 //! A resumed suffix re-scans the same spliced tables its sweep read, so
 //! the argument holds there too (`resolve.rs`). The walk also yields the
@@ -274,9 +289,7 @@ pub(crate) struct NeAxis {
     pub(crate) slot_of_inst: Vec<usize>,
     /// Per slot: the fewest processors any module starting at `start`
     /// needs to realise this instance size (`usize::MAX` when no module
-    /// does). A consumer reading slot `s` holds at least `min_procs[s]`
-    /// processors itself, so cells with `pt > P - min_procs[s]` can
-    /// never be read — the structural half of the `prune` option.
+    /// does) — the structural reachability window (module docs).
     min_procs: Vec<usize>,
 }
 
@@ -315,37 +328,20 @@ impl NeAxis {
                     .module_replication(start, last, pl)
                     .expect("pl >= floor implies a replication exists");
                 let m = &mut min_pl[rep.procs_per_instance];
-                if pl < *m {
-                    *m = pl;
-                }
+                *m = (*m).min(pl);
             }
         }
-        if !dedup {
-            let mut slot_of_inst = vec![NO_SLOT; p + 1];
-            for (slot, inst) in (1..=p).enumerate() {
-                slot_of_inst[inst] = slot;
-            }
-            return Self {
-                insts: (1..=p).collect(),
-                slot_of_inst,
-                min_procs: (1..=p).map(|inst| min_pl[inst]).collect(),
-            };
+        let mut axis = Self {
+            insts: Vec::new(),
+            slot_of_inst: vec![NO_SLOT; p + 1],
+            min_procs: Vec::new(),
+        };
+        for inst in (1..=p).filter(|&inst| !dedup || min_pl[inst] != usize::MAX) {
+            axis.slot_of_inst[inst] = axis.insts.len();
+            axis.insts.push(inst);
+            axis.min_procs.push(min_pl[inst]);
         }
-        let mut insts = Vec::new();
-        let mut slot_of_inst = vec![NO_SLOT; p + 1];
-        let mut min_procs = Vec::new();
-        for inst in 1..=p {
-            if min_pl[inst] != usize::MAX {
-                slot_of_inst[inst] = insts.len();
-                insts.push(inst);
-                min_procs.push(min_pl[inst]);
-            }
-        }
-        Self {
-            insts,
-            slot_of_inst,
-            min_procs,
-        }
+        axis
     }
 
     fn len(&self) -> usize {
@@ -456,14 +452,13 @@ fn suffix_bounds(table: &CostTable, k: usize, p: usize, clustering: Clustering) 
 }
 
 /// What the cells of one `(pl, ne)` pair share: the outgoing transfer,
-/// the response cap (the cells' value in base stages), and the live `pt`
-/// range — empty when the cap cannot reach the incumbent.
+/// the response cap (the cells' value in base stages), and whether the
+/// cap falls below the incumbent, which prunes every cell of the pair.
 #[derive(Clone, Copy)]
 struct Offer {
     out: f64,
     cap: f64,
-    lo: usize,
-    hi: usize,
+    capped: bool,
 }
 
 /// A predecessor stage reachable by the current stage's recurrence: the
@@ -632,11 +627,7 @@ pub(crate) fn run_cluster_dp<'a>(
     let p = problem.total_procs;
     // Per-end-task cell statistics (summed over module lengths), kept only
     // under provenance for the explain pruning heatmap.
-    let mut stage_stats: Vec<CellStats> = if opts.provenance {
-        vec![CellStats::default(); k]
-    } else {
-        Vec::new()
-    };
+    let mut stage_stats = vec![CellStats::default(); if opts.provenance { k } else { 0 }];
 
     // Admissible incumbent: the refined greedy assignment is an
     // all-singleton clustering, i.e. a feasible state of either policy, so
@@ -665,6 +656,10 @@ pub(crate) fn run_cluster_dp<'a>(
     } else {
         f64::NEG_INFINITY
     };
+
+    // Every sweep but the raw-axis reference enumeration skips the lines
+    // no reader reads (module docs, "Structural reachability").
+    let structural = opts.prune || opts.dedup;
 
     let threads = if opts.par {
         pool::thread_limit(opts.threads)
@@ -713,12 +708,9 @@ pub(crate) fn run_cluster_dp<'a>(
         }
         for l in 1..=clustering.max_len(j + 1) {
             let first = j + 1 - l;
-            let Some(floor) = table.module_floor(first, j) else {
+            let Some(floor) = table.module_floor(first, j).filter(|&f| f <= p) else {
                 continue; // module can never fit: leave stage absent
             };
-            if floor > p {
-                continue;
-            }
             let axis = &axes[j + 1];
             let nslots = axis.len();
             let rows = p - floor + 1;
@@ -736,44 +728,30 @@ pub(crate) fn run_cluster_dp<'a>(
                 r_of[pl] = rep.instances;
                 exec_of[pl] = table.module_exec(first, j, rep.procs_per_instance);
             }
-            let out_slab = if j + 1 < k {
-                Some(dense.ecom_slab(j))
-            } else {
-                None
-            };
+            let out_slab = (j + 1 < k).then(|| dense.ecom_slab(j));
 
             // Reachable predecessor stages, in the reference candidate
             // order (prev_len ascending), each with its offer → instance
             // map so workers only touch dense slabs.
             let mut groups: Vec<PrevGroup<'_>> = Vec::new();
-            if first > 0 {
-                for prev_len in 1..=first {
-                    let Some(stage) = stages[stage_key(first - 1, prev_len)].as_deref() else {
-                        continue;
-                    };
-                    let prev_first = first - prev_len;
-                    let mut prev_inst = vec![0usize; p];
-                    for q in stage.floor..=p {
-                        let prep = table
-                            .module_replication(prev_first, first - 1, q)
-                            .expect("q >= floor");
-                        prev_inst[q - 1] = prep.procs_per_instance;
-                    }
-                    groups.push(PrevGroup { stage, prev_inst });
+            for prev_len in 1..=first {
+                let Some(stage) = stages[stage_key(first - 1, prev_len)].as_deref() else {
+                    continue;
+                };
+                let mut prev_inst = vec![0usize; p];
+                for q in stage.floor..=p {
+                    let prep = table
+                        .module_replication(first - prev_len, first - 1, q)
+                        .expect("q >= floor");
+                    prev_inst[q - 1] = prep.procs_per_instance;
                 }
+                groups.push(PrevGroup { stage, prev_inst });
             }
-            let in_slab = if first > 0 {
-                Some(dense.ecom_slab(first - 1))
-            } else {
-                None
-            };
+            let in_slab = (first > 0).then(|| dense.ecom_slab(first - 1));
             // Suffix bound row for this stage's end task; `None` for the
             // final task (nothing remains to bound).
-            let suffix_row: Option<&[f64]> = if !suffix_ub.is_empty() && j + 1 < k {
-                Some(&suffix_ub[j * (p + 1)..(j + 1) * (p + 1)])
-            } else {
-                None
-            };
+            let suffix_row = (!suffix_ub.is_empty() && j + 1 < k)
+                .then(|| &suffix_ub[j * (p + 1)..(j + 1) * (p + 1)]);
 
             // Per offer: the incoming-transfer column of every predecessor
             // group at this module's instance size,
@@ -805,7 +783,7 @@ pub(crate) fn run_cluster_dp<'a>(
 
             // Per (pl, ne) pair, offers[s * rows + (pl - floor)].
             let mut offers = Vec::with_capacity(nslots * rows);
-            for (s, &ne) in axis.insts.iter().enumerate() {
+            for &ne in &axis.insts {
                 for pl in floor..=p {
                     let inst = inst_of[pl];
                     let out = match out_slab {
@@ -818,31 +796,30 @@ pub(crate) fn run_cluster_dp<'a>(
                     // module (slack allowed) and this is the cells' value.
                     let cin_min = if first == 0 { 0.0 } else { min_cin[pl] };
                     let cap = response_throughput(cin_min, exec_of[pl], out, r_of[pl]);
-                    // Below the incumbent, every cell of the pair is off
-                    // the optimal path. Otherwise structural reachability
-                    // (the other half of `prune`): a consumer module
-                    // reading this slot holds at least `min_procs[s]`
-                    // processors of its own, and final stages are read by
-                    // the terminal scan at pt = P only — cells outside
-                    // [lo, hi] are never read by anything, so skipping
-                    // them is exact even without an incumbent.
-                    let (lo, hi) = if !opts.prune {
-                        (pl, p)
-                    } else if cap < bound {
-                        (usize::MAX, 0)
-                    } else if j + 1 == k {
-                        (p, p)
-                    } else {
-                        (pl, p - axis.min_procs[s].min(p))
-                    };
-                    offers.push(Offer { out, cap, lo, hi });
+                    let capped = cap < bound;
+                    offers.push(Offer { out, cap, capped });
                 }
             }
+            // Structural reachability (module docs): nothing reads a line
+            // outside the window, whatever the costs. An unpruned sweep
+            // still counts the lookups its cells would make.
+            let unread = |s: usize, pt: usize| {
+                structural && (pt > p - axis.min_procs[s].min(p) || (j + 1 == k && pt < p))
+            };
+            let unread_floors: Vec<usize> = if opts.prune {
+                Vec::new()
+            } else {
+                groups.iter().map(|g| g.stage.floor).collect()
+            };
 
             // One line: the cells (s, pt, pl) for every pl, which start at
             // `-∞`, and the line maximum.
             let fill = |line: Line<'_, f64>, st: &mut CellStats| {
                 let (s, pt) = (line.index / (p + 1), line.index % (p + 1));
+                if unread(s, pt) {
+                    count_unread_line(st, floor, pt, &unread_floors);
+                    return;
+                }
                 // The P - pt processors left for tasks j+1..k cannot
                 // sustain the incumbent: no completion through any cell
                 // of this line can be optimal.
@@ -850,7 +827,7 @@ pub(crate) fn run_cluster_dp<'a>(
                 for pl in floor..=pt {
                     let o = offers[s * rows + (pl - floor)];
                     st.cells += 1;
-                    if pt < o.lo || pt > o.hi || starved {
+                    if o.capped || starved {
                         st.cells_pruned += 1;
                         continue;
                     }
@@ -861,13 +838,9 @@ pub(crate) fn run_cluster_dp<'a>(
                     let (exec, r, s_in) = (exec_of[pl], r_of[pl], s_in_of[pl]);
                     let cin = &cin[(pl - floor) * block..][..block];
                     let budget = pt - pl;
-                    // Start the running best at the pruning bound
-                    // (`-∞` when pruning is off): candidates at or
-                    // below the incumbent can never sit on the
-                    // optimal chain, so letting the `sub ≤ best` and
-                    // line-max skips drop them wholesale is exact —
-                    // sub-bound cells merely become `-∞` instead of
-                    // carrying a value no optimal path reads.
+                    // Start at the bound (`-∞` unpruned): no candidate
+                    // at or below it is on the optimal chain, so the
+                    // skips may drop them and such cells stay `-∞`.
                     let mut best = bound;
                     'groups: for (gi, g) in groups.iter().enumerate() {
                         let pfloor = g.stage.floor;
@@ -1004,6 +977,22 @@ pub(crate) fn run_cluster_dp<'a>(
         cells: totals.cells,
         cells_pruned: totals.cells_pruned,
     })
+}
+
+/// Count the cells `floor..=pt` of a dead unread line as pruned, with the
+/// lookups each would make over offers `prev_floor..=pt − pl` for every
+/// `prev_floors` entry (an unpruned sweep's groups). Out of line, off the
+/// cell loop.
+#[cold]
+#[inline(never)]
+fn count_unread_line(st: &mut CellStats, floor: usize, pt: usize, prev_floors: &[usize]) {
+    for pl in floor..=pt {
+        st.cells += 1;
+        st.cells_pruned += 1;
+        for &prev_floor in prev_floors {
+            st.lookups += (pt - pl + 1).saturating_sub(prev_floor) as u64;
+        }
+    }
 }
 
 /// One candidate predecessor of a path cell: the previous module's length
@@ -1365,6 +1354,83 @@ mod tests {
                 live > 0 && dead > 0,
                 "prune = {prune}: {live} live, {dead} dead"
             );
+        }
+    }
+
+    /// The artifact's sweep (unpruned, `dedup`, stages kept) against the
+    /// reference enumeration's full tables: every readable cell holds the
+    /// same value at the same instance size, and every unreadable line is
+    /// dead. The window is derived here from the cost table alone.
+    #[test]
+    fn readable_cells_match_the_reference_tables() {
+        let p = 32;
+        let problem = Problem::new(synthetic_chain(), p, 10.0);
+        let ctx = SolveCtx::new(&problem).unwrap();
+        let table = ctx.table();
+        let k = problem.num_tasks();
+        let artifact = SolveOptions {
+            prune: false,
+            ..SolveOptions::default()
+        };
+        for clustering in [Clustering::Contiguous, Clustering::Singletons] {
+            let run = |opts: &SolveOptions| {
+                run_cluster_dp(&problem, &ctx, opts, clustering, true, None).unwrap()
+            };
+            let (got, want) = (run(&artifact), run(&SolveOptions::reference()));
+            // The fewest processors of any module starting at `start` whose
+            // instances are `inst` processors wide.
+            let min_procs = |start: usize, inst: usize| {
+                let mut min = usize::MAX;
+                for last in start..start + clustering.max_len(k - start) {
+                    let Some(floor) = table.module_floor(start, last) else {
+                        continue;
+                    };
+                    for pl in floor..=p {
+                        let rep = table.module_replication(start, last, pl).unwrap();
+                        if rep.procs_per_instance == inst {
+                            min = min.min(pl);
+                        }
+                    }
+                }
+                min
+            };
+            let (gs, ws) = (got.stages.unwrap(), want.stages.unwrap());
+            let (mut readable, mut unreadable) = (0, 0);
+            for j in 0..k {
+                for l in 1..=clustering.max_len(j + 1) {
+                    let key = stage_key(k, j, l);
+                    let (Some(g), Some(w)) = (&gs[key], &ws[key]) else {
+                        assert_eq!(gs[key].is_none(), ws[key].is_none(), "stage ({j}, {l})");
+                        continue;
+                    };
+                    for (s, &inst) in got.axes[j + 1].insts.iter().enumerate() {
+                        let (ws_slot, top) = if j + 1 == k {
+                            (0, p)
+                        } else {
+                            (
+                                want.axes[j + 1].slot_of_inst[inst],
+                                p - min_procs(j + 1, inst),
+                            )
+                        };
+                        for pt in 0..=p {
+                            if pt > top || (j + 1 == k && pt < p) {
+                                assert!(g.row(p, s, pt).is_none(), "({j}, {l}, {inst}, {pt})");
+                                unreadable += 1;
+                                continue;
+                            }
+                            readable += 1;
+                            for pl in 1..=p {
+                                assert_eq!(
+                                    g.value(p, s, pt, pl).to_bits(),
+                                    w.value(p, ws_slot, pt, pl).to_bits(),
+                                    "{clustering:?} cell ({j}, {l}, {inst}, {pt}, {pl})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(readable > 0 && unreadable > 0, "{readable} / {unreadable}");
         }
     }
 

@@ -26,7 +26,8 @@ pub struct SolveOptions {
     /// Bound-based cell pruning: seed the DP with the greedy heuristic's
     /// throughput as an incumbent, skip cells whose single-module upper
     /// bound cannot reach it, and early-break inner processor scans once a
-    /// cell's own bound is attained.
+    /// cell's own bound is attained. Skipping the lines no reader reads is
+    /// not part of it: every sweep but [`Self::reference`] does that.
     pub prune: bool,
     /// Collapse the "next group size" DP axis to *distinct instance
     /// sizes*. Under replication two neighbour offers with equal instance
@@ -62,8 +63,9 @@ impl Default for SolveOptions {
 
 impl SolveOptions {
     /// The serial, unpruned, undeduplicated enumeration — the faithful
-    /// baseline path. Bit-identical results to [`Self::default`], at the
-    /// full `O(P⁴)` cost.
+    /// baseline path, and the one sweep that fills every table line.
+    /// Bit-identical results to [`Self::default`], at the full `O(P⁴)`
+    /// cost.
     pub fn reference() -> Self {
         Self {
             par: false,

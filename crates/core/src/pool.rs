@@ -117,8 +117,8 @@ impl<V> Rows<V> {
 /// Worker `w` fills lines `w, w + t, …` in order, each at the tail of its
 /// own store: `width` cells set to `blank`, and the summary set to
 /// `blank`. A line whose summary `f` leaves at `blank` is dead: the
-/// worker truncates its row away again, so the table stores, and the
-/// pages touch, only live lines plus one row in flight per worker. `f`
+/// worker truncates its row away again, and frees its store's spare
+/// capacity once its share is done, so the table keeps only live lines. `f`
 /// must leave every cell of a dead line at `blank`, be safe to call
 /// concurrently (`Sync`) and read only shared inputs besides its line:
 /// each line is filled exactly once, but on no particular worker and in
@@ -164,6 +164,7 @@ where
                 *row = (tail / width) as u32;
             }
         }
+        store.shrink_to_fit();
         (store, st)
     };
     let mut shares = shares.into_iter();

@@ -49,10 +49,12 @@
 //!
 //! ## Why splicing an unpruned prefix into a pruned suffix is exact
 //!
-//! Retained artifact tables come from an unpruned, stage-keeping solve,
-//! so every prefix cell holds its true value where a pruned cold run may
-//! hold `-inf`. In the resumed pruned suffix the running best starts at
-//! the incumbent bound and updates strictly, so a true value `<= bound`
+//! Retained artifact tables come from an unpruned, stage-keeping solve:
+//! every *readable* prefix line (structural reachability, `dp_cluster`'s
+//! module docs) holds true values where a pruned cold run may hold
+//! `-inf`, and every other line is `-inf` in both. The resumed suffix
+//! reads readable lines only. There the running best starts at the
+//! incumbent bound and updates strictly, so a true value `<= bound`
 //! behaves exactly like the pruned run's `-inf` (the `sub <= best` skip
 //! drops it); row maxima over true values only fire the row skip *less*
 //! often, after which the inner scan rejects each candidate anyway. Cells
@@ -285,10 +287,11 @@ pub struct ResolveOutcome {
 /// margins. Build once after a cold solve, then [`resolve`] against
 /// successive drift deltas.
 ///
-/// The internal solve is forced unpruned and stage-keeping — pruned
-/// tables have `-inf` holes and could not be spliced — while `par`,
-/// `dedup` and `threads` are honoured as given. Re-solves run with the
-/// *same* options verbatim: the stage-table layouts depend on `dedup`.
+/// The internal solve is forced unpruned and stage-keeping — its readable
+/// lines hold true values, not the incumbent's `-inf` holes, so any
+/// suffix can be spliced onto them — while `par`, `dedup` and `threads`
+/// are honoured as given. Re-solves run with the *same* options verbatim:
+/// the stage-table layouts depend on `dedup`.
 ///
 /// [`resolve`]: ResolveArtifact::resolve
 pub struct ResolveArtifact {

@@ -1058,7 +1058,7 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
     use pipemap_tool::{
         load_report_json, parse_duration_s, rate_sweep_json, render_load_summary,
         render_rate_sweep, run_rate_sweep, try_run_configured_load, LoadConfig, Workload,
-        MAX_LOAD_QUEUE_DEPTH, MAX_LOAD_REPLICAS,
+        MAX_LOAD_QUEUE_DEPTH, MAX_LOAD_REPLICAS, MAX_LOAD_SIZE, MAX_LOAD_THREADS,
     };
     let mut cli = Cli::new(args);
     let mut cfg = LoadConfig::default();
@@ -1107,12 +1107,18 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
                     cli.parse_if(flag, &hint, |&d| (1..=MAX_LOAD_QUEUE_DEPTH).contains(&d))?;
             }
             "--stages" => cfg.stages = cli.count(flag)?,
-            "--size" => cfg.size = cli.parse(flag, "a number")?,
+            "--size" => {
+                let hint = format!("a number up to {MAX_LOAD_SIZE}");
+                cfg.size = cli.parse_if(flag, &hint, |&n| n <= MAX_LOAD_SIZE)?;
+            }
             "--replicas" => {
                 let hint = format!("a number up to {MAX_LOAD_REPLICAS}");
                 cfg.replicas = cli.parse_if(flag, &hint, |&r| r <= MAX_LOAD_REPLICAS)?;
             }
-            "--threads" => cfg.threads = cli.parse(flag, "a number")?,
+            "--threads" => {
+                let hint = format!("a number up to {MAX_LOAD_THREADS}");
+                cfg.threads = cli.parse_if(flag, &hint, |&t| t <= MAX_LOAD_THREADS)?;
+            }
             "--no-pool" => cfg.pool = false,
             "--reference" => reference = true,
             "--journey-out" => journey_out = Some(cli.value(flag, "a file path")?),

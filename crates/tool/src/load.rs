@@ -66,6 +66,16 @@ pub const MAX_LOAD_REPLICAS: usize = 64;
 /// the in-process channels preallocate every slot.
 pub const MAX_LOAD_QUEUE_DEPTH: usize = 65_536;
 
+/// The most threads per instance `pipemap load` accepts: the solver
+/// pool's cap, [`pipemap_core::pool::MAX_POOL_THREADS`].
+pub const MAX_LOAD_THREADS: usize = pipemap_core::pool::MAX_POOL_THREADS;
+
+/// The largest `--size` `pipemap load` accepts: micro's default buffer
+/// of 1 024 `u64`s, or a 1 024 × 1 024 FFT-Hist matrix (16 MiB a data
+/// set). Every size in use is at or below it, and the power-of-two
+/// round-up of a size this small cannot overflow.
+pub const MAX_LOAD_SIZE: usize = 1024;
+
 /// Full configuration of one load run.
 #[derive(Clone, Debug)]
 pub struct LoadConfig {

@@ -242,26 +242,40 @@ fn map_refuses_procs_above_u16_max() {
     );
 }
 
+/// `load` with `flag value` exits 1 naming the flag. The value is one past
+/// a cap and is refused while parsing, so nothing starts.
+fn assert_load_refuses(flag: &str, value: &str) {
+    let out = pipemap()
+        .args(["load", "micro", "--transport", "inproc", "--datasets", "1"])
+        .args([flag, value])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{flag} {value}: {:?}",
+        out.status
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(flag), "{flag} {value}: {err}");
+}
+
 /// `load` refuses sizes that would start a thread or a worker process per
 /// replica, or preallocate a queue slot per message, without bound. One
 /// past each cap is enough to show it: these sizes are cheap to run.
 #[test]
 fn load_refuses_replicas_and_queue_depth_beyond_their_caps() {
-    for (flag, value) in [("--replicas", "65"), ("--queue-depth", "65537")] {
-        let out = pipemap()
-            .args(["load", "micro", "--transport", "inproc", "--datasets", "1"])
-            .args([flag, value])
-            .output()
-            .unwrap();
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "{flag} {value}: {:?}",
-            out.status
-        );
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(flag), "{flag} {value}: {err}");
-    }
+    assert_load_refuses("--replicas", "65");
+    assert_load_refuses("--queue-depth", "65537");
+}
+
+/// `load` refuses more threads per instance than the pool's cap, and a
+/// payload size past `MAX_LOAD_SIZE`, which would otherwise reach a
+/// power-of-two round-up and an allocation of any size.
+#[test]
+fn load_refuses_threads_and_size_beyond_their_caps() {
+    assert_load_refuses("--threads", "17");
+    assert_load_refuses("--size", "1025");
 }
 
 #[test]
