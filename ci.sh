@@ -48,13 +48,13 @@ for SEED in 1 7919; do
             *) echo "benchmark $WORKLOAD seed $SEED failed its checks: $RESULT" >&2; exit 1 ;;
         esac
         if [ "$WORKLOAD" != plan_automap ]; then
-            # The sweep stores only the stage lines that hold a value, and
-            # only their values: the dense layout peaked near 500 MiB on
-            # plan_cold. plan_replan retains two unpruned sweeps as
-            # artifacts, which keep only the lines a reader can read; they
-            # peak near 56 MiB, so its limit is 128 MiB, about twice that.
-            LIMIT=256
-            if [ "$WORKLOAD" = plan_replan ]; then LIMIT=128; fi
+            # A stage stores only the finite span of each line that holds
+            # a value: the dense layout peaked near 500 MiB on plan_cold.
+            # At --seconds 1 plan_cold peaks near 30 and 33 MiB on seeds 1
+            # and 7919, and plan_replan, which retains two unpruned sweeps
+            # as artifacts, near 26 MiB on both. Each limit is 64 MiB,
+            # about twice its workload's peak.
+            LIMIT=64
             python3 - "$WORKLOAD" "$SEED" "$RESULT" "$LIMIT" <<'EOF'
 import json, sys
 workload, seed, result, limit = sys.argv[1:]

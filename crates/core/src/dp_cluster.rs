@@ -81,11 +81,11 @@
 //!   scoped worker pool (`par`). Workers read the already-finished stages,
 //!   the dense cost slabs and per-stage tables of per-offer data, and
 //!   write each cell's value and the line's maximum at the tail of their
-//!   own row store. Only *live* lines, whose maximum is above `-∞`, keep
-//!   a row; a line directory maps the others to "dead", which reads `-∞`
-//!   everywhere. Nothing is merged afterwards, and every cell is computed
-//!   once from read-only inputs, so results do not depend on the thread
-//!   count.
+//!   own row store. A line keeps only its finite span, from its first
+//!   finite cell to its last, and every cell outside it reads `-∞`. Nothing
+//!   is merged afterwards, and every cell is computed once from read-only
+//!   inputs, so results do not depend on the thread count. A predecessor
+//!   scan reads only the span, and counts the `-∞` offers around it.
 //!
 //! ## Structural reachability
 //!
@@ -118,7 +118,8 @@
 //! * the line-maximum skip (`rowmax ≤ best`) and the `sub ≤ best` skip
 //!   drop only candidates that cannot exceed `best`, and the cap break
 //!   fires at `best ≥ cap` when every later candidate is `≤ cap`;
-//! * the walk reads only readable lines, which every sweep fills.
+//! * the walk reads only readable lines, which every sweep fills, and only
+//!   their spans: a `-∞` candidate beats neither the argmax nor the runner-up.
 //!
 //! A resumed suffix re-scans the same spliced tables its sweep read, so
 //! the argument holds there too (`resolve.rs`). The walk also yields the
@@ -249,9 +250,8 @@ pub(crate) fn stage_key(k: usize, j: usize, l: usize) -> usize {
 /// Per-(j, L) stage table. Line `s * (P+1) + pt`, where `s` is the slot
 /// of the next-module instance size on this stage's `ne` axis, holds the
 /// `P` cells `pl = 1..=P`, so the `pl` scan of the recurrence walks a row
-/// contiguously. Only live lines, whose maximum is above `-∞`, store a
-/// row: a line whose maximum is `-∞` holds only `-∞`, and a dead line
-/// reads so.
+/// contiguously. A line stores only its finite span, from its first finite
+/// cell to its last; every other cell is `-∞` and reads so.
 #[derive(Clone, Debug)]
 pub(crate) struct Stage {
     /// The line directory over the live lines' values. Its summaries are
@@ -268,16 +268,19 @@ impl Stage {
         self.rows.summaries()
     }
 
-    /// The cells of line `(ne slot, pt)` of a sweep over `p` processors,
-    /// `None` when the line is dead.
-    fn row(&self, p: usize, slot: usize, pt: usize) -> Option<&[f64]> {
+    /// The finite span of line `(ne slot, pt)` of a sweep over `p`
+    /// processors as `(lo, cells)`, the cells `pl = lo + 1..=lo +
+    /// cells.len()`; `None` when the line is dead.
+    fn row(&self, p: usize, slot: usize, pt: usize) -> Option<(usize, &[f64])> {
         self.rows.values(slot * (p + 1) + pt)
     }
 
-    /// The cell `(ne slot, pt, pl)` of a sweep over `p` processors.
+    /// The cell `(ne slot, pt, pl)` of a sweep over `p` processors: `-∞`
+    /// outside its line's span.
     pub(crate) fn value(&self, p: usize, slot: usize, pt: usize, pl: usize) -> f64 {
         self.row(p, slot, pt)
-            .map_or(f64::NEG_INFINITY, |row| row[pl - 1])
+            .and_then(|(lo, row)| row.get((pl - 1).checked_sub(lo)?).copied())
+            .unwrap_or(f64::NEG_INFINITY)
     }
 }
 
@@ -823,11 +826,16 @@ pub(crate) fn run_cluster_dp<'a>(
                 // The P - pt processors left for tasks j+1..k cannot
                 // sustain the incumbent: no completion through any cell
                 // of this line can be optimal.
-                let starved = suffix_row.is_some_and(|sfx| sfx[p - pt] < bound);
+                if suffix_row.is_some_and(|sfx| sfx[p - pt] < bound) {
+                    let n = (pt + 1).saturating_sub(floor) as u64;
+                    st.cells += n;
+                    st.cells_pruned += n;
+                    return;
+                }
                 for pl in floor..=pt {
                     let o = offers[s * rows + (pl - floor)];
                     st.cells += 1;
-                    if o.capped || starved {
+                    if o.capped {
                         st.cells_pruned += 1;
                         continue;
                     }
@@ -854,22 +862,29 @@ pub(crate) fn run_cluster_dp<'a>(
                             st.qskips += n;
                             continue;
                         }
-                        let Some(prev_row) = g.stage.row(p, s_in, budget) else {
+                        let Some((lo, prev_row)) = g.stage.row(p, s_in, budget) else {
                             // A dead line: each of its `-∞` cells would be
                             // looked up and skipped.
                             st.lookups += n;
                             st.qskips += n;
                             continue;
                         };
-                        let col = &cin[gi * p..gi * p + p];
-                        for q in pfloor..=budget {
+                        // Scan the span `q = lo + 1..=hi`; the `-∞` offers
+                        // below it count as skipped first, those above it
+                        // last, unless the cap break ends the scan.
+                        let hi = lo + prev_row.len();
+                        debug_assert!(pfloor <= lo + 1 && hi <= budget);
+                        let below = (lo + 1 - pfloor) as u64;
+                        st.lookups += below;
+                        st.qskips += below;
+                        let col = &cin[gi * p + lo..gi * p + hi];
+                        for (&sub, &c) in prev_row.iter().zip(col) {
                             st.lookups += 1;
-                            let sub = prev_row[q - 1];
                             if sub <= best {
                                 st.qskips += 1;
                                 continue; // min(sub, _) cannot beat best
                             }
-                            let thr = response_throughput(col[q - 1], exec, o.out, r);
+                            let thr = response_throughput(c, exec, o.out, r);
                             let cand = sub.min(thr);
                             if cand > best {
                                 best = cand;
@@ -881,6 +896,9 @@ pub(crate) fn run_cluster_dp<'a>(
                                 }
                             }
                         }
+                        let above = (budget - hi) as u64;
+                        st.lookups += above;
+                        st.qskips += above;
                     }
                     if best > bound {
                         line.values[pl - 1] = best;
@@ -1052,15 +1070,16 @@ fn walk_path(
                 let Some(prev) = stages[stage_key(k, first - 1, prev_len)].as_deref() else {
                     continue;
                 };
-                let Some(row) = prev.row(p, s_in, budget) else {
+                // Only the span: a `-∞` candidate is never chosen.
+                let Some((lo, row)) = prev.row(p, s_in, budget) else {
                     continue; // a dead line: every candidate is `-∞`
                 };
-                for q in prev.floor..=budget {
+                for (q, &sub) in (lo + 1..).zip(row) {
                     let prep = table
                         .module_replication(first - prev_len, first - 1, q)
                         .expect("q >= floor");
                     let cin = in_slab[(prep.procs_per_instance - 1) * p + (inst - 1)];
-                    let value = row[q - 1].min(response_throughput(cin, exec, out, rep.instances));
+                    let value = sub.min(response_throughput(cin, exec, out, rep.instances));
                     let pred = Pred {
                         prev_len,
                         procs: q,
@@ -1334,10 +1353,15 @@ mod tests {
                     let row = stage.row(p, slot, pt);
                     assert_eq!(row.is_none(), max == f64::NEG_INFINITY, "line {line}");
                     match row {
-                        Some(row) => {
+                        Some((lo, row)) => {
                             stage_live += 1;
                             let top = row.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
                             assert_eq!(top.to_bits(), max.to_bits(), "line {line}");
+                            // The stored span starts and ends on a finite
+                            // cell, inside the cells the line can hold.
+                            let ends = [row[0], row[row.len() - 1]];
+                            assert!(ends.iter().all(|v| v.is_finite()), "line {line}");
+                            assert!(lo + 1 >= stage.floor && lo + row.len() <= pt);
                         }
                         None => {
                             dead += 1;
@@ -1465,6 +1489,51 @@ mod tests {
                 }
             }
             assert_eq!(prov.stage_cells[j].lookups, want as u64, "end task {j}");
+        }
+    }
+
+    /// The pruned sweep's `(lookups, skips)` per end task count every
+    /// offer `q` a full scan would visit before the cap break ends it,
+    /// though the scan reads only spans. The values are those of a scan
+    /// over every `q`.
+    #[test]
+    fn pruned_counters_count_the_full_scan() {
+        let problem = Problem::new(synthetic_chain(), 64, 10.0);
+        let ctx = SolveCtx::new(&problem).unwrap();
+        let full_scan: [&[(u64, u64)]; 2] = [
+            &[
+                (0, 0),
+                (206786, 118804),
+                (374586, 394294),
+                (473745, 724767),
+                (288925, 622695),
+                (203274, 757068),
+                (39986, 324087),
+                (4141, 19802),
+            ],
+            &[
+                (0, 0),
+                (27058, 14840),
+                (12017, 13520),
+                (47096, 65736),
+                (5540, 16756),
+                (10374, 51378),
+                (404, 35892),
+                (260, 1473),
+            ],
+        ];
+        for (clustering, want) in [Clustering::Contiguous, Clustering::Singletons]
+            .into_iter()
+            .zip(full_scan)
+        {
+            let opts = SolveOptions::default();
+            let (_, prov) = recorded_run(&problem, &ctx, &opts, clustering, true).unwrap();
+            let got: Vec<_> = prov
+                .stage_cells
+                .iter()
+                .map(|c| (c.lookups, c.skips))
+                .collect();
+            assert_eq!(got, want, "{clustering:?}");
         }
     }
 

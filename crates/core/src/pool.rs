@@ -6,12 +6,14 @@
 //! cell read. [`run_rows`] hands the lines to `t` scoped threads in a
 //! deterministic strided fashion (worker `w` fills lines `w, w + t, w +
 //! 2t, …`), and each worker writes a line at the tail of its own row
-//! store, keeping it only when the line turns out *live* (its summary
-//! left the blank). Nothing is merged afterwards: a line
-//! directory maps every line to its row, or to [`DEAD`]. Because every
-//! line is computed by exactly one worker from read-only shared inputs,
-//! results are **bitwise independent of the thread count**; `threads ==
-//! 1` degenerates to a plain loop with no spawn.
+//! store, then keeps only its *span*: the cells from its first non-blank
+//! cell to its last, moved down to the tail in place. A line with no
+//! non-blank cell keeps nothing. Nothing is merged afterwards: a line
+//! directory maps every line to its span's offset, first cell and
+//! length. Because every line is computed by exactly one worker from
+//! read-only shared inputs, results are **bitwise independent of the
+//! thread count**; `threads == 1` degenerates to a plain loop with no
+//! spawn.
 //!
 //! No external dependencies (mirroring the std-only discipline of
 //! `pipemap-obs`): just [`std::thread::scope`].
@@ -62,8 +64,11 @@ pub fn thread_limit(requested: Option<usize>) -> usize {
         .clamp(1, MAX_POOL_THREADS)
 }
 
-/// Directory entry of a line that stores no row.
-const DEAD: u32 = u32::MAX;
+/// Directory entry `(offset, lo, len)` of one line: its cells `lo..lo +
+/// len` are stored at `offset` in its worker's store. `len == 0` is a
+/// line that stores nothing.
+#[derive(Clone, Copy, Debug, Default)]
+struct Span(u32, u16, u16);
 
 /// One line of a table, handed to exactly one worker.
 pub(crate) struct Line<'a, V> {
@@ -75,17 +80,15 @@ pub(crate) struct Line<'a, V> {
     pub summary: &'a mut V,
 }
 
-/// A table filled by [`run_rows`]: one summary per line, and a row of
-/// cells for each *live* line only — a line whose summary is still the
-/// blank stores nothing.
+/// A table filled by [`run_rows`]: one summary per line, and for each
+/// line with a non-blank cell the span from its first such cell to its
+/// last — every other cell reads as the blank.
 #[derive(Clone, Debug)]
 pub(crate) struct Rows<V> {
-    width: usize,
-    /// Line `i` → its row in store `i % stores.len()`, or [`DEAD`].
-    dir: Vec<u32>,
+    /// Line `i` → its span in store `i % stores.len()`.
+    dir: Vec<Span>,
     summaries: Vec<V>,
-    /// One store per worker: its rows, `width` cells each, in the order
-    /// it wrote them.
+    /// One store per worker: its spans, in the order it wrote them.
     stores: Vec<Vec<V>>,
 }
 
@@ -95,19 +98,18 @@ impl<V> Rows<V> {
         &self.summaries
     }
 
-    /// Line `i`'s cells, or `None` for a dead line.
-    pub fn values(&self, i: usize) -> Option<&[V]> {
-        let row = self.dir[i];
-        (row != DEAD).then(|| {
-            let at = row as usize * self.width;
-            &self.stores[i % self.stores.len()][at..at + self.width]
-        })
+    /// Line `i`'s stored span as `(lo, cells)`, the cells `lo..lo +
+    /// cells.len()` of the line, or `None` when it stores nothing.
+    pub fn values(&self, i: usize) -> Option<(usize, &[V])> {
+        let Span(at, lo, len) = self.dir[i];
+        let cells = &self.stores[i % self.stores.len()][at as usize..][..len as usize];
+        (len > 0).then_some((lo as usize, cells))
     }
 
-    /// Rows stored, over every worker.
+    /// Lines that store a span.
     #[cfg(test)]
     pub fn stored(&self) -> usize {
-        self.stores.iter().map(Vec::len).sum::<usize>() / self.width
+        self.dir.iter().filter(|e| e.2 > 0).count()
     }
 }
 
@@ -116,13 +118,13 @@ impl<V> Rows<V> {
 ///
 /// Worker `w` fills lines `w, w + t, …` in order, each at the tail of its
 /// own store: `width` cells set to `blank`, and the summary set to
-/// `blank`. A line whose summary `f` leaves at `blank` is dead: the
-/// worker truncates its row away again, and frees its store's spare
-/// capacity once its share is done, so the table keeps only live lines. `f`
-/// must leave every cell of a dead line at `blank`, be safe to call
-/// concurrently (`Sync`) and read only shared inputs besides its line:
-/// each line is filled exactly once, but on no particular worker and in
-/// no particular global order.
+/// `blank`. The worker keeps the span from the line's first non-blank
+/// cell to its last, moved to the tail with one `copy_within`, truncates
+/// the rest, and frees its store's spare capacity once its share is done.
+/// `f` must leave every cell blank whose line's summary it leaves blank,
+/// be safe to call concurrently (`Sync`) and read only shared inputs
+/// besides its line: each line is filled exactly once, but on no
+/// particular worker and in no particular global order.
 pub(crate) fn run_rows<V, F>(
     threads: usize,
     lines: usize,
@@ -135,21 +137,24 @@ where
     F: Fn(Line<'_, V>, &mut CellStats) + Sync,
 {
     assert!(width > 0, "lines have at least one cell");
-    // A row index is below its line count, and a stage has at most
-    // `(P+1)²` lines, which a spec's `P ≤ 65 535` keeps below `DEAD`.
-    assert!(lines <= DEAD as usize, "{lines} lines overflow a u32 row");
+    // A span's first cell and length are `u16`s; a spec's `P ≤ 65 535`
+    // keeps a stage's lines that narrow, a `Problem` built in code may not.
+    assert!(
+        width <= u16::MAX as usize,
+        "{width} cells per line overflow a u16 span"
+    );
     let t = threads.max(1).min(lines.max(1));
-    let mut dir = vec![DEAD; lines];
+    let mut dir = vec![Span::default(); lines];
     let mut summaries = vec![blank; lines];
-    let mut shares: Vec<Vec<(usize, &mut V, &mut u32)>> =
+    let mut shares: Vec<Vec<(usize, &mut V, &mut Span)>> =
         (0..t).map(|_| Vec::with_capacity(lines / t + 1)).collect();
-    for (index, (summary, row)) in summaries.iter_mut().zip(dir.iter_mut()).enumerate() {
-        shares[index % t].push((index, summary, row));
+    for (index, (summary, span)) in summaries.iter_mut().zip(dir.iter_mut()).enumerate() {
+        shares[index % t].push((index, summary, span));
     }
-    let fill = |share: Vec<(usize, &mut V, &mut u32)>| {
+    let fill = |share: Vec<(usize, &mut V, &mut Span)>| {
         let mut st = CellStats::default();
         let mut store = Vec::new();
-        for (index, summary, row) in share {
+        for (index, summary, span) in share {
             let tail = store.len();
             store.resize(tail + width, blank);
             let line = Line {
@@ -158,11 +163,19 @@ where
                 summary: &mut *summary,
             };
             f(line, &mut st);
-            if *summary == blank {
-                store.truncate(tail);
-            } else {
-                *row = (tail / width) as u32;
+            let cells = &store[tail..];
+            // A line whose summary is the blank is blank throughout.
+            let first = (*summary != blank).then(|| cells.iter().position(|&v| v != blank));
+            if let Some(Some(first)) = first {
+                let len = cells.iter().rposition(|&v| v != blank).expect("a first") + 1 - first;
+                assert!(
+                    tail <= u32::MAX as usize,
+                    "{tail} cells overflow a u32 offset"
+                );
+                store.copy_within(tail + first..tail + first + len, tail);
+                *span = Span(tail as u32, first as u16, len as u16);
             }
+            store.truncate(tail + span.2 as usize);
         }
         store.shrink_to_fit();
         (store, st)
@@ -189,7 +202,6 @@ where
         })
         .collect();
     let rows = Rows {
-        width,
         dir,
         summaries,
         stores,
@@ -219,11 +231,17 @@ mod tests {
         run_rows(t, lines, width, 0, tag)
     }
 
-    /// Every line of `rows`, in line order: its cells (`None` when not
-    /// stored) and its summary.
-    fn read<V: Copy>(rows: &Rows<V>) -> Vec<(Option<Vec<V>>, V)> {
+    /// A line's stored span as `(lo, cells)`, `None` when it stores nothing.
+    type Stored<V> = Option<(usize, Vec<V>)>;
+
+    /// Every line of `rows`, in line order: its stored span and its
+    /// summary.
+    fn read<V: Copy>(rows: &Rows<V>) -> Vec<(Stored<V>, V)> {
         (0..rows.summaries().len())
-            .map(|i| (rows.values(i).map(<[V]>::to_vec), rows.summaries()[i]))
+            .map(|i| {
+                let span = rows.values(i).map(|(lo, cells)| (lo, cells.to_vec()));
+                (span, rows.summaries()[i])
+            })
             .collect()
     }
 
@@ -234,7 +252,7 @@ mod tests {
         for t in THREADS {
             let (rows, _) = run(t, lines, width);
             for (i, (values, summary)) in read(&rows).into_iter().enumerate() {
-                assert_eq!(values, Some(vec![i + 1; width]), "threads = {t}");
+                assert_eq!(values, Some((0, vec![i + 1; width])), "threads = {t}");
                 assert_eq!(summary, i + 1, "threads = {t}");
             }
             assert_eq!(rows.stored(), lines, "threads = {t}");
@@ -254,7 +272,7 @@ mod tests {
     fn more_threads_than_lines() {
         let (rows, st) = run(64, 3, 2);
         for i in 0..3 {
-            assert_eq!(rows.values(i), Some(&[i + 1; 2][..]));
+            assert_eq!(rows.values(i), Some((0, &[i + 1; 2][..])));
             assert_eq!(rows.summaries()[i], i + 1);
         }
         assert_eq!(st.lookups, 3);
@@ -306,13 +324,74 @@ mod tests {
                     dead,
                     "line {i}, threads = {t}"
                 );
-                if let Some(values) = values {
-                    assert_eq!(values[0], f64::NEG_INFINITY, "line {i}, threads = {t}");
-                    assert_eq!(values[width - 1], (i * width + width - 1) as f64);
+                if let Some((lo, cells)) = values {
+                    // The blank first cell is not stored.
+                    assert_eq!(*lo, 1, "line {i}, threads = {t}");
+                    assert_eq!(cells.len(), width - 1, "line {i}, threads = {t}");
+                    assert_eq!(cells[width - 2], (i * width + width - 1) as f64);
                 }
             }
             assert_eq!(got, serial, "threads = {t}");
             assert_eq!(rows.stored(), lines - lines.div_ceil(3), "threads = {t}");
+        }
+    }
+
+    /// Line `i` of a seeded table: dead, full, a single finite cell, or
+    /// finite cells among blanks, with and without a blank first or last
+    /// cell.
+    fn pattern(i: usize, width: usize) -> Vec<f64> {
+        let mut state = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let finite = |c: usize| (i * width + c) as f64 - 7.5;
+        let mut line = vec![f64::NEG_INFINITY; width];
+        match i % 6 {
+            0 => {}
+            1 => line = (0..width).map(finite).collect(),
+            2 => {
+                let c = next() % width;
+                line[c] = finite(c);
+            }
+            kind => {
+                for (c, v) in line.iter_mut().enumerate() {
+                    if next() % 3 != 0 {
+                        *v = finite(c);
+                    }
+                }
+                match kind {
+                    3 => line[0] = f64::NEG_INFINITY,
+                    4 => line[width - 1] = f64::NEG_INFINITY,
+                    _ => {}
+                }
+            }
+        }
+        line
+    }
+
+    #[test]
+    fn spans_rebuild_the_dense_lines() {
+        let (lines, width) = (97, 9);
+        let dense: Vec<Vec<f64>> = (0..lines).map(|i| pattern(i, width)).collect();
+        let fill = |line: Line<'_, f64>, _: &mut CellStats| {
+            line.values.copy_from_slice(&pattern(line.index, width));
+            *line.summary = line.values.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        };
+        for t in THREADS {
+            let (rows, _) = run_rows(t, lines, width, f64::NEG_INFINITY, fill);
+            for (i, want) in dense.iter().enumerate() {
+                let mut got = vec![f64::NEG_INFINITY; width];
+                if let Some((lo, cells)) = rows.values(i) {
+                    assert!(cells[0].is_finite() && cells[cells.len() - 1].is_finite());
+                    got[lo..lo + cells.len()].copy_from_slice(cells);
+                }
+                assert_eq!(&got, want, "line {i}, threads = {t}");
+            }
+            let live = dense.iter().filter(|l| l.iter().any(|v| v.is_finite()));
+            assert_eq!(rows.stored(), live.count(), "threads = {t}");
         }
     }
 

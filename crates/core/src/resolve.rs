@@ -283,9 +283,9 @@ pub struct ResolveOutcome {
 }
 
 /// Retained cold-solve artifact: the dense cost table, the DP value
-/// tables, the optimal mapping, and (when tractable) its exact stability
-/// margins. Build once after a cold solve, then [`resolve`] against
-/// successive drift deltas.
+/// tables, the optimal mapping, and for an assignment artifact (when
+/// tractable) its exact stability margins. Build once after a cold
+/// solve, then [`resolve`] against successive drift deltas.
 ///
 /// The internal solve is forced unpruned and stage-keeping — its readable
 /// lines hold true values, not the incumbent's `-inf` holes, so any
@@ -332,7 +332,11 @@ impl ResolveArtifact {
             ..*opts
         };
         let run = dp_cluster::run_cluster_dp(problem, &ctx, &unpruned, clustering, true, None)?;
-        let margins = provenance::stability_margins(problem, &run.solution.mapping).ok();
+        // Only the margin short-circuit reads the margins, and it fires
+        // for assignment artifacts alone (module docs).
+        let margins = (clustering == Clustering::Singletons)
+            .then(|| provenance::stability_margins(problem, &run.solution.mapping).ok())
+            .flatten();
         Ok(Self {
             problem: problem.clone(),
             opts: *opts,
@@ -360,7 +364,9 @@ impl ResolveArtifact {
     }
 
     /// Exact stability margins of the retained mapping, when the margin
-    /// engine could afford them (it has its own work limits).
+    /// engine could afford them (it has its own work limits). Always
+    /// `None` for a cluster artifact ([`ResolveArtifact::build`]): its
+    /// re-solves never short-circuit, so it does not compute them.
     pub fn margins(&self) -> Option<&MarginReport> {
         self.margins.as_ref()
     }
@@ -612,6 +618,16 @@ mod tests {
         let (cold, _) = dp_assignment_with(&reprice_problem(&p, &d), &opts).unwrap();
         assert_eq!(out.solution.throughput.to_bits(), cold.throughput.to_bits());
         assert_eq!(out.solution.mapping, cold.mapping);
+    }
+
+    #[test]
+    fn only_assignment_artifacts_compute_margins() {
+        let p = problem().without_replication();
+        let opts = SolveOptions::default();
+        let cluster = ResolveArtifact::build(&p, &opts).unwrap();
+        assert!(cluster.margins().is_none());
+        let assignment = ResolveArtifact::build_assignment(&p, &opts).unwrap();
+        assert!(assignment.margins().is_some());
     }
 
     #[test]
