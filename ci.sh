@@ -65,17 +65,21 @@ EOF
         fi
     done
 done
-# FFT-Hist end to end: serve_fft checks the pipeline's first outputs
-# against the benchmark's own serial 2-D FFT and histogram. It needs its
-# declared 10 s: at 1 s a paced pass holds too few samples for a p90.
-for SEED in 1 7919; do
-    START=$(date +%s)
-    RESULT=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
-        --workload serve_fft --seed "$SEED" --seconds 10 | tail -n 1)
-    case "$RESULT" in
-        '{"correct": true,'*) echo "benchmark serve_fft seed $SEED: correct ($(($(date +%s) - START)) s)" ;;
-        *) echo "benchmark serve_fft seed $SEED failed its checks: $RESULT" >&2; exit 1 ;;
-    esac
+# The in-process data plane and FFT-Hist end to end: serve_inproc checks
+# its first outputs against the reference mix and that every data set it
+# generated reached the sink; serve_fft checks against the benchmark's own
+# serial 2-D FFT and histogram. Both run their declared 10 s: at 1 s a
+# paced serve_fft pass holds too few samples for a p90.
+for WORKLOAD in serve_inproc serve_fft; do
+    for SEED in 1 7919; do
+        START=$(date +%s)
+        RESULT=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+            --workload "$WORKLOAD" --seed "$SEED" --seconds 10 | tail -n 1)
+        case "$RESULT" in
+            '{"correct": true,'*) echo "benchmark $WORKLOAD seed $SEED: correct ($(($(date +%s) - START)) s)" ;;
+            *) echo "benchmark $WORKLOAD seed $SEED failed its checks: $RESULT" >&2; exit 1 ;;
+        esac
+    done
 done
 unset CARGO_TARGET_DIR
 

@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::executor::{execute, PipelinePlan, PipelineStats};
+use crate::pool;
 use crate::stage::Data;
 
 /// Sink channel capacity (in messages) used for load runs.
@@ -164,10 +165,14 @@ pub fn run_load(
         .as_ref()
         .map(pipemap_obs::JourneyCollector::sink);
     let sink_stage = plan.stages.len() as u32;
+    let batch = plan.batch.max(1);
     let stats = execute(
         plan,
         LOAD_SINK_CAP,
         move |feeder| {
+            // `make`'s takes read ahead from the pool's shelf; cycling every
+            // batch hands back what a batch left unused.
+            let takes = pool::Scope::open();
             let start = Instant::now();
             let mut offered = 0usize;
             let mut tokens: f64 = 1.0;
@@ -222,6 +227,9 @@ pub fn run_load(
                     }
                 }
                 feeder.push(make(feeder.pushed()));
+                if feeder.pushed().is_multiple_of(batch) {
+                    takes.cycle();
+                }
             }
         },
         |item| {

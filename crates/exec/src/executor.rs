@@ -33,6 +33,7 @@ use pipemap_obs::{
     Severity, SloConfig, TraceEvent,
 };
 
+use crate::pool;
 use crate::stage::{Data, Stage};
 
 /// Default latency bound on buffered batch items (microseconds).
@@ -339,22 +340,25 @@ impl TxSet {
     }
 
     /// Route `item` to its round-robin destination; flushes the
-    /// destination's buffer when full or aged.
+    /// destination's buffer when full or aged. `now` is the caller's
+    /// latest clock read, so a push reads no clock of its own. Returns
+    /// whether it flushed (and so may have blocked on the send).
     ///
     /// # Panics
     ///
     /// Panics if the destination hung up (its worker panicked).
-    fn push(&mut self, item: Item) {
+    fn push(&mut self, item: Item, now: Instant) -> bool {
         let t = item.seq % self.targets.len();
         if self.batch > 1 && self.bufs[t].is_empty() {
-            self.since[t] = Instant::now();
+            self.since[t] = now;
         }
         self.bufs[t].push(item);
-        if self.bufs[t].len() >= self.batch
-            || (self.batch > 1 && self.since[t].elapsed() >= self.flush)
-        {
+        let flush = self.bufs[t].len() >= self.batch
+            || (self.batch > 1 && now.duration_since(self.since[t]) >= self.flush);
+        if flush {
             self.flush_target(t);
         }
+        flush
     }
 
     fn flush_target(&mut self, t: usize) {
@@ -439,13 +443,14 @@ impl Feeder {
         if let Some(j) = self.journey.as_mut() {
             j.record(JourneyKind::Source, self.seq, 0, 0, 0);
         }
+        let born = Instant::now();
         let item = Item {
             seq: self.seq,
-            born: Instant::now(),
+            born,
             data,
         };
         self.seq += 1;
-        self.tx.push(item);
+        self.tx.push(item, born);
     }
 
     /// Flush aged partial batches. Call before pacing sleeps so a
@@ -497,6 +502,9 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
         .counter(&format!("exec.stage{}.recv_wait_us", ctx.si));
     let busy_ctr = ctx.rec.counter(&format!("exec.stage{}.busy_us", ctx.si));
     let trace_name: String = ctx.stage.name.to_string();
+    // The clock read that ends one item's service starts the next one's,
+    // unless a send, a journey record or a trace event came in between.
+    let chain_clock = !ctx.tracing && ctx.journey.is_none();
     let born = Instant::now();
     let mut recv_wait = 0.0f64;
     let mut busy = 0.0f64;
@@ -534,6 +542,7 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
                 }
             }
         };
+        let mut next_start = None;
         for item in batch {
             if let Some(j) = ctx.journey.as_mut() {
                 // Dequeue is stamped when the worker *picks the item up*,
@@ -566,9 +575,10 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
                     );
                 }
             }
-            let t_exec = Instant::now();
+            let t_exec = next_start.take().unwrap_or_else(Instant::now);
             let out = ctx.stage.apply(item.data, ctx.threads);
-            let service = t_exec.elapsed().as_secs_f64();
+            let t_done = Instant::now();
+            let service = t_done.duration_since(t_exec).as_secs_f64();
             busy += service;
             service_hist.record(service);
             busy_ctr.add((service * 1e6) as u64);
@@ -604,11 +614,14 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
                     );
                 }
             }
-            ctx.tx.push(Item {
+            let item = Item {
                 seq: item.seq,
                 born: item.born,
                 data: out,
-            });
+            };
+            if !ctx.tx.push(item, t_done) && chain_clock {
+                next_start = Some(t_done);
+            }
         }
     }
     ctx.tx.flush_all();
@@ -686,9 +699,8 @@ pub(crate) fn execute(
     let (results, feeder_totals, completed) = std::thread::scope(|scope| {
         // Instance workers; stats come back through the join handles.
         let mut worker_handles = Vec::new();
-        for (si, sp) in plan.stages.iter().enumerate() {
-            for (ii, rx_src) in receivers[si].iter().take(sp.replicas).enumerate() {
-                let rx = rx_src.clone();
+        for (si, (sp, stage_rxs)) in plan.stages.iter().zip(receivers).enumerate() {
+            for (ii, rx) in stage_rxs.into_iter().enumerate() {
                 let targets: Vec<Sender<Batch>> = match senders.get(si + 1) {
                     Some(next) => next.clone(),
                     None => vec![sink_s.clone()],
@@ -732,7 +744,6 @@ pub(crate) fn execute(
         drop(sink_s);
         let first = senders[0].clone();
         drop(senders);
-        drop(receivers);
 
         // Source thread: run the feed closure, then flush and hang up —
         // the disconnect cascades down the chain as workers finish.
@@ -764,6 +775,9 @@ pub(crate) fn execute(
         let done_ctr = rec.counter("exec.datasets.completed");
         let mut completed = 0usize;
         while let Ok(items) = sink_r.recv() {
+            // The sink drops most leases: a message's go back to the pool
+            // under one lock.
+            let _returns = pool::Scope::open();
             for item in items {
                 done_ctr.add(1);
                 completed += 1;

@@ -162,3 +162,45 @@ proptest! {
         );
     }
 }
+
+/// The pool batches both ends of a load run: the source reads a batch's
+/// payloads ahead under one shelf lock and the sink returns a message's
+/// under one, where an unbatched pool locks twice per data set.
+#[test]
+fn a_pooled_load_run_locks_the_shelf_per_batch_not_per_data_set() {
+    use pipemap_exec::{run_load, LoadOptions};
+    const N: usize = 4096;
+    let pool = BufferPool::new(N);
+    let plan = plan(&[1, 1], env_threads(), 32, 4, pooled_stage);
+    let opts = LoadOptions {
+        rate: None,
+        duration: None,
+        max_datasets: Some(N),
+        ..LoadOptions::default()
+    };
+    let make = |seq: usize| -> Data {
+        let mut lease = pool.take(Vec::new);
+        lease.clear();
+        lease.extend(input_vec(7, seq));
+        Box::new(lease)
+    };
+    // Stock the shelf for every take: how many data sets are in flight at
+    // once depends on how the threads are scheduled, and a miss costs a
+    // lock of its own.
+    drop((0..N).map(make).collect::<Vec<_>>());
+    let (locks, before) = (pool.shelf_locks(), pool.stats());
+    assert_eq!(run_load(&plan, make, &opts).completed, N);
+    let locks = pool.shelf_locks() - locks;
+    let after = pool.stats();
+    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+    assert_eq!(hits + misses, N as u64);
+    // No lease is stranded or lost: each one dropped at the sink is back.
+    assert_eq!(after.returns - before.returns, N as u64);
+    assert_eq!(pool.shelved(), N);
+    assert!(
+        locks <= (N / 8) as u64,
+        "{locks} shelf locks for {N} data sets"
+    );
+    let hit_rate = hits as f64 / N as f64;
+    assert!(hit_rate >= 0.99, "hit rate {hit_rate} ({misses} misses)");
+}
