@@ -65,12 +65,14 @@ EOF
         fi
     done
 done
-# The in-process data plane and FFT-Hist end to end: serve_inproc checks
-# its first outputs against the reference mix and that every data set it
-# generated reached the sink; serve_fft checks against the benchmark's own
-# serial 2-D FFT and histogram. Both run their declared 10 s: at 1 s a
-# paced serve_fft pass holds too few samples for a p90.
-for WORKLOAD in serve_inproc serve_fft; do
+# Both data planes and FFT-Hist end to end: serve_inproc, serve_uds and
+# serve_observed check their first outputs against the reference mix and
+# that every data set they generated reached the sink (the last with the
+# observed configuration's telemetry and journeys on); serve_fft checks
+# against the benchmark's own serial 2-D FFT and histogram. All run their
+# declared 10 s: at 1 s a paced serve_fft pass holds too few samples for
+# a p90.
+for WORKLOAD in serve_inproc serve_uds serve_observed serve_fft; do
     for SEED in 1 7919; do
         START=$(date +%s)
         RESULT=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \

@@ -6,44 +6,62 @@
 //! `1 / max_i (f_i / r_i)`; [`run_load`] observes it on a running
 //! pipeline.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::executor::{execute, PipelinePlan, PipelineStats};
+use crate::executor::{execute, Feeder, Item, Outlet, PipelinePlan, PipelineStats};
 use crate::pool;
+use crate::proc::{run_wire, WireRun};
 use crate::stage::Data;
+use crate::transport::WireItem;
+use crate::wire::WirePlan;
 
-/// Sink channel capacity (in messages) used for load runs.
-const LOAD_SINK_CAP: usize = 1024;
+/// Bound on sink buffering in messages, on both planes (channel messages
+/// in process, frames over uds). Each carries up to a batch of data sets,
+/// so up to 32 768 of them can queue at a lagging sink at batch 32, and
+/// every one past the pool's shelf is a fresh allocation.
+pub(crate) const SINK_CAP: usize = 1024;
 
-/// How to drive the pipeline.
-#[derive(Clone, Copy, Debug)]
-pub struct LoadOptions {
+/// How long a run lasts when neither limit is set.
+const DEFAULT_RUN: Duration = Duration::from_secs(2);
+
+/// How to drive the pipeline, on either plane. `N` counts data sets:
+/// `usize` in process, `u64` over uds ([`WireLoadOptions`]), matching
+/// each plane's report.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LoadOptions<N = usize> {
     /// Target offered rate in data sets per second; `None` is open loop
     /// (push as fast as stage-0 backpressure admits).
     pub rate: Option<f64>,
-    /// Stop feeding after this long.
+    /// Stop offering after this long. With both limits set, the first
+    /// one reached stops the run; with neither, it runs for 2 s.
     pub duration: Option<Duration>,
-    /// Stop feeding after this many data sets (offered arrivals, when
-    /// admission control or shedding is active).
-    pub max_datasets: Option<usize>,
+    /// Stop after this many offered arrivals (data sets, unless
+    /// admission control or shedding turns some away).
+    pub max_datasets: Option<N>,
     /// Admission control: a token bucket capping the *accepted* rate;
     /// arrivals beyond it are rejected at the door instead of queueing.
     pub admit_rate: Option<f64>,
     /// Bounded-queue shedding: drop arrivals while more than this many
     /// admitted data sets are still in flight, instead of letting the
     /// source block on backpressure.
-    pub shed_queue: Option<usize>,
+    pub shed_queue: Option<N>,
 }
 
-impl Default for LoadOptions {
-    fn default() -> Self {
-        Self {
-            rate: None,
-            duration: Some(Duration::from_secs(2)),
-            max_datasets: None,
-            admit_rate: None,
-            shed_queue: None,
+/// [`run_wire_load`]'s options: the same type, counted in `u64`.
+pub type WireLoadOptions = LoadOptions<u64>;
+
+impl LoadOptions {
+    fn widened(&self) -> WireLoadOptions {
+        LoadOptions {
+            rate: self.rate,
+            duration: self.duration,
+            max_datasets: self.max_datasets.map(|n| n as u64),
+            admit_rate: self.admit_rate,
+            shed_queue: self.shed_queue.map(|n| n as u64),
         }
     }
 }
@@ -109,6 +127,83 @@ pub struct LoadReport {
     pub stats: PipelineStats,
 }
 
+/// What the arrival loop did with its arrivals.
+#[derive(Default)]
+struct Arrivals {
+    offered: u64,
+    rejected: u64,
+    shed: u64,
+}
+
+/// The source side of both load drivers: offer arrivals to `feeder`
+/// until the first limit in `opts` is reached (2 s from `start` when
+/// neither is set), and hand each admitted one to `push`, which builds
+/// and pushes data set [`Feeder::pushed`].
+///
+/// Pacing is keyed off *offered* arrivals: data set `n` is due at
+/// `start + n/rate`, and sheds and rejections consume an arrival slot
+/// without feeding. A token bucket refilled at `admit_rate` rejects
+/// arrivals beyond it; with `shed_queue`, an arrival is shed while that
+/// many admitted data sets are in flight (pushed but not yet counted in
+/// `done`), backing off 50 µs in a closed loop instead of spinning.
+/// Before either sleep the feeder flushes its partial batches: every one
+/// when `flush_all`, else only the aged ones.
+fn arrive<O: Outlet>(
+    feeder: &mut Feeder<O>,
+    opts: &WireLoadOptions,
+    start: Instant,
+    done: &AtomicU64,
+    flush_all: bool,
+    tally: &mut Arrivals,
+    mut push: impl FnMut(&mut Feeder<O>) -> io::Result<()>,
+) -> io::Result<()> {
+    let duration = match (opts.duration, opts.max_datasets) {
+        (None, None) => Some(DEFAULT_RUN),
+        (duration, _) => duration,
+    };
+    let mut tokens: f64 = 1.0;
+    let mut last_refill = Instant::now();
+    loop {
+        if opts.max_datasets.is_some_and(|max| tally.offered >= max)
+            || duration.is_some_and(|d| start.elapsed() >= d)
+        {
+            return Ok(());
+        }
+        if let Some(rate) = opts.rate {
+            let due = start + Duration::from_secs_f64(tally.offered as f64 / rate);
+            let now = Instant::now();
+            if due > now {
+                feeder.idle(flush_all)?;
+                std::thread::sleep(due - now);
+            }
+        }
+        tally.offered += 1;
+        if let Some(admit) = opts.admit_rate {
+            let now = Instant::now();
+            tokens = (tokens + now.duration_since(last_refill).as_secs_f64() * admit)
+                .min((admit * 0.1).max(1.0));
+            last_refill = now;
+            if tokens < 1.0 {
+                tally.rejected += 1;
+                continue;
+            }
+            tokens -= 1.0;
+        }
+        if let Some(bound) = opts.shed_queue {
+            let in_flight = (feeder.pushed() as u64).saturating_sub(done.load(Ordering::Relaxed));
+            if in_flight >= bound {
+                tally.shed += 1;
+                if opts.rate.is_none() {
+                    feeder.idle(flush_all)?;
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                continue;
+            }
+        }
+        push(feeder)?;
+    }
+}
+
 /// Drive `plan` with data sets built by `make(seq)` until the rate/
 /// duration/count limits in `opts` are reached, then drain and report.
 ///
@@ -125,21 +220,11 @@ pub fn run_load(
     mut make: impl FnMut(usize) -> Data + Send,
     opts: &LoadOptions,
 ) -> LoadReport {
-    let LoadOptions {
-        rate,
-        duration,
-        max_datasets,
-        admit_rate,
-        shed_queue,
-    } = *opts;
-    // Overload-discipline counters, shared between the source thread
-    // (which decides) and the sink (which retires in-flight datasets).
-    let done_ctr = AtomicUsize::new(0);
-    let offered_ctr = AtomicUsize::new(0);
-    let rejected_ctr = AtomicUsize::new(0);
-    let shed_ctr = AtomicUsize::new(0);
-    let (done_ref, offered_ref, rejected_ref, shed_ref) =
-        (&done_ctr, &offered_ctr, &rejected_ctr, &shed_ctr);
+    let wide = opts.widened();
+    // Retired data sets: the sink counts them, the source's shedding
+    // reads them.
+    let done = AtomicU64::new(0);
+    let mut tally = Arrivals::default();
     let rec = pipemap_obs::global();
     let lat_hist = rec.histogram("exec.load.latency_s");
     let mut samples: Vec<f64> = Vec::new();
@@ -160,107 +245,156 @@ pub fn run_load(
     let mut alert_ctr = 0u32;
     // Journey tracing: the load driver owns the sink side, so it records
     // the terminal `Sink` event as each data set completes.
-    let mut jsink = plan
+    let mut stamps = plan
         .journeys
         .as_ref()
-        .map(pipemap_obs::JourneyCollector::sink);
+        .map(|c| crate::executor::Stamper::local(c.sink()));
     let sink_stage = plan.stages.len() as u32;
     let batch = plan.batch.max(1);
-    let stats = execute(
-        plan,
-        LOAD_SINK_CAP,
-        move |feeder| {
-            // `make`'s takes read ahead from the pool's shelf; cycling every
-            // batch hands back what a batch left unused.
-            let takes = pool::Scope::open();
-            let start = Instant::now();
-            let mut offered = 0usize;
-            let mut tokens: f64 = 1.0;
-            let mut last_refill = Instant::now();
-            loop {
-                if let Some(limit) = duration {
-                    if start.elapsed() >= limit {
-                        break;
+    let stats = {
+        let (done, tally) = (&done, &mut tally);
+        execute(
+            plan,
+            SINK_CAP,
+            move |feeder| {
+                // `make`'s takes read ahead from the pool's shelf; cycling
+                // every batch hands back what a batch left unused.
+                let takes = pool::Scope::open();
+                arrive(feeder, &wide, Instant::now(), done, false, tally, |f| {
+                    let seq = f.pushed();
+                    let data = make(seq);
+                    let born = Instant::now();
+                    f.push(Item { seq, born, data }, born)?;
+                    if f.pushed().is_multiple_of(batch) {
+                        takes.cycle();
                     }
+                    Ok(())
+                })
+                .expect("downstream instance hung up");
+            },
+            |item| {
+                done.fetch_add(1, Ordering::Relaxed);
+                if let Some(j) = stamps.as_mut() {
+                    j.stamp(&[pipemap_obs::JourneyKind::Sink], item.seq, sink_stage, 0);
                 }
-                if let Some(limit) = max_datasets {
-                    if offered >= limit {
-                        break;
+                let latency = item.born.elapsed().as_secs_f64();
+                lat_hist.record(latency);
+                samples.push(latency);
+                if let Some((engine, log)) = alerts.as_mut() {
+                    if alert_ctr.is_multiple_of(32) {
+                        alert_t_us = log.now_us();
                     }
+                    alert_ctr = alert_ctr.wrapping_add(1);
+                    engine.observe_latency(alert_t_us, latency);
                 }
-                // Pacing is keyed off *offered* arrivals: sheds and
-                // rejections consume an arrival slot without feeding.
-                if let Some(rate) = rate {
-                    let due = start + Duration::from_secs_f64(offered as f64 / rate);
-                    let now = Instant::now();
-                    if due > now {
-                        feeder.flush();
-                        std::thread::sleep(due - now);
-                    }
-                }
-                offered += 1;
-                offered_ref.store(offered, Ordering::Relaxed);
-                if let Some(admit) = admit_rate {
-                    let now = Instant::now();
-                    tokens = (tokens + now.duration_since(last_refill).as_secs_f64() * admit)
-                        .min((admit * 0.1).max(1.0));
-                    last_refill = now;
-                    if tokens < 1.0 {
-                        rejected_ref.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    tokens -= 1.0;
-                }
-                if let Some(bound) = shed_queue {
-                    let in_flight = feeder
-                        .pushed()
-                        .saturating_sub(done_ref.load(Ordering::Relaxed));
-                    if in_flight >= bound {
-                        shed_ref.fetch_add(1, Ordering::Relaxed);
-                        if rate.is_none() {
-                            // Closed loop with a full queue: back off
-                            // briefly instead of spinning.
-                            feeder.flush();
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
-                        continue;
-                    }
-                }
-                feeder.push(make(feeder.pushed()));
-                if feeder.pushed().is_multiple_of(batch) {
-                    takes.cycle();
-                }
-            }
-        },
-        |item| {
-            done_ref.fetch_add(1, Ordering::Relaxed);
-            if let Some(j) = jsink.as_mut() {
-                j.record(pipemap_obs::JourneyKind::Sink, item.seq, sink_stage, 0, 0);
-            }
-            let latency = item.born.elapsed().as_secs_f64();
-            lat_hist.record(latency);
-            samples.push(latency);
-            if let Some((engine, log)) = alerts.as_mut() {
-                if alert_ctr.is_multiple_of(32) {
-                    alert_t_us = log.now_us();
-                }
-                alert_ctr = alert_ctr.wrapping_add(1);
-                engine.observe_latency(alert_t_us, latency);
-            }
-        },
-    );
+            },
+        )
+    };
     LoadReport {
-        offered: offered_ctr.load(Ordering::Relaxed),
-        rejected: rejected_ctr.load(Ordering::Relaxed),
-        shed: shed_ctr.load(Ordering::Relaxed),
+        offered: tally.offered as usize,
+        rejected: tally.rejected as usize,
+        shed: tally.shed as usize,
         generated: stats.generated,
         completed: stats.datasets,
         elapsed: stats.elapsed,
         throughput: stats.throughput,
-        offered_rate: rate,
+        offered_rate: opts.rate,
         latency: LatencySummary::from_samples(&mut samples),
         stats,
     }
+}
+
+/// What an overloaded (or not) cross-process load run did.
+#[derive(Debug)]
+pub struct WireLoadReport {
+    /// Arrivals offered by the load generator.
+    pub offered: u64,
+    /// Arrivals rejected by admission control.
+    pub rejected: u64,
+    /// Arrivals shed because the in-flight bound was hit.
+    pub shed: u64,
+    /// Data sets actually fed (offered − rejected − shed).
+    pub generated: u64,
+    /// Data sets that reached the sink.
+    pub completed: u64,
+    /// Wall seconds of the run.
+    pub elapsed: f64,
+    /// Sink throughput (completed / elapsed).
+    pub throughput: f64,
+    /// Offered rate implied by `offered / elapsed`.
+    pub offered_rate: f64,
+    /// End-to-end latency of completed data sets.
+    pub latency: LatencySummary,
+    /// The underlying engine measurements.
+    pub run: WireRun,
+}
+
+/// [`run_load`] over worker processes: the same arrival loop feeds
+/// `mk_payload(seq, buf)`'s encoded data sets into a wire plan, and the
+/// sink tracks end-to-end latency.
+///
+/// Two things differ from the in-process driver: the clock starts before
+/// the workers spawn, and the source flushes every partial frame (not
+/// only aged ones) before a pacing sleep.
+pub fn run_wire_load(
+    plan: &WirePlan,
+    mut mk_payload: impl FnMut(u64, &mut Vec<u8>) + Send,
+    opts: WireLoadOptions,
+) -> Result<WireLoadReport, String> {
+    let born: Mutex<HashMap<u64, Instant>> = Mutex::new(HashMap::new());
+    let done = AtomicU64::new(0);
+    let mut samples: Vec<f64> = Vec::new();
+    let mut tally = Arrivals::default();
+    let start = Instant::now();
+
+    let run = {
+        let (born, done, tally, samples) = (&born, &done, &mut tally, &mut samples);
+        run_wire(
+            plan,
+            move |f, pool| {
+                arrive(f, &opts, start, done, true, tally, |f| {
+                    let seq = f.pushed() as u64;
+                    let now = Instant::now();
+                    born.lock()
+                        .expect("a load thread panicked holding the born map")
+                        .insert(seq, now);
+                    let mut payload = pool.take(Vec::new);
+                    payload.clear();
+                    mk_payload(seq, &mut payload);
+                    f.push(WireItem { seq, payload }, now)
+                })
+                .map_err(|e| format!("feed: {e}"))
+            },
+            |seq, _bytes| {
+                done.fetch_add(1, Ordering::Relaxed);
+                if let Some(t0) = born
+                    .lock()
+                    .expect("a load thread panicked holding the born map")
+                    .remove(&seq)
+                {
+                    samples.push(t0.elapsed().as_secs_f64());
+                }
+            },
+        )?
+    };
+
+    let elapsed = run.elapsed;
+    Ok(WireLoadReport {
+        offered: tally.offered,
+        rejected: tally.rejected,
+        shed: tally.shed,
+        generated: run.generated,
+        completed: run.completed,
+        elapsed,
+        throughput: run.throughput,
+        offered_rate: if elapsed > 0.0 {
+            tally.offered as f64 / elapsed
+        } else {
+            0.0
+        },
+        latency: LatencySummary::from_samples(&mut samples),
+        run,
+    })
 }
 
 #[cfg(test)]
@@ -428,6 +562,24 @@ mod tests {
             "admission not binding: {report:?}"
         );
         assert_eq!(report.generated, report.completed);
+    }
+
+    #[test]
+    fn a_run_with_neither_limit_stops_after_two_seconds() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let opts = LoadOptions {
+                duration: None,
+                max_datasets: None,
+                ..LoadOptions::default()
+            };
+            let _ = tx.send(run_load(&light_plan(), |seq| Box::new(seq as u64), &opts));
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a run with neither limit must stop");
+        assert!(report.generated > 0);
+        assert_eq!(report.completed, report.generated);
     }
 
     #[test]

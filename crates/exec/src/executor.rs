@@ -24,8 +24,9 @@
 //! Per-instance statistics are accumulated thread-locally and handed back
 //! through the scoped-thread join (no shared lock on the data path).
 
+use std::io;
 use std::mem;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use pipemap_obs::{
@@ -35,8 +36,10 @@ use pipemap_obs::{
 
 use crate::pool;
 use crate::stage::{Data, Stage};
+use crate::transport::{LinkStats, Transport, WireItem};
 
-/// Default latency bound on buffered batch items (microseconds).
+/// Default latency bound on buffered batch items (microseconds), on both
+/// planes.
 pub const DEFAULT_FLUSH_US: u64 = 200;
 
 /// A single send blocking at least this long (seconds) marks the sender
@@ -236,12 +239,131 @@ pub(crate) struct Item {
 
 type Batch = Vec<Item>;
 
-/// Batching output side shared by the source and every worker: one
-/// buffer per destination instance, flushed when full, aged past the
-/// latency bound, or explicitly (before blocking / at exit).
-struct TxSet {
-    targets: Vec<Sender<Batch>>,
-    bufs: Vec<Batch>,
+/// Microseconds since the UNIX epoch: the clock every process of a uds
+/// run shares.
+pub(crate) fn unix_now_us() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .unwrap_or_default()
+        .as_micros() as u64
+}
+
+/// Journey stamping for one thread, on either plane: a [`JourneySink`],
+/// the clock its stamps read and the salt of the batch ids it mints. In
+/// process the clock is the collector's own. Over uds every process
+/// stamps against the run's shared UNIX epoch, so the merged samples form
+/// one timeline, and a per-process salt keeps the batch ids that
+/// different processes mint apart.
+pub(crate) struct Stamper {
+    sink: JourneySink,
+    epoch_us: Option<u64>,
+    salt: u64,
+}
+
+impl Stamper {
+    /// The in-process stamper: the collector's clock, no salt.
+    pub(crate) fn local(sink: JourneySink) -> Self {
+        Self {
+            sink,
+            epoch_us: None,
+            salt: 0,
+        }
+    }
+
+    /// A uds stamper: microseconds since `epoch_us` on the UNIX clock,
+    /// batch ids salted with `salt`.
+    pub(crate) fn shared(sink: JourneySink, epoch_us: u64, salt: u64) -> Self {
+        Self {
+            sink,
+            epoch_us: Some(epoch_us),
+            salt,
+        }
+    }
+
+    fn now_us(&self) -> f64 {
+        match self.epoch_us {
+            Some(epoch) => unix_now_us().saturating_sub(epoch) as f64,
+            None => self.sink.now_us(),
+        }
+    }
+
+    /// Stamp each of `kinds` for data set `seq` at `stage`/`instance`,
+    /// all at one clock read. The sampling check comes first: unsampled
+    /// data sets must not pay for the clock read, which is a real
+    /// syscall on containers without a vDSO clock.
+    pub(crate) fn stamp(&mut self, kinds: &[JourneyKind], seq: usize, stage: u32, instance: u32) {
+        if self.sink.sampled(seq) {
+            let t_us = self.now_us();
+            for &kind in kinds {
+                self.sink.record_at(t_us, kind, seq, stage, instance, 0);
+            }
+        }
+    }
+
+    /// Stamp `Enqueue` for the sampled data sets of one batch bound for
+    /// `replica` of `stage`, with one clock read and one batch id.
+    fn enqueue(
+        &mut self,
+        seqs: impl ExactSizeIterator<Item = usize> + Clone,
+        stage: u32,
+        replica: u32,
+    ) {
+        if !seqs.clone().any(|seq| self.sink.sampled(seq)) {
+            return;
+        }
+        let batch_id = if seqs.len() > 1 {
+            self.salt | self.sink.next_batch()
+        } else {
+            0
+        };
+        let t_us = self.now_us();
+        for seq in seqs {
+            self.sink
+                .record_at(t_us, JourneyKind::Enqueue, seq, stage, replica, batch_id);
+        }
+    }
+}
+
+/// One destination instance's input, as a [`TxSet`] sends to it: a
+/// channel of [`Item`]s in process, a [`Transport`] of [`WireItem`]s
+/// over uds.
+pub(crate) trait Outlet {
+    /// One buffered data set.
+    type Item;
+    /// The data set's sequence number.
+    fn seq(item: &Self::Item) -> usize;
+    /// Send one batch, blocking while the destination is full.
+    fn send_batch(&mut self, batch: Vec<Self::Item>) -> io::Result<()>;
+}
+
+impl Outlet for Sender<Batch> {
+    type Item = Item;
+    fn seq(item: &Item) -> usize {
+        item.seq
+    }
+    fn send_batch(&mut self, batch: Batch) -> io::Result<()> {
+        self.send(batch)
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "instance hung up"))
+    }
+}
+
+impl<T: Transport> Outlet for T {
+    type Item = WireItem;
+    fn seq(item: &WireItem) -> usize {
+        item.seq as usize
+    }
+    fn send_batch(&mut self, batch: Vec<WireItem>) -> io::Result<()> {
+        self.send_data(batch)
+    }
+}
+
+/// Batching output side shared by the source and every worker of both
+/// planes: one buffer per destination instance (data set `n` goes to
+/// instance `n mod r`), flushed when full, aged past the latency bound,
+/// or explicitly (before blocking / at exit).
+pub(crate) struct TxSet<O: Outlet> {
+    targets: Vec<O>,
+    bufs: Vec<Vec<O::Item>>,
     /// When `bufs[t]` went non-empty; only consulted when `batch > 1`.
     since: Vec<Instant>,
     batch: usize,
@@ -252,10 +374,11 @@ struct TxSet {
     msg_ctr: Counter,
     item_ctr: Counter,
     wait_ctr: Counter,
-    /// Journey tracing: stamps `Enqueue` events (destination stage,
-    /// replica, batch identity) as batches flush. `dest_stage` is `None`
-    /// when the targets are the sink channel (no enqueue recorded).
-    journey: Option<JourneySink>,
+    /// The owning thread's journey stamps; this set adds `Enqueue`
+    /// events (destination stage, replica, batch identity) as batches
+    /// flush. `dest_stage` is `None` when the targets are the sink (no
+    /// queue there, so no enqueue recorded).
+    journey: Option<Stamper>,
     dest_stage: Option<u32>,
     /// Structured backpressure events; `src_stage` is `None` for the
     /// source feeder.
@@ -264,44 +387,66 @@ struct TxSet {
     bp_active: bool,
 }
 
-impl TxSet {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        targets: Vec<Sender<Batch>>,
+impl<O: Outlet> TxSet<O> {
+    /// An unmetered set: its counters go nowhere and it emits no
+    /// backpressure events (see [`metered`](Self::metered)).
+    pub(crate) fn new(
+        targets: Vec<O>,
         batch: usize,
-        flush: Duration,
-        rec: &Recorder,
-        wait_ctr: Counter,
-        journey: Option<JourneySink>,
+        flush_us: u64,
+        journey: Option<Stamper>,
         dest_stage: Option<u32>,
-        events: Option<EventLog>,
-        src_stage: Option<u32>,
     ) -> Self {
-        let now = Instant::now();
+        let batch = batch.max(1);
+        let off = Recorder::disabled().counter("");
         Self {
             bufs: targets.iter().map(|_| Vec::with_capacity(batch)).collect(),
-            since: vec![now; targets.len()],
+            since: vec![Instant::now(); targets.len()],
             targets,
             batch,
-            flush,
+            flush: Duration::from_micros(flush_us),
             send_wait: 0.0,
             messages: 0,
             items: 0,
-            msg_ctr: rec.counter(pipemap_obs::names::EXEC_BATCH_MESSAGES),
-            item_ctr: rec.counter(pipemap_obs::names::EXEC_BATCH_ITEMS),
-            wait_ctr,
+            msg_ctr: off.clone(),
+            item_ctr: off.clone(),
+            wait_ctr: off,
             journey,
             dest_stage,
-            events,
-            src_stage,
+            events: None,
+            src_stage: None,
             bp_active: false,
         }
     }
 
-    /// Track the backpressure state machine after a send that blocked
-    /// for `blocked` seconds: one onset event when a send first blocks
-    /// past [`BACKPRESSURE_ONSET_S`], one end event once sends flow
-    /// freely again (half-threshold hysteresis in between).
+    /// Count messages and items into `rec`, send waits into `wait_ctr`,
+    /// and emit backpressure events into `events` as `src_stage` (the
+    /// source when `None`).
+    fn metered(
+        mut self,
+        rec: &Recorder,
+        wait_ctr: Counter,
+        events: Option<EventLog>,
+        src_stage: Option<u32>,
+    ) -> Self {
+        self.msg_ctr = rec.counter(pipemap_obs::names::EXEC_BATCH_MESSAGES);
+        self.item_ctr = rec.counter(pipemap_obs::names::EXEC_BATCH_ITEMS);
+        self.wait_ctr = wait_ctr;
+        self.events = events;
+        self.src_stage = src_stage;
+        self
+    }
+
+    /// The owning thread's journey stamps, when journeys are on.
+    pub(crate) fn stamper(&mut self) -> Option<&mut Stamper> {
+        self.journey.as_mut()
+    }
+
+    /// Seconds blocked in sends so far.
+    pub(crate) fn send_wait(&self) -> f64 {
+        self.send_wait
+    }
+
     /// Event-message name for this sender.
     fn who(&self) -> String {
         match self.src_stage {
@@ -310,6 +455,10 @@ impl TxSet {
         }
     }
 
+    /// Track the backpressure state machine after a send that blocked
+    /// for `blocked` seconds: one onset event when a send first blocks
+    /// past [`BACKPRESSURE_ONSET_S`], one end event once sends flow
+    /// freely again (half-threshold hysteresis in between).
     fn note_blocked(&mut self, blocked: f64) {
         let Some(log) = self.events.as_ref() else {
             return;
@@ -343,12 +492,8 @@ impl TxSet {
     /// destination's buffer when full or aged. `now` is the caller's
     /// latest clock read, so a push reads no clock of its own. Returns
     /// whether it flushed (and so may have blocked on the send).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the destination hung up (its worker panicked).
-    fn push(&mut self, item: Item, now: Instant) -> bool {
-        let t = item.seq % self.targets.len();
+    pub(crate) fn push(&mut self, item: O::Item, now: Instant) -> io::Result<bool> {
+        let t = O::seq(&item) % self.targets.len();
         if self.batch > 1 && self.bufs[t].is_empty() {
             self.since[t] = now;
         }
@@ -356,14 +501,14 @@ impl TxSet {
         let flush = self.bufs[t].len() >= self.batch
             || (self.batch > 1 && now.duration_since(self.since[t]) >= self.flush);
         if flush {
-            self.flush_target(t);
+            self.flush_target(t)?;
         }
-        flush
+        Ok(flush)
     }
 
-    fn flush_target(&mut self, t: usize) {
+    fn flush_target(&mut self, t: usize) -> io::Result<()> {
         if self.bufs[t].is_empty() {
-            return;
+            return Ok(());
         }
         let out = mem::replace(&mut self.bufs[t], Vec::with_capacity(self.batch));
         let n = out.len() as u64;
@@ -372,25 +517,10 @@ impl TxSet {
             // receiver that dequeues promptly still observes
             // `enqueue ≤ dequeue`; queue wait therefore includes any
             // backpressure block at the queue door.
-            if out.iter().any(|i| j.sampled(i.seq)) {
-                let batch_id = if out.len() > 1 { j.next_batch() } else { 0 };
-                let t_us = j.now_us();
-                for item in &out {
-                    j.record_at(
-                        t_us,
-                        JourneyKind::Enqueue,
-                        item.seq,
-                        stage,
-                        t as u32,
-                        batch_id,
-                    );
-                }
-            }
+            j.enqueue(out.iter().map(O::seq), stage, t as u32);
         }
         let t0 = Instant::now();
-        self.targets[t]
-            .send(out)
-            .expect("downstream instance hung up");
+        self.targets[t].send_batch(out)?;
         let blocked = t0.elapsed().as_secs_f64();
         self.send_wait += blocked;
         self.wait_ctr.add((blocked * 1e6) as u64);
@@ -399,86 +529,108 @@ impl TxSet {
         self.items += n;
         self.msg_ctr.add(1);
         self.item_ctr.add(n);
+        Ok(())
     }
 
     /// Flush buffers whose oldest item exceeded the latency bound.
-    fn flush_aged(&mut self) {
+    pub(crate) fn flush_aged(&mut self) -> io::Result<()> {
         if self.batch == 1 {
-            return;
+            return Ok(());
         }
         for t in 0..self.bufs.len() {
             if !self.bufs[t].is_empty() && self.since[t].elapsed() >= self.flush {
-                self.flush_target(t);
+                self.flush_target(t)?;
             }
         }
+        Ok(())
     }
 
-    fn flush_all(&mut self) {
+    pub(crate) fn flush_all(&mut self) -> io::Result<()> {
         for t in 0..self.bufs.len() {
-            self.flush_target(t);
+            self.flush_target(t)?;
         }
+        Ok(())
     }
 }
 
-/// Handle the source closure uses to push data sets into stage 0 of a
-/// running pipeline (see [`execute`]); batching, sequence numbering, and
-/// round-robin distribution are applied here.
-pub struct Feeder {
-    tx: TxSet,
+impl<T: Transport> TxSet<T> {
+    /// Send the end-of-stream marker on every link.
+    pub(crate) fn eof_all(&mut self) -> io::Result<()> {
+        for l in &mut self.targets {
+            l.send_eof()?;
+        }
+        Ok(())
+    }
+
+    /// Socket counters summed over every link.
+    pub(crate) fn link_stats(&self) -> LinkStats {
+        let mut s = LinkStats::default();
+        for l in &self.targets {
+            s.merge(&l.stats());
+        }
+        s
+    }
+}
+
+/// The source's handle on stage 0, on either plane: numbers data sets,
+/// stamps their `Source` event and sends them through a [`TxSet`].
+pub(crate) struct Feeder<O: Outlet> {
+    tx: TxSet<O>,
     seq: usize,
-    journey: Option<JourneySink>,
+}
+
+impl<O: Outlet> Feeder<O> {
+    pub(crate) fn new(tx: TxSet<O>) -> Self {
+        Self { tx, seq: 0 }
+    }
+
+    /// Push one data set, which must carry sequence number
+    /// [`pushed`](Self::pushed); `now` is the caller's latest clock read.
+    /// Blocks when stage 0 exerts backpressure.
+    pub(crate) fn push(&mut self, item: O::Item, now: Instant) -> io::Result<()> {
+        debug_assert_eq!(O::seq(&item), self.seq);
+        if let Some(j) = self.tx.journey.as_mut() {
+            j.stamp(&[JourneyKind::Source], self.seq, 0, 0);
+        }
+        self.seq += 1;
+        self.tx.push(item, now).map(drop)
+    }
+
+    /// Before a sleep: flush every partial batch when `all`, else only
+    /// the aged ones, so a paced source never holds a data set past the
+    /// latency bound.
+    pub(crate) fn idle(&mut self, all: bool) -> io::Result<()> {
+        if all {
+            self.tx.flush_all()
+        } else {
+            self.tx.flush_aged()
+        }
+    }
+
+    /// Data sets pushed so far.
+    pub(crate) fn pushed(&self) -> usize {
+        self.seq
+    }
+
+    /// Flush everything and hand back the count and the tx set.
+    pub(crate) fn finish(mut self) -> io::Result<(usize, TxSet<O>)> {
+        self.tx.flush_all()?;
+        Ok((self.seq, self.tx))
+    }
 }
 
 /// Source-side totals collected when the feeder finishes.
-struct FeederTotals {
+struct SourceTotals {
     pushed: usize,
     send_wait: f64,
     messages: u64,
     items: u64,
 }
 
-impl Feeder {
-    /// Push one data set; blocks when stage 0 exerts backpressure.
-    pub fn push(&mut self, data: Data) {
-        if let Some(j) = self.journey.as_mut() {
-            j.record(JourneyKind::Source, self.seq, 0, 0, 0);
-        }
-        let born = Instant::now();
-        let item = Item {
-            seq: self.seq,
-            born,
-            data,
-        };
-        self.seq += 1;
-        self.tx.push(item, born);
-    }
-
-    /// Flush aged partial batches. Call before pacing sleeps so a
-    /// rate-limited source never holds items past the latency bound.
-    pub fn flush(&mut self) {
-        self.tx.flush_aged();
-    }
-
-    /// Data sets pushed so far.
-    pub fn pushed(&self) -> usize {
-        self.seq
-    }
-
-    fn finish(mut self) -> FeederTotals {
-        self.tx.flush_all();
-        FeederTotals {
-            pushed: self.seq,
-            send_wait: self.tx.send_wait,
-            messages: self.tx.messages,
-            items: self.tx.items,
-        }
-    }
-}
-
 /// Per-worker context handed to [`worker_loop`].
 struct WorkerCtx<'a> {
     rx: Receiver<Batch>,
-    tx: TxSet,
+    tx: TxSet<Sender<Batch>>,
     stage: &'a Stage,
     threads: usize,
     si: usize,
@@ -486,7 +638,6 @@ struct WorkerCtx<'a> {
     lane: u64,
     rec: Recorder,
     tracing: bool,
-    journey: Option<JourneySink>,
 }
 
 fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
@@ -504,7 +655,8 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
     let trace_name: String = ctx.stage.name.to_string();
     // The clock read that ends one item's service starts the next one's,
     // unless a send, a journey record or a trace event came in between.
-    let chain_clock = !ctx.tracing && ctx.journey.is_none();
+    let chain_clock = !ctx.tracing && ctx.tx.stamper().is_none();
+    let (si, ii) = (ctx.si as u32, ctx.ii as u32);
     let born = Instant::now();
     let mut recv_wait = 0.0f64;
     let mut busy = 0.0f64;
@@ -515,7 +667,7 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
             None => {
                 // Latency rule: never hold buffered output while blocked
                 // on input.
-                ctx.tx.flush_all();
+                ctx.tx.flush_all().expect("downstream instance hung up");
                 let t_recv = Instant::now();
                 match ctx.rx.recv() {
                     Ok(b) => {
@@ -544,7 +696,7 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
         };
         let mut next_start = None;
         for item in batch {
-            if let Some(j) = ctx.journey.as_mut() {
+            if let Some(j) = ctx.tx.stamper() {
                 // Dequeue is stamped when the worker *picks the item up*,
                 // not at batch arrival: an item waiting behind batchmates
                 // in the same message is still queued, so that wait lands
@@ -552,28 +704,13 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
                 // move here, so Dequeue and ServiceStart share one clock
                 // read and the transport component is ~0 — unlike the
                 // simulators, whose modelled transfers occupy the
-                // instance for real time. The sampling check comes first:
-                // unsampled items must not pay for the clock read, which
-                // is a real syscall on containers without a vDSO clock.
-                if j.sampled(item.seq) {
-                    let t_us = j.now_us();
-                    j.record_at(
-                        t_us,
-                        JourneyKind::Dequeue,
-                        item.seq,
-                        ctx.si as u32,
-                        ctx.ii as u32,
-                        0,
-                    );
-                    j.record_at(
-                        t_us,
-                        JourneyKind::ServiceStart,
-                        item.seq,
-                        ctx.si as u32,
-                        ctx.ii as u32,
-                        0,
-                    );
-                }
+                // instance for real time.
+                j.stamp(
+                    &[JourneyKind::Dequeue, JourneyKind::ServiceStart],
+                    item.seq,
+                    si,
+                    ii,
+                );
             }
             let t_exec = next_start.take().unwrap_or_else(Instant::now);
             let out = ctx.stage.apply(item.data, ctx.threads);
@@ -593,38 +730,29 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
                     args: vec![("seq".into(), (item.seq as u64).into())],
                 });
             }
-            if let Some(j) = ctx.journey.as_mut() {
-                if j.sampled(item.seq) {
-                    let t_us = j.now_us();
-                    j.record_at(
-                        t_us,
-                        JourneyKind::ServiceEnd,
-                        item.seq,
-                        ctx.si as u32,
-                        ctx.ii as u32,
-                        0,
-                    );
-                    j.record_at(
-                        t_us,
-                        JourneyKind::Send,
-                        item.seq,
-                        ctx.si as u32,
-                        ctx.ii as u32,
-                        0,
-                    );
-                }
+            if let Some(j) = ctx.tx.stamper() {
+                j.stamp(
+                    &[JourneyKind::ServiceEnd, JourneyKind::Send],
+                    item.seq,
+                    si,
+                    ii,
+                );
             }
             let item = Item {
                 seq: item.seq,
                 born: item.born,
                 data: out,
             };
-            if !ctx.tx.push(item, t_done) && chain_clock {
+            let flushed = ctx
+                .tx
+                .push(item, t_done)
+                .expect("downstream instance hung up");
+            if !flushed && chain_clock {
                 next_start = Some(t_done);
             }
         }
     }
-    ctx.tx.flush_all();
+    ctx.tx.flush_all().expect("downstream instance hung up");
     let stats = InstanceStats {
         stage: ctx.si,
         instance: ctx.ii,
@@ -648,13 +776,12 @@ fn worker_loop(mut ctx: WorkerCtx<'_>) -> (InstanceStats, u64, u64) {
 pub(crate) fn execute(
     plan: &PipelinePlan,
     sink_cap: usize,
-    feed: impl FnOnce(&mut Feeder) + Send,
+    feed: impl FnOnce(&mut Feeder<Sender<Batch>>) + Send,
     mut on_item: impl FnMut(Item),
 ) -> PipelineStats {
     let n_stages = plan.stages.len();
     assert!(n_stages > 0, "empty pipeline plan");
     let batch = plan.batch.max(1);
-    let flush = Duration::from_micros(plan.flush_us);
 
     // Observability: metrics always flow to the global recorder (no-op
     // when none is installed); per-activity trace events only when the
@@ -662,6 +789,7 @@ pub(crate) fn execute(
     // trace lane so Perfetto shows one row per worker thread.
     let rec = pipemap_obs::global();
     let tracing = rec.tracing();
+    let stamper = |journeys: Option<&JourneyCollector>| journeys.map(|c| Stamper::local(c.sink()));
     let lanes: Vec<Vec<u64>> = plan
         .stages
         .iter()
@@ -696,7 +824,7 @@ pub(crate) fn execute(
     let (sink_s, sink_r) = bounded::<Batch>(sink_cap.max(1));
 
     let start = Instant::now();
-    let (results, feeder_totals, completed) = std::thread::scope(|scope| {
+    let (results, source_totals, completed) = std::thread::scope(|scope| {
         // Instance workers; stats come back through the join handles.
         let mut worker_handles = Vec::new();
         for (si, (sp, stage_rxs)) in plan.stages.iter().zip(receivers).enumerate() {
@@ -714,17 +842,9 @@ pub(crate) fn execute(
                 let dest_stage = (si + 1 < n_stages).then(|| (si + 1) as u32);
                 worker_handles.push(scope.spawn(move || {
                     let send_ctr = rec.counter(&format!("exec.stage{si}.send_wait_us"));
-                    let tx = TxSet::new(
-                        targets,
-                        batch,
-                        flush,
-                        &rec,
-                        send_ctr,
-                        journeys.map(JourneyCollector::sink),
-                        dest_stage,
-                        events,
-                        Some(si as u32),
-                    );
+                    let tx =
+                        TxSet::new(targets, batch, plan.flush_us, stamper(journeys), dest_stage)
+                            .metered(&rec, send_ctr, events, Some(si as u32));
                     worker_loop(WorkerCtx {
                         rx,
                         tx,
@@ -735,7 +855,6 @@ pub(crate) fn execute(
                         lane,
                         rec,
                         tracing,
-                        journey: journeys.map(JourneyCollector::sink),
                     })
                 }));
             }
@@ -752,23 +871,23 @@ pub(crate) fn execute(
         let feeder_events = plan.events.clone();
         let feeder_handle = scope.spawn(move || {
             let send_ctr = feeder_rec.counter("exec.source.send_wait_us");
-            let mut feeder = Feeder {
-                tx: TxSet::new(
-                    first,
-                    batch,
-                    flush,
-                    &feeder_rec,
-                    send_ctr,
-                    feeder_journeys.map(JourneyCollector::sink),
-                    Some(0),
-                    feeder_events,
-                    None,
-                ),
-                seq: 0,
-                journey: feeder_journeys.map(JourneyCollector::sink),
-            };
+            let tx = TxSet::new(
+                first,
+                batch,
+                plan.flush_us,
+                stamper(feeder_journeys),
+                Some(0),
+            )
+            .metered(&feeder_rec, send_ctr, feeder_events, None);
+            let mut feeder = Feeder::new(tx);
             feed(&mut feeder);
-            feeder.finish()
+            let (pushed, tx) = feeder.finish().expect("downstream instance hung up");
+            SourceTotals {
+                pushed,
+                send_wait: tx.send_wait,
+                messages: tx.messages,
+                items: tx.items,
+            }
         });
 
         // Sink: drain until every last-stage worker hangs up.
@@ -790,15 +909,15 @@ pub(crate) fn execute(
                 Err(p) => std::panic::resume_unwind(p),
             }
         }
-        let feeder_totals = join(feeder_handle);
+        let source_totals = join(feeder_handle);
         let results: Vec<(InstanceStats, u64, u64)> =
             worker_handles.into_iter().map(join).collect();
-        (results, feeder_totals, completed)
+        (results, source_totals, completed)
     });
     let elapsed = start.elapsed().as_secs_f64();
 
-    let mut messages = feeder_totals.messages;
-    let mut message_items = feeder_totals.items;
+    let mut messages = source_totals.messages;
+    let mut message_items = source_totals.items;
     let mut instances = Vec::with_capacity(results.len());
     for (stats, msgs, items) in results {
         messages += msgs;
@@ -831,7 +950,7 @@ pub(crate) fn execute(
 
     PipelineStats {
         datasets: completed,
-        generated: feeder_totals.pushed,
+        generated: source_totals.pushed,
         elapsed,
         throughput: if elapsed > 0.0 {
             completed as f64 / elapsed
@@ -842,7 +961,7 @@ pub(crate) fn execute(
         recv_wait,
         send_wait,
         utilization,
-        source_wait: feeder_totals.send_wait,
+        source_wait: source_totals.send_wait,
         messages,
         message_items,
         instances,
@@ -859,19 +978,22 @@ pub(crate) fn execute(
 pub fn run_pipeline(plan: &PipelinePlan, inputs: Vec<Data>) -> (Vec<Data>, PipelineStats) {
     let n_data = inputs.len();
     let mut out: Vec<Option<Data>> = (0..n_data).map(|_| None).collect();
-    let mut jsink = plan.journeys.as_ref().map(JourneyCollector::sink);
+    let mut stamps = plan.journeys.as_ref().map(|c| Stamper::local(c.sink()));
     let sink_stage = plan.stages.len() as u32;
     let stats = execute(
         plan,
         n_data.max(1),
         move |feeder| {
             for data in inputs {
-                feeder.push(data);
+                let (seq, born) = (feeder.pushed(), Instant::now());
+                feeder
+                    .push(Item { seq, born, data }, born)
+                    .expect("downstream instance hung up");
             }
         },
         |item| {
-            if let Some(j) = jsink.as_mut() {
-                j.record(JourneyKind::Sink, item.seq, sink_stage, 0, 0);
+            if let Some(j) = stamps.as_mut() {
+                j.stamp(&[JourneyKind::Sink], item.seq, sink_stage, 0);
             }
             out[item.seq] = Some(item.data);
         },

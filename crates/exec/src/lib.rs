@@ -29,15 +29,17 @@ pub mod stage;
 pub mod transport;
 pub mod wire;
 
-pub use driver::{run_load, LatencySummary, LoadOptions, LoadReport};
-pub use executor::{run_pipeline, Feeder, InstanceStats, PipelinePlan, PipelineStats, StagePlan};
+pub use driver::{
+    run_load, run_wire_load, LatencySummary, LoadOptions, LoadReport, WireLoadOptions,
+    WireLoadReport,
+};
+pub use executor::{run_pipeline, InstanceStats, PipelinePlan, PipelineStats, StagePlan};
 pub use plan::{plan_from_mapping, ThreadBudget};
 pub use pool::{BufferPool, Lease, PoolStats};
 pub use proc::{
-    install_telemetry_journeys, measure_transport, run_wire, run_wire_load, run_wire_pipeline,
-    uninstall_telemetry_journeys, worker_command, worker_main, worker_metric, worker_probe,
-    LinkReport, StageAgg, TransportMeasurement, WireFeeder, WireLoadOptions, WireLoadReport,
-    WireRun, WorkerStats, PROBE_TOKEN, WORKER_BIN_ENV,
+    install_telemetry_journeys, measure_transport, run_wire_pipeline, uninstall_telemetry_journeys,
+    worker_command, worker_main, worker_metric, worker_probe, LinkReport, StageAgg,
+    TransportMeasurement, WireRun, WorkerStats, PROBE_TOKEN, WORKER_BIN_ENV,
 };
 pub use stage::{Data, Stage};
 pub use transport::{

@@ -9,9 +9,10 @@
 //!    with retries — so no global start ordering is needed — and the
 //!    `HELLO`/`READY` handshake validates protocol version and plan hash
 //!    on every link before data flows;
-//! 3. the parent feeds encoded payloads into stage 0 (round-robin by
-//!    sequence, coalesced and age-flushed exactly like the in-process
-//!    transport) and drains the last stage's output at the sink;
+//! 3. the parent feeds encoded payloads into stage 0 through the
+//!    executor's tx set and feeder — round-robin by sequence, coalesced
+//!    and age-flushed by the same code as the in-process plane — and
+//!    drains the last stage's output at the sink;
 //! 4. at end of stream an `EOF` frame cascades down the chain; workers
 //!    flush, dump their stats and sampled journey events to stdout, and
 //!    exit. A worker that dies instead closes its sockets, which the
@@ -23,21 +24,21 @@
 //! so the merged per-process samples form a single monotone timeline
 //! that `pipemap doctor` can diagnose like any in-process run.
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use pipemap_obs::{
     DeltaTracker, JourneyCollector, JourneyConfig, JourneyEvent, JourneyKind, JourneySink,
     Recorder, Registry, Value,
 };
 
-use crate::driver::LatencySummary;
+use crate::driver::SINK_CAP;
+use crate::executor::{unix_now_us, Feeder, Stamper, TxSet};
 use crate::pool::BufferPool;
 use crate::transport::{DataBatch, LinkStats, Transport, UdsLink, WireItem};
 use crate::wire::{WireKernel, WirePlan, WireScratch, WIRE_PLAN_ENV};
@@ -55,147 +56,7 @@ pub const PROBE_TOKEN: &str = "pipemap-worker-ok";
 /// How long connect/accept phases retry before declaring a peer dead.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Bound on parent-side sink buffering, in frames.
-const SINK_CHANNEL_CAP: usize = 1024;
-
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn unix_now_us() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or_default()
-        .as_micros() as u64
-}
-
-/// Epoch-relative wall clock shared by every process of a run.
-#[derive(Clone, Copy)]
-struct WireClock {
-    epoch_us: u64,
-}
-
-impl WireClock {
-    fn now_us(self) -> f64 {
-        unix_now_us().saturating_sub(self.epoch_us) as f64
-    }
-}
-
-/// A journey sink plus the shared clock and a per-process batch-id salt
-/// (so batch ids minted by different processes never collide).
-struct WireJourney {
-    sink: JourneySink,
-    clock: WireClock,
-    batch_salt: u64,
-}
-
-impl WireJourney {
-    fn next_batch(&self) -> u64 {
-        self.batch_salt | self.sink.next_batch()
-    }
-}
-
-/// Per-destination coalescing over a set of outbound links: the
-/// frame-level replica of the in-process `TxSet` — eager flush at
-/// `batch` items, age flush for stragglers, flush-everything before the
-/// owner blocks.
-struct WireTxSet<T: Transport> {
-    links: Vec<T>,
-    bufs: Vec<Vec<WireItem>>,
-    since: Vec<Instant>,
-    batch: usize,
-    flush_age: Duration,
-    /// Stage the flushed items are enqueued for, or `None` when the
-    /// destination is the sink boundary (no queue there, so no Enqueue
-    /// journey record — mirrors the in-process transport).
-    dest_stage: Option<u32>,
-    send_wait_s: f64,
-}
-
-impl<T: Transport> WireTxSet<T> {
-    fn new(links: Vec<T>, batch: usize, flush_us: u64, dest_stage: Option<u32>) -> Self {
-        let n = links.len();
-        Self {
-            links,
-            bufs: (0..n).map(|_| Vec::new()).collect(),
-            since: vec![Instant::now(); n],
-            batch: batch.max(1),
-            flush_age: Duration::from_micros(flush_us),
-            dest_stage,
-            send_wait_s: 0.0,
-        }
-    }
-
-    fn push(&mut self, item: WireItem, journey: &mut Option<WireJourney>) -> io::Result<()> {
-        let d = (item.seq as usize) % self.links.len();
-        if self.bufs[d].is_empty() {
-            self.since[d] = Instant::now();
-        }
-        self.bufs[d].push(item);
-        if self.bufs[d].len() >= self.batch {
-            self.flush_target(d, journey)?;
-        }
-        Ok(())
-    }
-
-    fn flush_target(&mut self, d: usize, journey: &mut Option<WireJourney>) -> io::Result<()> {
-        if self.bufs[d].is_empty() {
-            return Ok(());
-        }
-        let buf = std::mem::take(&mut self.bufs[d]);
-        if let (Some(j), Some(dest)) = (&mut *journey, self.dest_stage) {
-            // One clock read for the whole frame, stamped before the
-            // possibly-blocking write (mirrors the in-process TxSet).
-            if buf.iter().any(|it| j.sink.sampled(it.seq as usize)) {
-                let t = j.clock.now_us();
-                let batch_id = if buf.len() > 1 { j.next_batch() } else { 0 };
-                for it in &buf {
-                    j.sink.record_at(
-                        t,
-                        JourneyKind::Enqueue,
-                        it.seq as usize,
-                        dest,
-                        d as u32,
-                        batch_id,
-                    );
-                }
-            }
-        }
-        let t0 = Instant::now();
-        self.links[d].send_data(buf)?;
-        self.send_wait_s += t0.elapsed().as_secs_f64();
-        Ok(())
-    }
-
-    fn flush_aged(&mut self, journey: &mut Option<WireJourney>) -> io::Result<()> {
-        for d in 0..self.links.len() {
-            if !self.bufs[d].is_empty() && self.since[d].elapsed() >= self.flush_age {
-                self.flush_target(d, journey)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn flush_all(&mut self, journey: &mut Option<WireJourney>) -> io::Result<()> {
-        for d in 0..self.links.len() {
-            self.flush_target(d, journey)?;
-        }
-        Ok(())
-    }
-
-    fn eof_all(&mut self) -> io::Result<()> {
-        for l in &mut self.links {
-            l.send_eof()?;
-        }
-        Ok(())
-    }
-
-    fn link_stats(&self) -> LinkStats {
-        let mut s = LinkStats::default();
-        for l in &self.links {
-            s.merge(&l.stats());
-        }
-        s
-    }
-}
 
 /// What one worker process measured about itself, reported over stdout
 /// when it drains cleanly.
@@ -995,9 +856,6 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
     let stage_plan = plan.stages[si];
     let hash = plan.hash();
     let pool = BufferPool::new(256);
-    let clock = WireClock {
-        epoch_us: plan.epoch_unix_us,
-    };
 
     // Bind our listener before connecting downstream, so every worker
     // can start in any order and retry its way to a full mesh.
@@ -1065,19 +923,18 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
         .collect();
     drop(tx);
 
-    let mut journey = collector.as_ref().map(|c| WireJourney {
-        sink: c.sink(),
-        clock,
-        // Distinct high bits per process so minted batch ids never
-        // collide across the merged timeline.
-        batch_salt: ((si as u64 + 1) << 48) | ((ii as u64) << 40),
-    });
-
+    // Distinct high bits per process so minted batch ids never collide
+    // across the merged timeline.
+    let salt = ((si as u64 + 1) << 48) | ((ii as u64) << 40);
+    let stamper = collector
+        .as_ref()
+        .map(|c| Stamper::shared(c.sink(), plan.epoch_unix_us, salt));
     // The last stage's frames land at the sink, not a stage queue:
     // suppress the Enqueue record there so stitched journeys have
-    // exactly `nstages` hops (the in-process transport does the same).
+    // exactly `nstages` hops.
     let enqueue_dest = (si + 1 < plan.stages.len()).then_some(si as u32 + 1);
-    let mut txset = WireTxSet::new(down, plan.batch, plan.flush_us, enqueue_dest);
+    let mut txset = TxSet::new(down, plan.batch, plan.flush_us, stamper, enqueue_dest);
+    let (stage, inst) = (si as u32, ii as u32);
     let mut scratch = WireScratch::default();
     let started = Instant::now();
     let mut stats = WorkerStats {
@@ -1097,9 +954,8 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
             Some(m) => m,
             None => {
                 // About to block: everything buffered goes out now, so
-                // stragglers never wait on future input (the in-process
-                // transport's flush-before-blocking rule).
-                txset.flush_all(&mut journey).map_err(err)?;
+                // stragglers never wait on future input.
+                txset.flush_all().map_err(err)?;
                 let t0 = Instant::now();
                 match rx.recv() {
                     Ok(m) => {
@@ -1121,28 +977,9 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
                     if failure.is_some() {
                         return;
                     }
-                    let sampled = journey
-                        .as_ref()
-                        .is_some_and(|j| j.sink.sampled(seq as usize));
-                    if sampled {
-                        let j = journey.as_mut().expect("sampled implies journey");
-                        let t = j.clock.now_us();
-                        j.sink.record_at(
-                            t,
-                            JourneyKind::Dequeue,
-                            seq as usize,
-                            si as u32,
-                            ii as u32,
-                            0,
-                        );
-                        j.sink.record_at(
-                            t,
-                            JourneyKind::ServiceStart,
-                            seq as usize,
-                            si as u32,
-                            ii as u32,
-                            0,
-                        );
+                    if let Some(j) = txset.stamper() {
+                        let kinds = [JourneyKind::Dequeue, JourneyKind::ServiceStart];
+                        j.stamp(&kinds, seq as usize, stage, inst);
                     }
                     let mut out = pool.take(Vec::new);
                     let t0 = Instant::now();
@@ -1154,34 +991,19 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
                         failure = Some(format!("stage {si}.{ii} kernel: {e}"));
                         return;
                     }
-                    let served = t0.elapsed().as_secs_f64();
+                    let t_done = Instant::now();
+                    let served = t_done.duration_since(t0).as_secs_f64();
                     stats.service_s += served;
                     stats.items += 1;
                     if let Some(mt) = &meters {
                         mt.service.record(served);
                         mt.items.add(1);
                     }
-                    if sampled {
-                        let j = journey.as_mut().expect("sampled implies journey");
-                        let t = j.clock.now_us();
-                        j.sink.record_at(
-                            t,
-                            JourneyKind::ServiceEnd,
-                            seq as usize,
-                            si as u32,
-                            ii as u32,
-                            0,
-                        );
-                        j.sink.record_at(
-                            t,
-                            JourneyKind::Send,
-                            seq as usize,
-                            si as u32,
-                            ii as u32,
-                            0,
-                        );
+                    if let Some(j) = txset.stamper() {
+                        let kinds = [JourneyKind::ServiceEnd, JourneyKind::Send];
+                        j.stamp(&kinds, seq as usize, stage, inst);
                     }
-                    if let Err(e) = txset.push(WireItem { seq, payload: out }, &mut journey) {
+                    if let Err(e) = txset.push(WireItem { seq, payload: out }, t_done) {
                         failure = Some(format!("stage {si}.{ii} send: {e}"));
                         return;
                     }
@@ -1194,12 +1016,12 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
                 if let Some(e) = failure {
                     return Err(e);
                 }
-                txset.flush_aged(&mut journey).map_err(err)?;
+                txset.flush_aged().map_err(err)?;
                 if let Some(mt) = &meters {
-                    let waited = txset.send_wait_s - send_wait_logged;
+                    let waited = txset.send_wait() - send_wait_logged;
                     if waited > 0.0 {
                         mt.send_wait.record(waited);
-                        send_wait_logged = txset.send_wait_s;
+                        send_wait_logged = txset.send_wait();
                     }
                 }
             }
@@ -1210,15 +1032,15 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
     for r in readers {
         let _ = r.join();
     }
-    txset.flush_all(&mut journey).map_err(err)?;
+    txset.flush_all().map_err(err)?;
     txset.eof_all().map_err(err)?;
 
-    stats.send_wait_s = txset.send_wait_s;
+    stats.send_wait_s = txset.send_wait();
     stats.lifetime_s = started.elapsed().as_secs_f64();
     stats.link = upstream_in;
     stats.link.merge(&txset.link_stats());
     if let Some(mt) = &meters {
-        let waited = txset.send_wait_s - send_wait_logged;
+        let waited = txset.send_wait() - send_wait_logged;
         if waited > 0.0 {
             mt.send_wait.record(waited);
         }
@@ -1226,7 +1048,7 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
     println!("S {}", stats.to_value().to_json());
     // Flush the journey sink into the ring *before* stopping telemetry,
     // so the final delta snapshot carries the tail of the timeline.
-    drop(journey);
+    drop(txset);
     let drained_early = telemetry.map(WorkerTelemetry::finish).unwrap_or_default();
     if let Some(c) = collector {
         // Telemetry drains the ring as it ships; stdout still reports
@@ -1241,50 +1063,6 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
 // ---------------------------------------------------------------------------
 // Parent side
 // ---------------------------------------------------------------------------
-
-/// The parent's handle for feeding encoded payloads into stage 0.
-pub struct WireFeeder {
-    txset: WireTxSet<UdsLink>,
-    pool: BufferPool,
-    journey: Option<WireJourney>,
-    seq: u64,
-}
-
-impl WireFeeder {
-    /// The next sequence number to be assigned.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Feed one data set: `fill` writes the encoded payload into a
-    /// pooled buffer (cleared first).
-    pub fn push(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
-        let mut payload = self.pool.take(Vec::new);
-        payload.clear();
-        fill(&mut payload);
-        let seq = self.seq;
-        if let Some(j) = &mut self.journey {
-            let t = j.clock.now_us();
-            j.sink
-                .record_at(t, JourneyKind::Source, seq as usize, 0, 0, 0);
-        }
-        self.txset
-            .push(WireItem { seq, payload }, &mut self.journey)?;
-        self.seq += 1;
-        Ok(())
-    }
-
-    /// Flush partially filled frames (call before sleeping between
-    /// paced pushes).
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.txset.flush_all(&mut self.journey)
-    }
-
-    /// Parent seconds spent blocked in stage-0 writes so far.
-    pub fn source_wait_s(&self) -> f64 {
-        self.txset.send_wait_s
-    }
-}
 
 /// Parent half of the telemetry plane: accept one connection per
 /// worker on the run's telemetry socket and fold every delta snapshot
@@ -1411,11 +1189,12 @@ fn kill_children(children: &mut [(usize, usize, Child)]) {
 /// Run a wire plan across worker processes.
 ///
 /// `feed` runs on its own thread and pushes every input through the
-/// [`WireFeeder`]; `on_item` is called on the caller's thread for each
-/// `(seq, payload)` arriving at the sink, in arrival order.
-pub fn run_wire(
+/// feeder, taking payload buffers from the pool it is handed; `on_item`
+/// is called on the caller's thread for each `(seq, payload)` arriving
+/// at the sink, in arrival order.
+pub(crate) fn run_wire(
     plan: &WirePlan,
-    feed: impl FnOnce(&mut WireFeeder) -> Result<(), String> + Send,
+    feed: impl FnOnce(&mut Feeder<UdsLink>, &BufferPool) -> Result<(), String> + Send,
     mut on_item: impl FnMut(u64, &[u8]),
 ) -> Result<WireRun, String> {
     if plan.stages.is_empty() {
@@ -1428,9 +1207,6 @@ pub fn run_wire(
     let plan = plan;
     let plan_str = plan.serialize();
     let hash = plan.hash();
-    let clock = WireClock {
-        epoch_us: plan.epoch_unix_us,
-    };
 
     let dir = std::env::temp_dir().join(format!(
         "pipemap-wire-{}-{}",
@@ -1438,19 +1214,17 @@ pub fn run_wire(
         RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let result = run_wire_in(&plan, &plan_str, hash, clock, &dir, feed, &mut on_item);
+    let result = run_wire_in(&plan, &plan_str, hash, &dir, feed, &mut on_item);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_wire_in(
     plan: &WirePlan,
     plan_str: &str,
     hash: u64,
-    clock: WireClock,
     dir: &Path,
-    feed: impl FnOnce(&mut WireFeeder) -> Result<(), String> + Send,
+    feed: impl FnOnce(&mut Feeder<UdsLink>, &BufferPool) -> Result<(), String> + Send,
     on_item: &mut impl FnMut(u64, &[u8]),
 ) -> Result<WireRun, String> {
     let nstages = plan.stages.len();
@@ -1545,17 +1319,15 @@ fn run_wire_in(
                 .with_capacity(1 << 16),
         )
     });
-    let mk_journey = |salt: u64| {
-        collector.as_ref().map(|c| WireJourney {
-            sink: c.sink(),
-            clock,
-            batch_salt: salt,
-        })
+    let stamper = |salt: u64| {
+        collector
+            .as_ref()
+            .map(|c| Stamper::shared(c.sink(), plan.epoch_unix_us, salt))
     };
-    // Journeys are created up front so the scoped threads own them
+    // Stampers are created up front so the scoped threads own them
     // outright instead of sharing the factory closure.
-    let feeder_journey = mk_journey(1 << 32);
-    let mut sink_journey = mk_journey(2 << 32);
+    let feeder_journey = stamper(1 << 32);
+    let mut sink_journey = stamper(2 << 32);
 
     let started = Instant::now();
     let sink_stage = nstages as u32;
@@ -1563,7 +1335,7 @@ fn run_wire_in(
     let mut sink_in = LinkStats::default();
 
     let drained: Result<(u64, f64), String> = std::thread::scope(|s| {
-        let (tx, rx) = crossbeam::channel::bounded::<RxMsg>(SINK_CHANNEL_CAP);
+        let (tx, rx) = crossbeam::channel::bounded::<RxMsg>(SINK_CAP);
         let reader_handles: Vec<_> = sinks
             .into_iter()
             .map(|l| spawn_reader(l, tx.clone()))
@@ -1571,21 +1343,14 @@ fn run_wire_in(
         drop(tx);
 
         let feeder_handle = s.spawn(|| {
-            let mut feeder = WireFeeder {
-                txset: WireTxSet::new(sources, plan.batch, plan.flush_us, Some(0)),
-                pool: pool.clone(),
-                journey: feeder_journey,
-                seq: 0,
-            };
-            let fed = feed(&mut feeder);
-            let finish = fed.and_then(|()| {
-                feeder
-                    .txset
-                    .flush_all(&mut feeder.journey)
-                    .and_then(|()| feeder.txset.eof_all())
-                    .map_err(|e| format!("source: {e}"))
+            let tx = TxSet::new(sources, plan.batch, plan.flush_us, feeder_journey, Some(0));
+            let mut feeder = Feeder::new(tx);
+            feed(&mut feeder, &pool)?;
+            let finish = feeder.finish().and_then(|(pushed, mut tx)| {
+                tx.eof_all()?;
+                Ok((pushed as u64, tx.send_wait()))
             });
-            finish.map(|()| (feeder.seq, feeder.txset.send_wait_s))
+            finish.map_err(|e| format!("source: {e}"))
         });
 
         let mut failure: Option<String> = None;
@@ -1595,9 +1360,7 @@ fn run_wire_in(
                 Ok(RxMsg::Batch(b)) => {
                     b.for_each(|seq, bytes| {
                         if let Some(j) = &mut sink_journey {
-                            let t = j.clock.now_us();
-                            j.sink
-                                .record_at(t, JourneyKind::Sink, seq as usize, sink_stage, 0, 0);
+                            j.stamp(&[JourneyKind::Sink], seq as usize, sink_stage, 0);
                         }
                         completed += 1;
                         on_item(seq, bytes);
@@ -1793,9 +1556,13 @@ pub fn run_wire_pipeline(
     let mut out: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
     let run = run_wire(
         plan,
-        move |f| {
+        move |f, pool| {
             for bytes in &inputs {
-                f.push(|buf| buf.extend_from_slice(bytes))
+                let mut payload = pool.take(Vec::new);
+                payload.clear();
+                payload.extend_from_slice(bytes);
+                let seq = f.pushed() as u64;
+                f.push(WireItem { seq, payload }, Instant::now())
                     .map_err(|e| format!("feed: {e}"))?;
             }
             Ok(())
@@ -1813,163 +1580,10 @@ pub fn run_wire_pipeline(
     Ok((ordered, run))
 }
 
-/// Overload-discipline knobs for [`run_wire_load`], on top of the
-/// pacing options the in-process driver has.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WireLoadOptions {
-    /// Offered arrival rate (data sets/s); `None` feeds as fast as the
-    /// pipeline accepts (closed loop).
-    pub rate: Option<f64>,
-    /// Stop offering after this long. With both limits set, the first
-    /// one reached stops the run; with neither, it runs for 2 s.
-    pub duration: Option<Duration>,
-    /// Stop after this many offered data sets.
-    pub max_datasets: Option<u64>,
-    /// Admission control: a token bucket capping the *accepted* rate;
-    /// arrivals beyond it are rejected at the door.
-    pub admit_rate: Option<f64>,
-    /// Bounded-queue shedding: drop arrivals while more than this many
-    /// admitted data sets are still in flight.
-    pub shed_queue: Option<u64>,
-}
-
-/// What an overloaded (or not) cross-process load run did.
-#[derive(Debug)]
-pub struct WireLoadReport {
-    /// Arrivals offered by the load generator.
-    pub offered: u64,
-    /// Arrivals rejected by admission control.
-    pub rejected: u64,
-    /// Arrivals shed because the in-flight bound was hit.
-    pub shed: u64,
-    /// Data sets actually fed (offered − rejected − shed).
-    pub generated: u64,
-    /// Data sets that reached the sink.
-    pub completed: u64,
-    /// Wall seconds of the run.
-    pub elapsed: f64,
-    /// Sink throughput (completed / elapsed).
-    pub throughput: f64,
-    /// Offered rate implied by `offered / elapsed`.
-    pub offered_rate: f64,
-    /// End-to-end latency of completed data sets.
-    pub latency: LatencySummary,
-    /// The underlying engine measurements.
-    pub run: WireRun,
-}
-
-/// Drive sustained load through a wire plan: paced arrivals, optional
-/// admission control and queue shedding, end-to-end latency tracking.
-pub fn run_wire_load(
-    plan: &WirePlan,
-    mut mk_payload: impl FnMut(u64, &mut Vec<u8>) + Send,
-    opts: WireLoadOptions,
-) -> Result<WireLoadReport, String> {
-    let born: Mutex<HashMap<u64, Instant>> = Mutex::new(HashMap::new());
-    let completed_ctr = AtomicU64::new(0);
-    let mut samples: Vec<f64> = Vec::new();
-    let mut offered: u64 = 0;
-    let mut rejected: u64 = 0;
-    let mut shed: u64 = 0;
-    let duration = match (opts.duration, opts.max_datasets) {
-        (None, None) => Some(Duration::from_secs(2)),
-        (duration, _) => duration,
-    };
-    let start = Instant::now();
-
-    let run = {
-        let born = &born;
-        let completed_ctr = &completed_ctr;
-        let offered = &mut offered;
-        let rejected = &mut rejected;
-        let shed = &mut shed;
-        let samples = &mut samples;
-        run_wire(
-            plan,
-            move |f| {
-                let mut tokens: f64 = 1.0;
-                let mut last_refill = Instant::now();
-                loop {
-                    if opts.max_datasets.is_some_and(|max| *offered >= max)
-                        || duration.is_some_and(|d| start.elapsed() >= d)
-                    {
-                        break;
-                    }
-                    // Pace the *offered* arrivals; shedding and
-                    // rejection consume an arrival without feeding it.
-                    if let Some(rate) = opts.rate {
-                        let due = start + Duration::from_secs_f64(*offered as f64 / rate);
-                        let now = Instant::now();
-                        if now < due {
-                            f.flush().map_err(|e| format!("flush: {e}"))?;
-                            std::thread::sleep(due - now);
-                        }
-                    }
-                    *offered += 1;
-                    if let Some(admit) = opts.admit_rate {
-                        let now = Instant::now();
-                        tokens = (tokens + now.duration_since(last_refill).as_secs_f64() * admit)
-                            .min((admit * 0.1).max(1.0));
-                        last_refill = now;
-                        if tokens < 1.0 {
-                            *rejected += 1;
-                            continue;
-                        }
-                        tokens -= 1.0;
-                    }
-                    if let Some(bound) = opts.shed_queue {
-                        let in_flight = f
-                            .seq()
-                            .saturating_sub(completed_ctr.load(Ordering::Relaxed));
-                        if in_flight >= bound {
-                            *shed += 1;
-                            if opts.rate.is_none() {
-                                // Closed loop with a full queue: back
-                                // off briefly instead of spinning.
-                                f.flush().map_err(|e| format!("flush: {e}"))?;
-                                std::thread::sleep(Duration::from_micros(50));
-                            }
-                            continue;
-                        }
-                    }
-                    let seq = f.seq();
-                    born.lock().unwrap().insert(seq, Instant::now());
-                    f.push(|buf| mk_payload(seq, buf))
-                        .map_err(|e| format!("feed: {e}"))?;
-                }
-                Ok(())
-            },
-            |seq, _bytes| {
-                completed_ctr.fetch_add(1, Ordering::Relaxed);
-                if let Some(t0) = born.lock().unwrap().remove(&seq) {
-                    samples.push(t0.elapsed().as_secs_f64());
-                }
-            },
-        )?
-    };
-
-    let elapsed = run.elapsed;
-    Ok(WireLoadReport {
-        offered,
-        rejected,
-        shed,
-        generated: run.generated,
-        completed: run.completed,
-        elapsed,
-        throughput: run.throughput,
-        offered_rate: if elapsed > 0.0 {
-            offered as f64 / elapsed
-        } else {
-            0.0
-        },
-        latency: LatencySummary::from_samples(&mut samples),
-        run,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::WireLoadOptions;
     use crate::transport::InProcLink;
     use crate::wire::WireStagePlan;
 
@@ -1977,19 +1591,18 @@ mod tests {
     fn txset_coalesces_to_batch_and_round_robins() {
         let (tx_a, mut rx_a) = InProcLink::pair(16);
         let (tx_b, mut rx_b) = InProcLink::pair(16);
-        let mut set = WireTxSet::new(vec![tx_a, tx_b], 3, 1_000_000, Some(1));
-        let mut journey = None;
+        let mut set = TxSet::new(vec![tx_a, tx_b], 3, 1_000_000, None, Some(1));
         for seq in 0..12u64 {
             set.push(
                 WireItem {
                     seq,
                     payload: crate::pool::Lease::detached(vec![seq as u8]),
                 },
-                &mut journey,
+                Instant::now(),
             )
             .unwrap();
         }
-        set.flush_all(&mut journey).unwrap();
+        set.flush_all().unwrap();
         set.eof_all().unwrap();
         // Destination a gets even seqs, b odd, coalesced in threes.
         let mut a_seqs = Vec::new();
@@ -2008,18 +1621,17 @@ mod tests {
     #[test]
     fn txset_age_flush_releases_stragglers() {
         let (tx, mut rx) = InProcLink::pair(16);
-        let mut set = WireTxSet::new(vec![tx], 64, 0, Some(1));
-        let mut journey = None;
+        let mut set = TxSet::new(vec![tx], 64, 0, None, Some(1));
         set.push(
             WireItem {
                 seq: 0,
                 payload: crate::pool::Lease::detached(vec![1]),
             },
-            &mut journey,
+            Instant::now(),
         )
         .unwrap();
         // flush_us = 0 means any pending item is already aged.
-        set.flush_aged(&mut journey).unwrap();
+        set.flush_aged().unwrap();
         set.eof_all().unwrap();
         assert_eq!(rx.recv_data().unwrap().expect("flushed").len(), 1);
         assert!(rx.recv_data().unwrap().is_none());

@@ -207,8 +207,6 @@ impl DataBatch {
 /// backends also expose the handshake frames (`HELLO`/`READY`) where
 /// meaningful; for [`InProcLink`] the handshake is a no-op.
 pub trait Transport: Send {
-    /// Which backend this is.
-    fn kind(&self) -> TransportKind;
     /// Send one coalesced `DATA` frame carrying `items`.
     fn send_data(&mut self, items: Vec<WireItem>) -> io::Result<()>;
     /// Send the end-of-stream marker.
@@ -518,10 +516,6 @@ impl UdsLink {
 }
 
 impl Transport for UdsLink {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Uds
-    }
-
     fn send_data(&mut self, items: Vec<WireItem>) -> io::Result<()> {
         if items.is_empty() {
             return Ok(());
@@ -616,10 +610,6 @@ impl InProcLink {
 }
 
 impl Transport for InProcLink {
-    fn kind(&self) -> TransportKind {
-        TransportKind::InProc
-    }
-
     fn send_data(&mut self, items: Vec<WireItem>) -> io::Result<()> {
         if items.is_empty() {
             return Ok(());

@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use crate::executor::DEFAULT_FLUSH_US;
 use crate::kernels::{fft_cols, fft_rows, histogram, Complex, Matrix};
 use crate::stage::Stage;
 
@@ -29,10 +30,6 @@ pub const WIRE_PLAN_ENV: &str = "PIPEMAP_WIRE_PLAN";
 /// in-process micro workload, so the two planes compute the same
 /// function).
 pub const MIX_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Default age-based flush for half-full coalescing buffers (µs),
-/// mirroring the in-process transport.
-pub const DEFAULT_FLUSH_US: u64 = 200;
 
 /// A computation a worker process can run on encoded payloads.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -323,6 +323,33 @@ fn wire_load_stops_at_the_first_limit_reached() {
     assert_eq!(run(10_000, 40), 40);
 }
 
+/// Every sampled journey of a uds run is whole: with every data set
+/// sampled, two stages and a replicated first stage, each data set
+/// stitches to one complete, monotone journey across the parent and
+/// three worker processes, and no Enqueue lands on the sink.
+#[test]
+fn wire_journeys_are_complete_and_monotone() {
+    use pipemap_obs::{stitch, JourneyKind};
+    set_worker_bin();
+    let n = 40;
+    let mut plan = wire_plan(&kernel_chain(&[3, 5]), &[2, 1], 1, 4, 2);
+    plan.journey_sample = 1;
+    let inputs: Vec<Vec<u8>> = (0..n).map(|i| input_bytes(11, i, 8)).collect();
+    let (_, run) = run_wire_pipeline(&plan, inputs).expect("wire run");
+    let journeys = stitch(&run.events);
+    assert_eq!(journeys.len(), n, "one journey per data set");
+    for j in &journeys {
+        assert!(j.complete(2), "incomplete journey {j:?}");
+        assert!(j.monotone(), "journey out of order {j:?}");
+    }
+    assert!(
+        !run.events
+            .iter()
+            .any(|e| e.kind == JourneyKind::Enqueue && e.stage == 2),
+        "an Enqueue carries the sink stage"
+    );
+}
+
 /// A worker that dies mid-stream must surface as a clean error — never
 /// a hang, never silent truncation.
 #[test]

@@ -21,6 +21,7 @@
 //!   real, so latency percentiles and backpressure are meaningful.
 
 use pipemap_exec::kernels::{fft_cols, fft_rows, histogram, Complex, Matrix};
+use pipemap_exec::wire::mix_words;
 use pipemap_exec::{
     run_load, run_wire_load, BufferPool, Data, InstanceStats, Lease, LinkReport, LoadOptions,
     LoadReport, PipelinePlan, PipelineStats, PoolStats, Stage, StagePlan, TransportKind,
@@ -191,14 +192,6 @@ pub struct LoadSummary {
     pub ecom_means: Vec<f64>,
 }
 
-const MIX_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn mix(v: &mut [u64], salt: u64) {
-    for x in v.iter_mut() {
-        *x = x.wrapping_mul(MIX_PRIME).rotate_left(13) ^ salt;
-    }
-}
-
 fn fill(v: &mut [u64], seq: usize) {
     for (j, x) in v.iter_mut().enumerate() {
         *x = seq as u64 ^ ((j as u64) << 32);
@@ -213,12 +206,12 @@ pub fn micro_plan(cfg: &LoadConfig) -> PipelinePlan {
             let salt = i as u64 + 1;
             let stage = if cfg.pool {
                 Stage::new(format!("mix{i}"), move |mut v: Lease<Vec<u64>>, _| {
-                    mix(&mut v, salt);
+                    mix_words(&mut v, salt);
                     v
                 })
             } else {
                 Stage::new(format!("mix{i}"), move |mut v: Vec<u64>, _| {
-                    mix(&mut v, salt);
+                    mix_words(&mut v, salt);
                     v
                 })
             };
