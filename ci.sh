@@ -109,6 +109,13 @@ echo "== journey completeness under forced thread counts =="
 PIPEMAP_THREADS=1 cargo test -q -p pipemap-exec --test journeys
 PIPEMAP_THREADS=4 cargo test -q -p pipemap-exec --test journeys
 
+echo "== uds plane and worker telemetry under forced thread counts =="
+# Worker processes must match the in-process plane bit for bit, and the
+# parent's copy of each worker's telemetry must equal the worker's own
+# totals at EOF, serial or multi-threaded.
+PIPEMAP_THREADS=1 cargo test -q -p pipemap-exec --test uds
+PIPEMAP_THREADS=4 cargo test -q -p pipemap-exec --test uds
+
 echo "== executor stress smoke: sustained load for 2s =="
 # A short open-loop run through the release binary; `pipemap load` exits
 # nonzero when the pipeline completes no datasets, so success here means
@@ -415,8 +422,10 @@ echo "== telemetry smoke: per-worker series over an observed uds load run =="
 # (metrics server up) automatically lights the worker-side sidecar, so
 # /metrics must carry per-pid worker families — items moved, CPU and RSS
 # sampled from /proc, liveness — and `pipemap top` must render the
-# per-process worker rows from the same snapshot. Both kernel-thread
-# settings, like the uds smoke.
+# per-process worker rows from the same snapshot. Once every stage's
+# workers report all 20 000 items, their `service_s` observation counts
+# must sum to exactly that: worker telemetry conserves counts. Both
+# kernel-thread settings, like the uds smoke.
 TELEM_SMOKE_LOG=$(mktemp /tmp/pipemap-telem-smoke.XXXXXX.log)
 TELEM_SMOKE_TOP=$(mktemp /tmp/pipemap-telem-top.XXXXXX.txt)
 for TELEM_THREADS in 1 4; do
@@ -436,12 +445,14 @@ for TELEM_THREADS in 1 4; do
         exit 1
     fi
     python3 - "$TELEM_ADDR" "$TELEM_THREADS" <<'EOF'
-import sys, time, urllib.request
+import re, sys, time, urllib.request
 addr, threads = sys.argv[1], sys.argv[2]
 
+def scrape():
+    return urllib.request.urlopen("http://%s/metrics" % addr, timeout=10).read().decode()
+
 def check():
-    text = urllib.request.urlopen("http://%s/metrics" % addr, timeout=10).read().decode()
-    lines = text.splitlines()
+    lines = scrape().splitlines()
     def series(family):
         return [l for l in lines
                 if l.startswith(family + "{") or l.startswith(family + "_total{")]
@@ -471,6 +482,32 @@ while True:
         time.sleep(0.2)
 print("telemetry smoke (threads=%s): %d worker pids, %d items via telemetry"
       % (threads, npids, moved))
+
+# Per stage: items from the labelled counter family, service_s
+# observations from each worker's histogram (named
+# pipemap_exec_worker_s<stage>i<instance>_p<pid>_service_s).
+def per_stage():
+    items, served = {}, {}
+    for line in scrape().splitlines():
+        name, _, value = line.rpartition(" ")
+        if name.startswith("pipemap_exec_worker_items_total{"):
+            stage = name.split('stage="')[1].split('"')[0]
+            items[stage] = items.get(stage, 0) + float(value)
+        m = re.fullmatch(r"pipemap_exec_worker_s(\d+)i\d+_p\d+_service_s_count", name)
+        if m:
+            served[m.group(1)] = served.get(m.group(1), 0) + float(value)
+    return items, served
+
+deadline = time.time() + 30
+while True:
+    items, served = per_stage()
+    if items and all(v == 20000 for v in items.values()):
+        break
+    assert time.time() < deadline, "stages never reported 20000 items: %s" % items
+    time.sleep(0.2)
+assert served == items, "service_s counts %s != items %s" % (served, items)
+print("telemetry smoke (threads=%s): service_s counts equal items on %d stages"
+      % (threads, len(items)))
 EOF
     ./target/release/pipemap top --attach "$TELEM_ADDR" --once > "$TELEM_SMOKE_TOP"
     grep -q "workers (per process):" "$TELEM_SMOKE_TOP" || {

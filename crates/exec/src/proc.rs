@@ -33,8 +33,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pipemap_obs::{
-    DeltaTracker, JourneyCollector, JourneyConfig, JourneyEvent, JourneyKind, JourneySink,
-    Recorder, Registry, Value,
+    JourneyCollector, JourneyConfig, JourneyEvent, JourneyKind, JourneySink, Recorder, Registry,
+    TelemetryFrame, Value,
 };
 
 use crate::driver::SINK_CAP;
@@ -654,12 +654,13 @@ impl WorkerMeters {
 }
 
 /// The worker side of the telemetry plane: a process-local registry the
-/// pipeline loop records into, plus a background thread that ships
-/// delta snapshots (metrics, resource stats, drained journey events)
-/// to the parent every `telemetry_us` over the dedicated telemetry
-/// socket. Telemetry is strictly best-effort: if the connection cannot
-/// be made the worker runs on without it, and a worker that dies takes
-/// its stream down with it — the parent, not the worker, handles that.
+/// pipeline loop records into, plus a background thread that ships a
+/// frame of its cumulative totals (metrics, resource stats) and the
+/// journey events drained since the last frame to the parent every
+/// `telemetry_us` over the dedicated telemetry socket. Telemetry is
+/// strictly best-effort: if the connection cannot be made the worker
+/// runs on without it, and a worker that dies takes its stream down
+/// with it — the parent, not the worker, handles that.
 struct WorkerTelemetry {
     rec: Recorder,
     stop: Arc<AtomicBool>,
@@ -683,7 +684,7 @@ impl WorkerTelemetry {
         let stop = Arc::new(AtomicBool::new(false));
         let kept = Arc::new(Mutex::new(Vec::new()));
         let period = Duration::from_micros(plan.telemetry_us.max(1));
-        // Handshake and first snapshot happen synchronously, before the
+        // Handshake and first frame happen synchronously, before the
         // caller joins the data plane: the parent learns this worker's
         // pid up front, so even a crash moments into the stream is
         // attributed to the right series. A failure here just disables
@@ -717,10 +718,14 @@ impl WorkerTelemetry {
         }
     }
 
-    /// Signal the thread, wait for its final snapshot + EOF, and return
+    /// Signal the thread, wait for its final frame + EOF, and return
     /// every journey event it drained from the ring along the way.
     fn finish(mut self) -> Vec<JourneyEvent> {
-        self.stop.store(true, Ordering::Relaxed);
+        // Release pairs with the Acquire loads in `TelemetrySession::run`:
+        // the loop's last `service.record` / `items.add` happen before
+        // this store, so the final tick, which follows a load that sees
+        // it, reads them and the last frame is exact.
+        self.stop.store(true, Ordering::Release);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -728,16 +733,18 @@ impl WorkerTelemetry {
     }
 }
 
-/// One worker's live telemetry connection and the delta-collection
-/// state behind it.
+/// One worker's live telemetry connection and what its next frame
+/// needs: the frame number and the previous frame's `service_s` and
+/// `recv_wait_s` sums, from which the busy and starved fractions of
+/// each interval derive.
 struct TelemetrySession {
     link: UdsLink,
     registry: Registry,
     rec: Recorder,
-    tracker: DeltaTracker,
     cpu: pipemap_profile::CpuTracker,
     collector: Option<JourneyCollector>,
-    dropped_seen: u64,
+    seq: u64,
+    last_sums: (f64, f64),
     last_tick: Instant,
     pid: u32,
 }
@@ -760,10 +767,10 @@ impl TelemetrySession {
             link,
             rec: registry.recorder(),
             registry,
-            tracker: DeltaTracker::new(),
             cpu: pipemap_profile::CpuTracker::new(),
             collector,
-            dropped_seen: 0,
+            seq: 0,
+            last_sums: (0.0, 0.0),
             last_tick: Instant::now(),
             pid: std::process::id(),
         };
@@ -771,8 +778,8 @@ impl TelemetrySession {
         Ok(session)
     }
 
-    /// One telemetry beat: refresh resource gauges, collect the delta
-    /// since the previous tick (plus drained journey events), ship it.
+    /// One telemetry beat: refresh resource gauges, read the registry's
+    /// totals into a frame (plus drained journey events), ship it.
     fn tick(&mut self, kept: &Mutex<Vec<JourneyEvent>>) -> io::Result<()> {
         if let Some(s) = pipemap_profile::sample_self() {
             self.rec
@@ -785,57 +792,62 @@ impl TelemetrySession {
                 .gauge_set(worker_metric::CTX_INVOLUNTARY, s.invol_ctx as f64);
         }
         if let Some(c) = &self.collector {
-            let d = c.dropped();
             self.rec
-                .add(worker_metric::JOURNEY_DROPPED, d - self.dropped_seen);
-            self.dropped_seen = d;
+                .counter_set(worker_metric::JOURNEY_DROPPED, c.dropped());
         }
 
-        let mut snap = self.tracker.collect(&self.registry, self.pid);
+        self.seq += 1;
+        let mut frame = TelemetryFrame::collect(&self.registry, self.pid, self.seq);
 
         // Busy/starved fractions of the interval just ended, derived
-        // from the very deltas being shipped so they can never disagree
-        // with the aggregated histograms.
+        // from the sums this frame and the previous one ship, so they
+        // can never disagree with the histograms.
+        let sum = |name: &str| {
+            frame
+                .histograms
+                .iter()
+                .find(|h| h.name == name)
+                .map_or(0.0, |h| h.sum)
+        };
+        let sums = (
+            sum(worker_metric::SERVICE_S),
+            sum(worker_metric::RECV_WAIT_S),
+        );
         let dt = self.last_tick.elapsed().as_secs_f64();
         self.last_tick = Instant::now();
         if dt > 1e-6 {
-            let delta_sum = |name: &str| {
-                snap.histograms
-                    .iter()
-                    .find(|h| h.name == name)
-                    .map_or(0.0, |h| h.sum)
-            };
-            let busy = delta_sum(worker_metric::SERVICE_S) / dt;
-            let starved = delta_sum(worker_metric::RECV_WAIT_S) / dt;
-            self.rec.gauge_set(worker_metric::BUSY_FRAC, busy);
-            self.rec.gauge_set(worker_metric::STARVED_FRAC, starved);
-            snap.gauges
+            let busy = (sums.0 - self.last_sums.0) / dt;
+            let starved = (sums.1 - self.last_sums.1) / dt;
+            frame
+                .gauges
                 .push((worker_metric::BUSY_FRAC.to_string(), busy));
-            snap.gauges
+            frame
+                .gauges
                 .push((worker_metric::STARVED_FRAC.to_string(), starved));
         }
+        self.last_sums = sums;
 
         if let Some(c) = &self.collector {
             let drained = c.drain();
             if !drained.is_empty() {
                 kept.lock().unwrap().extend_from_slice(&drained);
-                snap.journeys = drained;
+                frame.journeys = drained;
             }
         }
 
-        self.link.send_telemetry(snap.to_json().as_bytes())
+        self.link.send_telemetry(frame.to_json().as_bytes())
     }
 
     fn run(&mut self, period: Duration, stop: &AtomicBool, kept: &Mutex<Vec<JourneyEvent>>) {
         loop {
             // Sleep the period in small slices so a stop request still
-            // gets its final snapshot promptly.
+            // gets its final frame promptly. Acquire: see `finish`.
             let deadline = Instant::now() + period;
-            while Instant::now() < deadline && !stop.load(Ordering::Relaxed) {
+            while Instant::now() < deadline && !stop.load(Ordering::Acquire) {
                 let left = deadline.saturating_duration_since(Instant::now());
                 std::thread::sleep(left.min(Duration::from_millis(20)));
             }
-            let stopping = stop.load(Ordering::Relaxed);
+            let stopping = stop.load(Ordering::Acquire);
             if self.tick(kept).is_err() {
                 // Parent side gone; nothing left to ship to.
                 return;
@@ -871,9 +883,9 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
     });
 
     // Telemetry is per-process: a local registry the loop below records
-    // into, shipped to the parent as deltas by a background thread.
+    // into, whose totals a background thread ships to the parent.
     // Started before the data-plane handshake so the parent learns this
-    // worker's pid from the first snapshot even if the worker dies
+    // worker's pid from the first frame even if the worker dies
     // moments into the stream.
     let telemetry = (plan.telemetry_us > 0)
         .then(|| WorkerTelemetry::start(plan, si, ii, dir, hash, collector.clone()));
@@ -1047,7 +1059,7 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
     }
     println!("S {}", stats.to_value().to_json());
     // Flush the journey sink into the ring *before* stopping telemetry,
-    // so the final delta snapshot carries the tail of the timeline.
+    // so the final frame carries the tail of the timeline.
     drop(txset);
     let drained_early = telemetry.map(WorkerTelemetry::finish).unwrap_or_default();
     if let Some(c) = collector {
@@ -1065,8 +1077,8 @@ fn run_pipeline_worker(plan: &WirePlan, si: usize, ii: usize, dir: &Path) -> Res
 // ---------------------------------------------------------------------------
 
 /// Parent half of the telemetry plane: accept one connection per
-/// worker on the run's telemetry socket and fold every delta snapshot
-/// into the *global* registry under per-process prefixes, so `/metrics`,
+/// worker on the run's telemetry socket and store every frame into the
+/// *global* registry under per-process prefixes, so `/metrics`,
 /// the flight recorder and `pipemap top` see worker internals without
 /// any of them changing.
 struct TelemetryIngest {
@@ -1088,7 +1100,10 @@ impl TelemetryIngest {
                     Ok((s, _)) => {
                         let _ = s.set_nonblocking(false);
                         let link = UdsLink::new(s, pool.clone());
-                        handlers.push(std::thread::spawn(move || telemetry_handler(link, hash)));
+                        let rec = pipemap_obs::global();
+                        handlers.push(std::thread::spawn(move || {
+                            telemetry_handler(link, hash, rec)
+                        }));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(2));
@@ -1119,40 +1134,40 @@ impl Drop for TelemetryIngest {
     }
 }
 
-/// Drain one worker's telemetry stream into the global registry. A
-/// clean `EOF` ends the series as-is; a dead socket instead pins the
-/// worker's `stale` gauge to 1 — its last-known series stay visible
-/// and clearly marked rather than silently frozen.
-fn telemetry_handler(mut link: UdsLink, hash: u64) {
+/// Drain one worker's telemetry stream into `rec`. Each frame replaces
+/// the worker's series; a frame that does not decode is counted in
+/// `obs.telemetry.bad_frames` and skipped, which loses nothing, since
+/// the next frame carries the same totals. A clean `EOF` ends the series
+/// as-is; a dead socket instead pins the worker's `stale` gauge to 1 —
+/// its last-known series stay visible and clearly marked rather than
+/// silently frozen.
+fn telemetry_handler(mut link: UdsLink, hash: u64, rec: Recorder) {
     let Ok((si, ii)) = link.recv_hello(hash) else {
         return;
     };
     if link.send_ready().is_err() {
         return;
     }
-    let rec = pipemap_obs::global();
     let mut prefix: Option<String> = None;
     loop {
         match link.recv_telemetry() {
             Ok(Some(buf)) => {
-                let Ok(text) = std::str::from_utf8(&buf) else {
-                    continue;
-                };
-                let Ok(snap) = pipemap_obs::DeltaSnapshot::parse(text) else {
+                let Ok(frame) = TelemetryFrame::decode(&buf) else {
+                    rec.add(pipemap_obs::names::TELEMETRY_BAD_FRAMES, 1);
                     continue;
                 };
                 let p = prefix.get_or_insert_with(|| {
                     format!(
                         "{}s{si}i{ii}.p{}.",
                         pipemap_obs::names::EXEC_WORKER_PREFIX,
-                        snap.pid
+                        frame.pid
                     )
                 });
-                pipemap_obs::apply_delta(&rec, p, &snap);
+                frame.store(&rec, p);
                 rec.gauge_set(&format!("{p}{}", worker_metric::STALE), 0.0);
-                if !snap.journeys.is_empty() {
+                if !frame.journeys.is_empty() {
                     if let Some(sink) = TELEMETRY_JOURNEYS.lock().unwrap().as_mut() {
-                        for ev in &snap.journeys {
+                        for ev in &frame.journeys {
                             sink.record_at(
                                 ev.t_us,
                                 ev.kind,
@@ -1659,6 +1674,52 @@ mod tests {
         let v = ws.to_value();
         let back = WorkerStats::from_value(&Value::parse(&v.to_json()).unwrap()).unwrap();
         assert_eq!(back, ws);
+    }
+
+    /// A frame that is not UTF-8 or not a telemetry document is counted
+    /// and skipped; the good frames around it still land, the last one
+    /// replacing the first.
+    #[test]
+    fn telemetry_handler_counts_bad_frames_and_stores_the_last_good_one() {
+        let (worker_end, parent_end) = UnixStream::pair().expect("socketpair");
+        let parent = Registry::new();
+        let rec = parent.recorder();
+        let handler = std::thread::spawn(move || {
+            telemetry_handler(UdsLink::new(parent_end, BufferPool::new(4)), 7, rec)
+        });
+        let mut link = UdsLink::new(worker_end, BufferPool::new(4));
+        link.send_hello(7, 1, 0).unwrap();
+        link.recv_ready().unwrap();
+
+        let worker = Registry::new();
+        let wrec = worker.recorder();
+        wrec.add(worker_metric::ITEMS, 3);
+        wrec.observe(worker_metric::SERVICE_S, 0.002);
+        let first = TelemetryFrame::collect(&worker, 42, 1);
+        link.send_telemetry(first.to_json().as_bytes()).unwrap();
+        link.send_telemetry(&[0xff, 0xfe, b'{']).unwrap();
+        link.send_telemetry(b"{\"schema\":").unwrap();
+        wrec.add(worker_metric::ITEMS, 2);
+        wrec.observe(worker_metric::SERVICE_S, 0.005);
+        let last = TelemetryFrame::collect(&worker, 42, 4);
+        link.send_telemetry(last.to_json().as_bytes()).unwrap();
+        link.send_eof().unwrap();
+        handler.join().unwrap();
+
+        let snap = parent.snapshot();
+        assert_eq!(
+            snap.counter(pipemap_obs::names::TELEMETRY_BAD_FRAMES),
+            Some(2)
+        );
+        let series = |name: &str| format!("exec.worker.s1i0.p42.{name}");
+        for (name, value) in &last.counters {
+            assert_eq!(snap.counter(&series(name)), Some(*value), "{name}");
+        }
+        for h in &last.histograms {
+            let got = snap.histogram(&series(&h.name)).expect("histogram stored");
+            assert_eq!((got.count, got.sum, got.max), (h.count, h.sum, h.max));
+        }
+        assert_eq!(snap.counter(&series(worker_metric::ITEMS)), Some(5));
     }
 
     #[test]

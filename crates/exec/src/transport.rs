@@ -54,7 +54,7 @@ pub enum FrameKind {
     Eof = 3,
     /// Fatal error, UTF-8 message payload.
     Err = 4,
-    /// A worker's delta snapshot (JSON `pipemap-telemetry/v1` payload)
+    /// A worker's telemetry frame (JSON `pipemap-telemetry/v2` payload)
     /// on the dedicated telemetry socket.
     Telemetry = 5,
 }
@@ -403,16 +403,16 @@ impl UdsLink {
         Ok(())
     }
 
-    /// Send one telemetry snapshot (the worker side of the sidecar
+    /// Send one telemetry frame (the worker side of the sidecar
     /// channel). The payload is an opaque serialized
-    /// `pipemap-telemetry/v1` document.
+    /// `pipemap-telemetry/v2` document.
     pub fn send_telemetry(&mut self, payload: &[u8]) -> io::Result<()> {
         self.send_control(FrameKind::Telemetry, payload)?;
         self.stream.flush()
     }
 
     /// Blocking receive on the telemetry channel: `Some(payload)` per
-    /// snapshot, `None` after the worker's clean final `EOF`. A raw
+    /// frame, `None` after the worker's clean final `EOF`. A raw
     /// close without `EOF` (the worker died) is an error, so the
     /// parent can mark the series stale instead of wedging.
     pub fn recv_telemetry(&mut self) -> io::Result<Option<Lease<Vec<u8>>>> {
@@ -753,7 +753,7 @@ mod tests {
     fn telemetry_frames_round_trip_and_close_semantics_hold() {
         let (mut tx, mut rx) = uds_pair();
         let writer = std::thread::spawn(move || {
-            tx.send_telemetry(br#"{"schema":"pipemap-telemetry/v1","pid":1,"seq":1}"#)
+            tx.send_telemetry(br#"{"schema":"pipemap-telemetry/v2","pid":1,"seq":1}"#)
                 .unwrap();
             tx.send_telemetry(b"second").unwrap();
             tx.send_eof().unwrap();

@@ -297,9 +297,9 @@ pub struct WirePlan {
     /// Shared wall-clock epoch (unix µs) so per-process timestamps form
     /// one timeline. The parent picks it just before spawning.
     pub epoch_unix_us: u64,
-    /// Telemetry snapshot interval (µs). When nonzero each worker runs
-    /// a local registry and ships delta snapshots to the parent over a
-    /// dedicated TELEMETRY socket this often; 0 disables the sidecar.
+    /// Telemetry frame interval (µs). When nonzero each worker runs a
+    /// local registry and ships its cumulative totals to the parent over
+    /// a dedicated TELEMETRY socket this often; 0 disables the sidecar.
     pub telemetry_us: u64,
 }
 

@@ -31,7 +31,6 @@
 //!
 //! Only std is used — no external dependencies.
 
-pub mod delta;
 pub mod events;
 pub mod expose;
 pub mod journey;
@@ -40,11 +39,11 @@ pub mod metrics;
 pub mod openmetrics;
 pub mod recorder;
 pub mod schema;
+pub mod telemetry;
 pub mod trace;
 
 use std::sync::OnceLock;
 
-pub use delta::{apply_delta, DeltaSnapshot, DeltaTracker, HistogramDelta};
 pub use events::{
     events_jsonl, parse_events_jsonl, parse_events_jsonl_since, AlertEngine, BottleneckTracker,
     EventKind, EventLog, EventLogConfig, ModelPublisher, ObsEvent, Severity, SloConfig,
@@ -62,6 +61,7 @@ pub use metrics::{
 };
 pub use openmetrics::{escape_label_value, render_openmetrics};
 pub use recorder::{FlightRecorder, FlightSample, RecorderConfig};
+pub use telemetry::{HistogramCells, TelemetryFrame};
 pub use trace::{chrome_trace, chrome_trace_with_counters, events_to_jsonl, SpanGuard, TraceEvent};
 
 /// Well-known metric names shared across crates, so producers (solvers)
@@ -130,6 +130,11 @@ pub mod names {
     /// The OpenMetrics exposition folds the worker identity into
     /// `stage`/`instance`/`pid` labels on `pipemap_exec_worker_<metric>`.
     pub const EXEC_WORKER_PREFIX: &str = "exec.worker.";
+    /// Telemetry frames the out-of-process parent received but could not
+    /// decode (not UTF-8, not JSON, a foreign schema) and so skipped
+    /// (counter). Frames carry cumulative totals, so a skipped frame
+    /// loses nothing the next one does not restore.
+    pub const TELEMETRY_BAD_FRAMES: &str = "obs.telemetry.bad_frames";
     /// Journey events dropped by a ring because it overflowed (counter;
     /// nonzero means the sampled population is biased toward recent
     /// data sets and `doctor` warns about completeness).

@@ -26,7 +26,7 @@ const SUB_BUCKETS: usize = 8;
 /// Powers of two covered: exponents −64..=63.
 const OCTAVES: usize = 128;
 /// Total bucket count (8 KiB of counters per histogram).
-const BUCKETS: usize = OCTAVES * SUB_BUCKETS;
+pub(crate) const BUCKETS: usize = OCTAVES * SUB_BUCKETS;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -166,10 +166,9 @@ impl Histogram {
         );
     }
 
-    /// Fold pre-extracted bucket deltas into this histogram — the
-    /// receive side of the telemetry wire form. Out-of-range bucket
-    /// indices (a newer peer with a different bucket layout) clamp into
-    /// the last bucket rather than panicking.
+    /// Fold pre-extracted `(bucket_index, count)` pairs into this
+    /// histogram. Out-of-range bucket indices clamp into the last bucket
+    /// rather than panicking.
     pub fn merge_cells(&self, buckets: &[(u32, u64)], count: u64, sum: f64, max: f64) {
         for &(idx, c) in buckets {
             let idx = (idx as usize).min(BUCKETS - 1);
@@ -327,7 +326,7 @@ impl Registry {
     }
 
     /// The histograms by name, with live access to their buckets (for
-    /// exposition formats and delta shipping, which need more than the
+    /// exposition formats and telemetry frames, which need more than the
     /// summary).
     pub fn histogram_cells(&self) -> Vec<(String, Arc<Histogram>)> {
         lock(&self.inner.histograms)
@@ -452,6 +451,15 @@ impl Recorder {
         }
     }
 
+    /// Set a counter to an absolute value — for mirroring a total kept
+    /// elsewhere (a worker's telemetry frame, a collector's drop count),
+    /// never for counting.
+    pub fn counter_set(&self, name: &str, v: u64) {
+        if let Some(inner) = &self.inner {
+            counter_cell(inner, name).store(v, Ordering::Relaxed);
+        }
+    }
+
     /// A reusable counter handle: one map lookup now, atomic adds after.
     /// Hot loops should hold one of these (or accumulate locally and
     /// [`Recorder::add`] once).
@@ -545,13 +553,25 @@ impl HistogramHandle {
         }
     }
 
-    /// Fold pre-extracted bucket deltas in (see
-    /// [`Histogram::merge_cells`]) — used when aggregating a remote
-    /// worker's histogram into a local registry.
-    pub fn merge_cells(&self, buckets: &[(u32, u64)], count: u64, sum: f64, max: f64) {
-        if let Some(cell) = &self.cell {
-            cell.merge_cells(buckets, count, sum, max);
+    /// Replace every cell with a remote worker's cumulative ones —
+    /// `buckets` as [`Histogram::bucket_counts`] returns them, in
+    /// increasing index order (a bucket left out becomes empty; pairs
+    /// out of that order or range are dropped) — and its count, sum and
+    /// max.
+    pub fn store_cells(&self, buckets: &[(u32, u64)], count: u64, sum: f64, max: f64) {
+        let Some(h) = &self.cell else {
+            return;
+        };
+        let mut cells = buckets.iter().peekable();
+        for (idx, b) in h.buckets.iter().enumerate() {
+            let c = cells
+                .next_if(|&&(i, _)| i as usize == idx)
+                .map_or(0, |&(_, c)| c);
+            b.store(c, Ordering::Relaxed);
         }
+        h.count.store(count, Ordering::Relaxed);
+        h.sum.store(sum.to_bits(), Ordering::Relaxed);
+        h.max.store(max.to_bits(), Ordering::Relaxed);
     }
 }
 

@@ -1,4 +1,4 @@
-//! The one place every `pipemap-*/v1` schema tag lives.
+//! The one place every `pipemap-*/v<n>` schema tag lives.
 //!
 //! Each JSON document the tooling emits carries a schema tag so
 //! consumers can reject documents they do not understand. Those tags
@@ -27,8 +27,10 @@ pub const RESOLVE: &str = "pipemap-resolve/v1";
 pub const MODEL: &str = "pipemap-model/v1";
 /// Perf-regression harness document (`pipemap bench`).
 pub const BENCH: &str = "pipemap-bench/v1";
-/// Cross-process telemetry delta snapshots (worker → parent frames).
-pub const TELEMETRY: &str = "pipemap-telemetry/v1";
+/// Cross-process telemetry frames (worker → parent), each carrying the
+/// worker's cumulative totals. `v1` frames carried deltas and are
+/// rejected.
+pub const TELEMETRY: &str = "pipemap-telemetry/v2";
 
 /// Every schema tag the workspace emits, with a short family label.
 pub fn all() -> &'static [(&'static str, &'static str)] {
@@ -66,7 +68,9 @@ mod tests {
             let (family, version) = split(tag)
                 .unwrap_or_else(|| panic!("schema tag '{tag}' is not pipemap-<family>/v<n>"));
             assert_eq!(family, *label, "family label drifted for '{tag}'");
-            assert_eq!(version, 1, "unexpected version in '{tag}'");
+            // Telemetry frames moved from deltas to cumulative totals.
+            let expected = if *label == "telemetry" { 2 } else { 1 };
+            assert_eq!(version, expected, "unexpected version in '{tag}'");
             assert_eq!(
                 *tag,
                 format!("pipemap-{family}/v{version}"),
