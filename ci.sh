@@ -378,9 +378,12 @@ echo "== live-attach smoke: observatory endpoints over a held load run =="
 # Serve the full observatory surface from a short micro load run (--hold
 # keeps the server up after the datasets drain), attach `pipemap top`
 # and the doctor to it over HTTP, and check that /model.json and
-# /events.jsonl are well-formed. This is the end-to-end path a live
-# operator takes; ports are OS-assigned so parallel CI runs don't clash.
+# /events.jsonl are well-formed and that the doctor's online verdict
+# covers every stage the observatory publishes. This is the end-to-end
+# path a live operator takes; ports are OS-assigned so parallel CI runs
+# don't clash.
 LIVE_SMOKE_LOG=$(mktemp /tmp/pipemap-live-smoke.XXXXXX.log)
+LIVE_DOCTOR_JSON=$(mktemp /tmp/pipemap-live-doctor.XXXXXX.json)
 ./target/release/pipemap load micro --datasets 20000 \
     --serve 127.0.0.1:0 --hold 30 2> "$LIVE_SMOKE_LOG" &
 LIVE_SMOKE_PID=$!
@@ -396,11 +399,15 @@ if [ -z "$LIVE_ADDR" ]; then
     exit 1
 fi
 ./target/release/pipemap top --attach "$LIVE_ADDR" --once
-./target/release/pipemap doctor --attach "$LIVE_ADDR" --model online > /dev/null
-python3 - "$LIVE_ADDR" <<'EOF'
+./target/release/pipemap doctor --attach "$LIVE_ADDR" --model online --report json \
+    > "$LIVE_DOCTOR_JSON"
+python3 - "$LIVE_ADDR" "$LIVE_DOCTOR_JSON" <<'EOF'
 import json, sys, urllib.request
 addr = sys.argv[1]
 model = json.load(urllib.request.urlopen("http://%s/model.json" % addr, timeout=10))
+doctor = json.load(open(sys.argv[2]))
+online = doctor["online"]["stages"]
+assert len(online) == len(model["stages"]), (online, model["stages"])
 assert model["model_schema"] == "pipemap-model/v1", model
 assert model["journeys_ingested"] > 0, "observatory ingested no journeys"
 assert model["stages"], "model published no stages"
@@ -412,7 +419,8 @@ lines = [json.loads(l) for l in raw.decode().splitlines() if l.strip()]
 assert lines and lines[0].get("event_schema") == "pipemap-events/v1", lines[:1]
 for e in lines[1:]:
     assert "kind" in e and "severity" in e and "t_us" in e, e
-print("live smoke: %d stages modelled, %d events" % (len(model["stages"]), len(lines) - 1))
+print("live smoke: %d stages modelled and doctored online, %d events"
+      % (len(model["stages"]), len(lines) - 1))
 EOF
 kill "$LIVE_SMOKE_PID" 2>/dev/null || true
 wait "$LIVE_SMOKE_PID" 2>/dev/null || true
@@ -445,7 +453,7 @@ for TELEM_THREADS in 1 4; do
         exit 1
     fi
     python3 - "$TELEM_ADDR" "$TELEM_THREADS" <<'EOF'
-import re, sys, time, urllib.request
+import sys, time, urllib.request
 addr, threads = sys.argv[1], sys.argv[2]
 
 def scrape():
@@ -484,18 +492,16 @@ print("telemetry smoke (threads=%s): %d worker pids, %d items via telemetry"
       % (threads, npids, moved))
 
 # Per stage: items from the labelled counter family, service_s
-# observations from each worker's histogram (named
-# pipemap_exec_worker_s<stage>i<instance>_p<pid>_service_s).
+# observations from the labelled histogram family's _count series.
 def per_stage():
     items, served = {}, {}
     for line in scrape().splitlines():
         name, _, value = line.rpartition(" ")
-        if name.startswith("pipemap_exec_worker_items_total{"):
-            stage = name.split('stage="')[1].split('"')[0]
-            items[stage] = items.get(stage, 0) + float(value)
-        m = re.fullmatch(r"pipemap_exec_worker_s(\d+)i\d+_p\d+_service_s_count", name)
-        if m:
-            served[m.group(1)] = served.get(m.group(1), 0) + float(value)
+        for family, total in (("pipemap_exec_worker_items_total{", items),
+                              ("pipemap_exec_worker_service_s_count{", served)):
+            if name.startswith(family):
+                stage = name.split('stage="')[1].split('"')[0]
+                total[stage] = total.get(stage, 0) + float(value)
     return items, served
 
 deadline = time.time() + 30

@@ -30,11 +30,19 @@
 //! carrying the model prediction snapshot, then one journey event per
 //! line. [`publish`] exports the verdict as `doctor.drift.*` gauges for
 //! the OpenMetrics endpoint.
+//!
+//! The same pass also keeps a decayed window of each stage's recent
+//! service times ([`online`]), the verdict of `pipemap doctor --model
+//! online`: it localises a mid-stream cost change that the whole-run
+//! means would dilute.
 
-use pipemap_chain::{bottleneck_module, module_response, throughput, Mapping, Problem, TaskChain};
-use pipemap_core::{reprice_problem, CostDeltas, MarginReport, SolveOptions};
-use pipemap_obs::{journey_jsonl, stitch, Journey, JourneyEvent, Recorder, Value, JOURNEY_SCHEMA};
-use pipemap_profile::OnlineModel;
+pub mod online;
+
+pub use online::{online_json, render_online, OnlineDrift, OnlineStageDrift};
+
+use pipemap_chain::{bottleneck_module, module_response, throughput, Mapping, TaskChain};
+use pipemap_core::{CostDeltas, SolveOptions};
+use pipemap_obs::{journey_jsonl, stitch, JourneyEvent, Recorder, Value, JOURNEY_SCHEMA};
 
 /// Schema tag of the JSON drift report.
 pub const DOCTOR_SCHEMA: &str = pipemap_obs::schema::DOCTOR;
@@ -72,23 +80,6 @@ pub struct StageMarginSpec {
 }
 
 impl MarginSpec {
-    /// Adopt the margins of a freshly-computed report.
-    pub fn from_report(report: &MarginReport) -> Self {
-        Self {
-            stages: report
-                .stages
-                .iter()
-                .map(|s| StageMarginSpec {
-                    stage: s.index,
-                    exec_up: s.exec_up,
-                    exec_down: s.exec_down,
-                    ecom_in_up: s.ecom_in_up,
-                    ecom_in_down: s.ecom_in_down,
-                })
-                .collect(),
-        }
-    }
-
     /// Parse an explain document (or any JSON with a `stages` array
     /// whose entries carry a `margins` object or flat margin fields).
     /// Infinite margins arrive as JSON `null` and parse back to
@@ -382,6 +373,14 @@ pub enum Component {
     Batching,
 }
 
+/// The components in the doctor's per-hop order.
+const COMPONENTS: [Component; 4] = [
+    Component::Queue,
+    Component::Transport,
+    Component::Service,
+    Component::Batching,
+];
+
 impl Component {
     /// Stable wire name.
     pub fn as_str(self) -> &'static str {
@@ -528,40 +527,6 @@ pub fn stage_deltas(
     deltas
 }
 
-/// [`stage_deltas`] fed straight from a live [`OnlineModel`]: each stage
-/// estimator's fitted-over-static factor becomes the module's service
-/// factor (stages without enough samples contribute nothing), each edge
-/// estimator's factor becomes the downstream module's transport factor.
-pub fn model_deltas(model: &OnlineModel, mapping: &Mapping, num_tasks: usize) -> CostDeltas {
-    let service: Vec<Option<f64>> = model
-        .stages()
-        .iter()
-        .map(|s| s.snapshot().map(|sn| sn.factor))
-        .collect();
-    let mut transport: Vec<Option<f64>> = vec![None; mapping.modules.len()];
-    for (e, est) in model.edges().iter().enumerate() {
-        if e + 1 < transport.len() {
-            transport[e + 1] = Some(est.factor());
-        }
-    }
-    stage_deltas(mapping, num_tasks, &service, &transport)
-}
-
-/// Apply an online model's fitted factors to a problem in one call: the
-/// returned problem prices every cost at `static(p) × factor`, and the
-/// returned deltas are the same factors in the re-solver's vocabulary —
-/// hand them to [`pipemap_core::ResolveArtifact::resolve`] to re-plan
-/// incrementally, or solve the problem cold. Both routes give
-/// bit-identical mappings by the re-solver's contract.
-pub fn reprice_from_model(
-    problem: &Problem,
-    mapping: &Mapping,
-    model: &OnlineModel,
-) -> (Problem, CostDeltas) {
-    let deltas = model_deltas(model, mapping, problem.num_tasks());
-    (reprice_problem(problem, &deltas), deltas)
-}
-
 /// Why the doctor thinks the mapping should be re-solved.
 #[derive(Clone, Debug)]
 pub struct Recommendation {
@@ -570,35 +535,21 @@ pub struct Recommendation {
     /// Solver options to re-solve with.
     pub options: SolveOptions,
     /// Per-module measured-over-predicted service drift factors — the
-    /// warm-start handle: feed them through [`Recommendation::deltas`]
-    /// into the incremental re-solver instead of re-profiling from
-    /// scratch. `None` where the model had no prediction.
+    /// warm-start handle: feed them through [`stage_deltas`] into the
+    /// incremental re-solver instead of re-profiling from scratch.
+    /// `None` where the model had no prediction.
     pub service_factors: Vec<Option<f64>>,
     /// Per-module transport drift factors.
     pub transport_factors: Vec<Option<f64>>,
 }
 
-impl Recommendation {
-    /// The recommendation's drift factors as re-solver cost deltas for
-    /// `mapping` (the mapping the journeys were measured under).
-    pub fn deltas(&self, mapping: &Mapping, num_tasks: usize) -> CostDeltas {
-        stage_deltas(
-            mapping,
-            num_tasks,
-            &self.service_factors,
-            &self.transport_factors,
-        )
-    }
-}
-
 /// Analysis thresholds.
 #[derive(Clone, Copy, Debug)]
 pub struct DoctorOptions {
-    /// Relative error above which a per-stage prediction is called out.
-    pub rel_threshold: f64,
     /// Drift is only flagged when the measured bottleneck's effective
     /// response exceeds the predicted-bottleneck stage's by this
-    /// fraction — near-ties between balanced stages are not drift.
+    /// fraction — near-ties between balanced stages are not drift. The
+    /// online verdict localises a stage whose residual exceeds it.
     pub margin: f64,
     /// Minimum complete journeys before drift verdicts are issued.
     pub min_samples: usize,
@@ -613,7 +564,6 @@ pub struct DoctorOptions {
 impl Default for DoctorOptions {
     fn default() -> Self {
         Self {
-            rel_threshold: 0.25,
             margin: 0.10,
             min_samples: 8,
             sample: 1,
@@ -655,16 +605,15 @@ pub struct DriftReport {
     /// Whether exact stability margins (not the fixed near-tie
     /// percentage) decided the drift verdict.
     pub margins_used: bool,
+    /// The online verdict over each stage's decayed window; `None` when
+    /// the log has no model header and no hop carried a service time.
+    pub online: Option<OnlineDrift>,
 }
 
-/// Analyse a journey log (uses its header's model and sample stride).
-pub fn diagnose_log(log: &JourneyLog, opts: &DoctorOptions) -> DriftReport {
-    diagnose_log_with_margins(log, None, opts)
-}
-
-/// [`diagnose_log`] with an exact margin spec deciding the drift
-/// verdict (`pipemap doctor --margins explain.json`).
-pub fn diagnose_log_with_margins(
+/// Analyse a journey log (uses its header's model and sample stride),
+/// with an exact margin spec deciding the drift verdict when given
+/// (`pipemap doctor --margins explain.json`).
+pub fn diagnose_log(
     log: &JourneyLog,
     margins: Option<&MarginSpec>,
     opts: &DoctorOptions,
@@ -707,7 +656,14 @@ pub fn diagnose_with_margins(
             .max()
             .unwrap_or(0),
     };
-    let complete: Vec<&Journey> = journeys.iter().filter(|j| j.complete(n_stages)).collect();
+    let mut windows = online::Windows::default();
+    let mut complete = Vec::new();
+    for j in &journeys {
+        windows.push(j);
+        if j.complete(n_stages) {
+            complete.push(j);
+        }
+    }
 
     // Replication degree: trust the model; otherwise infer from the
     // replicas actually observed serving this stage.
@@ -730,7 +686,8 @@ pub fn diagnose_with_margins(
     let mut latencies: Vec<f64> = Vec::new();
     let mut critical_counts: Vec<Vec<usize>> = vec![vec![0; 4]; n_stages];
     for j in &complete {
-        let mut worst = (0usize, Component::Service, f64::NEG_INFINITY);
+        // (stage, index into COMPONENTS, seconds) of the largest part.
+        let mut worst = (0usize, 2usize, f64::NEG_INFINITY);
         for (s, hop) in j.hops.iter().enumerate() {
             let enq = hop.enqueue_us.expect("complete");
             let deq = hop.dequeue_us.expect("complete");
@@ -742,23 +699,22 @@ pub fn diagnose_with_margins(
                 j.hops[s - 1].send_us.expect("complete")
             };
             let comps = [
-                (Component::Queue, (deq - enq) / 1e6),
-                (Component::Transport, (ss - deq) / 1e6),
-                (Component::Service, (se - ss) / 1e6),
-                (Component::Batching, (enq - upstream_out) / 1e6),
+                (deq - enq) / 1e6,
+                (ss - deq) / 1e6,
+                (se - ss) / 1e6,
+                (enq - upstream_out) / 1e6,
             ];
-            queue[s].push(comps[0].1);
-            transport[s].push(comps[1].1);
-            service[s].push(comps[2].1);
-            batching[s].push(comps[3].1);
-            for (k, &(c, v)) in comps.iter().enumerate() {
+            queue[s].push(comps[0]);
+            transport[s].push(comps[1]);
+            service[s].push(comps[2]);
+            batching[s].push(comps[3]);
+            for (k, &v) in comps.iter().enumerate() {
                 if v > worst.2 {
-                    worst = (s, c, v);
+                    worst = (s, k, v);
                 }
-                let _ = k;
             }
         }
-        critical_counts[worst.0][component_index(worst.1)] += 1;
+        critical_counts[worst.0][worst.1] += 1;
         if let Some(lat) = j.latency_us() {
             latencies.push(lat / 1e6);
         }
@@ -864,7 +820,7 @@ pub fn diagnose_with_margins(
                 if cnt > 0 {
                     critical.push(CriticalShare {
                         stage: s,
-                        component: component_from_index(k),
+                        component: COMPONENTS[k],
                         share: cnt as f64 / complete.len() as f64,
                     });
                 }
@@ -873,11 +829,9 @@ pub fn diagnose_with_margins(
         critical.sort_by(|a, b| b.share.total_cmp(&a.share));
     }
 
-    let service_factors: Vec<Option<f64>> = stages.iter().map(|s| s.service_gamma).collect();
-    let transport_factors: Vec<Option<f64>> = stages.iter().map(|s| s.transport_gamma).collect();
-    let recommendation = match drift {
-        Some(true) if margins_used => {
-            let why = stages
+    let why = match drift {
+        Some(true) if margins_used => Some(
+            stages
                 .iter()
                 .find(|s| s.margin_crossed == Some(true))
                 .map(|s| {
@@ -905,28 +859,23 @@ pub fn diagnose_with_margins(
                         },
                     )
                 })
-                .expect("margin drift implies a crossed stage");
-            Some(Recommendation {
-                why,
-                options: SolveOptions::default(),
-                service_factors,
-                transport_factors,
-            })
-        }
-        Some(true) => Some(Recommendation {
-            why: format!(
-                "measured bottleneck is stage {} but the model predicted stage {}; \
-                 the fitted costs no longer describe the run — re-solve the mapping \
-                 against refreshed profiles",
-                measured_bottleneck,
-                predicted_bottleneck.expect("drift implies a prediction"),
-            ),
-            options: SolveOptions::default(),
-            service_factors,
-            transport_factors,
-        }),
+                .expect("margin drift implies a crossed stage"),
+        ),
+        Some(true) => Some(format!(
+            "measured bottleneck is stage {} but the model predicted stage {}; \
+             the fitted costs no longer describe the run — re-solve the mapping \
+             against refreshed profiles",
+            measured_bottleneck,
+            predicted_bottleneck.expect("drift implies a prediction"),
+        )),
         _ => None,
     };
+    let recommendation = why.map(|why| Recommendation {
+        why,
+        options: SolveOptions::default(),
+        service_factors: stages.iter().map(|s| s.service_gamma).collect(),
+        transport_factors: stages.iter().map(|s| s.transport_gamma).collect(),
+    });
 
     DriftReport {
         stitched: journeys.len(),
@@ -943,24 +892,7 @@ pub fn diagnose_with_margins(
         critical,
         recommendation,
         margins_used,
-    }
-}
-
-fn component_index(c: Component) -> usize {
-    match c {
-        Component::Queue => 0,
-        Component::Transport => 1,
-        Component::Service => 2,
-        Component::Batching => 3,
-    }
-}
-
-fn component_from_index(k: usize) -> Component {
-    match k {
-        0 => Component::Queue,
-        1 => Component::Transport,
-        2 => Component::Service,
-        _ => Component::Batching,
+        online: windows.verdict(model, opts.margin),
     }
 }
 
@@ -1330,7 +1262,11 @@ mod tests {
 
     /// Synthesise complete journeys: per stage `s` a fixed breakdown of
     /// (queue, transport, service, batching) microseconds.
-    fn synth(n: usize, per_stage: &[(f64, f64, f64, f64)], period_us: f64) -> Vec<JourneyEvent> {
+    pub(crate) fn synth(
+        n: usize,
+        per_stage: &[(f64, f64, f64, f64)],
+        period_us: f64,
+    ) -> Vec<JourneyEvent> {
         let mut events = Vec::new();
         let mut push = |seq: usize, stage: u32, kind: JourneyKind, t: f64| {
             events.push(JourneyEvent {
@@ -1556,7 +1492,7 @@ mod tests {
 
         // A lossy log triggers the sampling-completeness warning; a
         // complete one stays quiet.
-        let lossy = diagnose_log(&back, &DoctorOptions::default());
+        let lossy = diagnose_log(&back, None, &DoctorOptions::default());
         assert_eq!(lossy.dropped, 3);
         assert!(render(&lossy).contains("WARNING: 3 journey events were dropped"));
         let complete = diagnose_log(
@@ -1564,6 +1500,7 @@ mod tests {
                 dropped: 0,
                 ..back.clone()
             },
+            None,
             &DoctorOptions::default(),
         );
         assert!(!render(&complete).contains("WARNING"));
@@ -1662,74 +1599,6 @@ mod tests {
     }
 
     #[test]
-    fn model_deltas_feed_the_resolver_from_live_estimators() {
-        use pipemap_chain::{ChainBuilder, Edge, ModuleAssignment, Task};
-        use pipemap_model::{PolyEcom, PolyUnary};
-        use pipemap_profile::OnlineConfig;
-
-        let s0 = PolyUnary::new(0.0, 2.0, 0.0);
-        let s1 = PolyUnary::new(0.0, 1.0, 0.0);
-        let e0 = PolyEcom::new(0.01, 0.5, 0.5, 0.0, 0.0);
-        let mut model = OnlineModel::new(&[s0, s1], &[e0], OnlineConfig::default());
-        // Stage 0 runs 1.5× its static model; edge 0 transfers at 2×;
-        // stage 1 is never observed.
-        for _ in 0..200 {
-            model.observe_exec(0, 8, 1.5 * s0.eval(8));
-            model.observe_ecom(0, 8, 4, 2.0 * e0.eval(8, 4));
-        }
-        model.refit();
-
-        let mapping = Mapping {
-            modules: vec![
-                ModuleAssignment {
-                    first: 0,
-                    last: 0,
-                    replicas: 1,
-                    procs: 8,
-                },
-                ModuleAssignment {
-                    first: 1,
-                    last: 1,
-                    replicas: 1,
-                    procs: 4,
-                },
-            ],
-        };
-        let d = model_deltas(&model, &mapping, 2);
-        assert!(
-            (d.exec()[0] - 1.5).abs() < 0.2,
-            "exec factor {:?}",
-            d.exec()
-        );
-        assert_eq!(d.exec()[1], 1.0, "unobserved stage stays unchanged");
-        assert!(
-            (d.ecom()[0] - 2.0).abs() < 0.4,
-            "ecom factor {:?}",
-            d.ecom()
-        );
-
-        // The one-call helper prices the problem at static × factor.
-        let chain = ChainBuilder::new()
-            .task(Task::new("a", s0))
-            .edge(Edge::new(PolyUnary::new(0.0, 0.0, 0.0), e0))
-            .task(Task::new("b", s1))
-            .build();
-        let problem = Problem::new(chain, 12, 1e9);
-        let (repriced, deltas) = reprice_from_model(&problem, &mapping, &model);
-        let g = deltas.exec()[0];
-        for p in 1..=12 {
-            let want = g * problem.chain.task(0).exec.eval(p);
-            let got = repriced.chain.task(0).exec.eval(p);
-            assert_eq!(got.to_bits(), want.to_bits(), "exec @ {p}");
-            assert_eq!(
-                repriced.chain.task(1).exec.eval(p).to_bits(),
-                problem.chain.task(1).exec.eval(p).to_bits(),
-                "unobserved stage repriced @ {p}"
-            );
-        }
-    }
-
-    #[test]
     fn recommendation_carries_the_warm_start_factors() {
         use pipemap_chain::ModuleAssignment;
         let model = model2(40e-6, 20e-6);
@@ -1761,7 +1630,7 @@ mod tests {
                 },
             ],
         };
-        let d = rec.deltas(&mapping, 2);
+        let d = stage_deltas(&mapping, 2, &rec.service_factors, &rec.transport_factors);
         assert!((d.exec()[0] - 1.1).abs() < 1e-9, "{:?}", d.exec());
         // And they survive the JSON report for `pipemap resolve --doctor`.
         let v = report_json(&report);

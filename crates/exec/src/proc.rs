@@ -58,6 +58,45 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// The kinds of run directory: `pipemap-<kind>-<pid>-<n>`.
+const RUN_DIR_KINDS: [&str; 2] = ["wire", "cal"];
+
+/// A fresh run directory `pipemap-<kind>-<pid>-<n>` under the temporary
+/// directory, after sweeping the ones dead processes left there.
+fn run_dir(kind: &str) -> Result<PathBuf, String> {
+    let tmp = std::env::temp_dir();
+    sweep_dead_runs(&tmp);
+    let dir = tmp.join(format!(
+        "pipemap-{kind}-{}-{}",
+        std::process::id(),
+        RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    Ok(dir)
+}
+
+/// Remove the run directories in `tmp` whose `<pid>` has no `/proc`
+/// entry: a run killed before its cleanup (SIGKILL, a crash) leaves its
+/// directory behind. Directories of live processes stay, this one's
+/// included.
+fn sweep_dead_runs(tmp: &Path) {
+    // Without /proc every pid would look dead.
+    if !Path::new("/proc/self").exists() {
+        return;
+    }
+    for entry in std::fs::read_dir(tmp).into_iter().flatten().flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let pid = RUN_DIR_KINDS
+            .iter()
+            .find_map(|kind| name.strip_prefix(&format!("pipemap-{kind}-")))
+            .and_then(|rest| Some(rest.split_once('-')?.0))
+            .filter(|pid| !pid.is_empty() && pid.bytes().all(|b| b.is_ascii_digit()));
+        if pid.is_some_and(|pid| !Path::new("/proc").join(pid).exists()) {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
+}
+
 /// What one worker process measured about itself, reported over stdout
 /// when it drains cleanly.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -361,12 +400,7 @@ pub fn measure_transport(
     messages: u64,
     batch: usize,
 ) -> Result<TransportMeasurement, String> {
-    let dir = std::env::temp_dir().join(format!(
-        "pipemap-cal-{}-{}",
-        std::process::id(),
-        RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let dir = run_dir("cal")?;
     let result = measure_transport_in(&dir, payload_bytes, messages, batch);
     let _ = std::fs::remove_dir_all(&dir);
     result
@@ -1223,12 +1257,7 @@ pub(crate) fn run_wire(
     let plan_str = plan.serialize();
     let hash = plan.hash();
 
-    let dir = std::env::temp_dir().join(format!(
-        "pipemap-wire-{}-{}",
-        std::process::id(),
-        RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let dir = run_dir("wire")?;
     let result = run_wire_in(&plan, &plan_str, hash, &dir, feed, &mut on_item);
     let _ = std::fs::remove_dir_all(&dir);
     result
@@ -1601,6 +1630,44 @@ mod tests {
     use crate::driver::WireLoadOptions;
     use crate::transport::InProcLink;
     use crate::wire::WireStagePlan;
+
+    #[test]
+    fn sweep_removes_only_run_directories_of_dead_processes() {
+        let tmp = std::env::temp_dir().join(format!("sweep-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        std::fs::create_dir_all(&tmp).unwrap();
+        let mut child = Command::new("true").spawn().expect("spawn true");
+        let reaped = child.id();
+        child.wait().unwrap();
+        let live = std::process::id();
+        let names = [
+            format!("pipemap-wire-{live}-0"),
+            format!("pipemap-cal-{live}-1"),
+            format!("pipemap-wire-{reaped}-2"),
+            format!("pipemap-cal-{reaped}-3"),
+            format!("pipemap-other-{reaped}-4"),
+            "pipemap-wire-x1-5".to_string(),
+            format!("pipemap-wire-{reaped}"),
+        ];
+        for n in &names {
+            std::fs::create_dir_all(tmp.join(n).join("inner")).unwrap();
+        }
+        sweep_dead_runs(&tmp);
+        let mut left: Vec<String> = std::fs::read_dir(&tmp)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        let mut want: Vec<String> = names
+            .iter()
+            .filter(|n| !n.starts_with(&format!("pipemap-wire-{reaped}-")))
+            .filter(|n| !n.starts_with(&format!("pipemap-cal-{reaped}-")))
+            .cloned()
+            .collect();
+        want.sort();
+        assert_eq!(left, want);
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
 
     #[test]
     fn txset_coalesces_to_batch_and_round_robins() {

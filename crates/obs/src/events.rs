@@ -1,8 +1,7 @@
 //! Structured observability events and the alert-rule engine.
 //!
 //! A run produces a bounded ring of [`ObsEvent`]s — SLO burn-rate
-//! breaches, residual-threshold crossings, bottleneck changes,
-//! backpressure onsets — that a live dashboard (`pipemap top`) or a
+//! breaches, bottleneck changes, backpressure onsets — that a live dashboard (`pipemap top`) or a
 //! post-hoc reader consumes as JSONL (`/events.jsonl` on the exposition
 //! server). Three producers live here:
 //!
@@ -18,8 +17,8 @@
 //!   argmax; emits a [`EventKind::BottleneckChange`] event when the
 //!   most-loaded stage moves, which is exactly the condition under which
 //!   the paper's mapping stops being optimal.
-//! * [`ModelPublisher`] — a cloneable slot for the latest online-fitted
-//!   cost-model JSON, served at `/model.json`.
+//! * [`ModelPublisher`] — a cloneable slot for the latest per-stage
+//!   service-window JSON, served at `/model.json`.
 //!
 //! Timestamps are caller-provided microseconds (wall-relative for the
 //! executor, virtual time × 1e6 for the simulators) so the engine is
@@ -77,11 +76,6 @@ pub enum EventKind {
     SloSlowBurn,
     /// A previously-firing SLO rule dropped below half its threshold.
     SloRecovered,
-    /// An online-fitted coefficient moved beyond the residual threshold
-    /// from its static model.
-    ResidualHigh,
-    /// A previously-drifted stage's residual fell back under threshold.
-    ResidualRecovered,
     /// The measured bottleneck stage changed.
     BottleneckChange,
     /// A stage started blocking on its downstream queue.
@@ -90,12 +84,6 @@ pub enum EventKind {
     BackpressureEnd,
     /// Load was shed (a data set dropped instead of queued).
     Shed,
-    /// An online-fitted cost drifted past its stage's exact stability
-    /// margin: the solver's chosen mapping is provably no longer optimal
-    /// (see `pipemap_core::stability_margins`). Unlike [`ResidualHigh`],
-    /// which fires at a fixed residual threshold, this fires exactly at
-    /// the drift factor where a different mapping starts to win.
-    MarginCrossed,
 }
 
 impl EventKind {
@@ -105,13 +93,10 @@ impl EventKind {
             EventKind::SloFastBurn => "slo_fast_burn",
             EventKind::SloSlowBurn => "slo_slow_burn",
             EventKind::SloRecovered => "slo_recovered",
-            EventKind::ResidualHigh => "residual_high",
-            EventKind::ResidualRecovered => "residual_recovered",
             EventKind::BottleneckChange => "bottleneck_change",
             EventKind::BackpressureOnset => "backpressure_onset",
             EventKind::BackpressureEnd => "backpressure_end",
             EventKind::Shed => "shed",
-            EventKind::MarginCrossed => "margin_crossed",
         }
     }
 
@@ -121,13 +106,10 @@ impl EventKind {
             "slo_fast_burn" => Some(EventKind::SloFastBurn),
             "slo_slow_burn" => Some(EventKind::SloSlowBurn),
             "slo_recovered" => Some(EventKind::SloRecovered),
-            "residual_high" => Some(EventKind::ResidualHigh),
-            "residual_recovered" => Some(EventKind::ResidualRecovered),
             "bottleneck_change" => Some(EventKind::BottleneckChange),
             "backpressure_onset" => Some(EventKind::BackpressureOnset),
             "backpressure_end" => Some(EventKind::BackpressureEnd),
             "shed" => Some(EventKind::Shed),
-            "margin_crossed" => Some(EventKind::MarginCrossed),
             _ => None,
         }
     }
@@ -144,8 +126,8 @@ pub struct ObsEvent {
     pub severity: Severity,
     /// The stage the event is about, if any.
     pub stage: Option<u32>,
-    /// The quantity that triggered the event (burn rate, residual,
-    /// effective service seconds — see `kind`).
+    /// The quantity that triggered the event (burn rate, effective
+    /// service seconds — see `kind`).
     pub value: f64,
     /// Human-readable one-liner.
     pub message: String,
@@ -460,13 +442,6 @@ impl SloConfig {
         self.target = target.clamp(0.0, 1.0 - 1e-9);
         self
     }
-
-    /// Set the fast/slow window lengths in seconds.
-    pub fn with_windows(mut self, fast_s: f64, slow_s: f64) -> Self {
-        self.fast_window_s = fast_s;
-        self.slow_window_s = slow_s.max(fast_s);
-        self
-    }
 }
 
 /// Time buckets per burn-rate window. The window expires in bucket
@@ -703,7 +678,7 @@ impl BottleneckTracker {
     }
 }
 
-/// A cloneable slot holding the latest online-fitted cost-model JSON;
+/// A cloneable slot holding the latest per-stage service-window JSON;
 /// the exposition server serves it at `/model.json`.
 #[derive(Clone, Default)]
 pub struct ModelPublisher {
@@ -787,11 +762,11 @@ mod tests {
         assert!(page.is_empty());
         assert_eq!(next, 2);
 
-        log.emit(event(2.0, EventKind::MarginCrossed));
+        log.emit(event(2.0, EventKind::BottleneckChange));
         let (page, next) = log.snapshot_since(next);
         assert_eq!(page.len(), 1);
         assert_eq!(page[0].0, 3);
-        assert_eq!(page[0].1.kind, EventKind::MarginCrossed);
+        assert_eq!(page[0].1.kind, EventKind::BottleneckChange);
         assert_eq!(next, 3);
 
         // Eviction keeps sequence numbers monotone: after overflowing the
@@ -825,13 +800,10 @@ mod tests {
             EventKind::SloFastBurn,
             EventKind::SloSlowBurn,
             EventKind::SloRecovered,
-            EventKind::ResidualHigh,
-            EventKind::ResidualRecovered,
             EventKind::BottleneckChange,
             EventKind::BackpressureOnset,
             EventKind::BackpressureEnd,
             EventKind::Shed,
-            EventKind::MarginCrossed,
         ] {
             assert_eq!(EventKind::parse(k.as_str()), Some(k));
         }

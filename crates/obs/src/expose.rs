@@ -15,7 +15,7 @@
 //!   sequence number strictly greater than `since` are returned, and the
 //!   header line's `next_since` is the cursor to pass on the next poll —
 //!   a dashboard polling at 1 Hz re-downloads nothing it has seen;
-//! * `GET /model.json` — the latest online-fitted cost model (404 when
+//! * `GET /model.json` — the latest per-stage service windows (404 when
 //!   no publisher is attached);
 //! * `GET /healthz` — liveness: always 200 with uptime and version, so
 //!   orchestration can probe a run without touching the scrape routes.
@@ -94,8 +94,8 @@ pub fn serve_with_journeys(
 }
 
 /// The full exposition surface: [`serve_with_journeys`] plus the
-/// structured event ring at `GET /events.jsonl` and the online-fitted
-/// cost model at `GET /model.json`, so `pipemap top --attach` can render
+/// structured event ring at `GET /events.jsonl` and the per-stage
+/// service windows at `GET /model.json`, so `pipemap top --attach` can render
 /// a live dashboard.
 pub fn serve_observatory(
     addr: impl ToSocketAddrs,

@@ -89,12 +89,6 @@ impl Value {
         }
     }
 
-    /// Whether this is JSON `null` (which is also how non-finite numbers
-    /// serialise).
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Serialise compactly (single line, no spaces).
     pub fn to_json(&self) -> String {
         let mut out = String::new();

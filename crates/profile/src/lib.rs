@@ -34,9 +34,7 @@ pub use executions::{
 };
 pub use fit::{fit_ecom, fit_unary, FitOptions, FitReport};
 pub use linalg::{least_squares, solve_linear};
-pub use online::{
-    Decayed, EdgeEstimator, EstimatorSnapshot, OnlineConfig, OnlineModel, StageEstimator, Welford,
-};
+pub use online::Decayed;
 pub use resource::{sample_self, CpuTracker, ResourceSample};
 pub use training::{
     default_training_procs, fit_chain, model_accuracy, profile_chain, AccuracyReport, ProfileData,

@@ -1,91 +1,29 @@
-//! Streaming (online) cost-model estimation.
+//! Exponentially-decayed service-time windows.
 //!
 //! The paper fits `f_exec` / `f_ecom` once, from a small set of training
 //! runs (§5), and the mapping stays optimal only while those fits match
-//! reality. This module keeps the fits *live*: per-stage and per-edge
-//! estimators absorb measured service and transfer times one sample at a
-//! time — a numerically-stable Welford accumulator for the all-time view
-//! plus an exponentially-decayed window that forgets old behaviour with a
-//! configurable half-life — and periodically refit the polynomial
-//! coefficients.
+//! reality. A [`Decayed`] window keeps one stage's recent service times:
+//! each new sample halves the weight of history every `half_life`
+//! samples, so a mid-stream cost change shows within a few half-lives
+//! instead of being averaged away over the whole run.
 //!
-//! Two refit regimes, chosen automatically:
+//! A running system executes each stage at one fixed processor count,
+//! which cannot determine a three-coefficient model. The window's fitted
+//! cost therefore scales the static model to the measured level
+//! ([`Decayed::fitted`]) — exact when the drift is a uniform cost change
+//! (the common case: data grew, a cache stopped fitting).
 //!
-//! * **Full least-squares** when samples cover at least three distinct
-//!   processor counts (five distinct `(ps, pr)` pairs for the external
-//!   form): the same [`crate::fit`] solvers the offline trainer uses run
-//!   on the decayed per-count means, so a long-lived deployment that has
-//!   seen several replication degrees re-derives all coefficients.
-//! * **Scale refit** otherwise: a running system usually executes each
-//!   stage at *one* fixed processor count, which under-determines the
-//!   three-coefficient model. The estimator then scales the static
-//!   model's coefficients by `measured_mean / static(p)` — exact when
-//!   the drift is a uniform cost change (the common case: data grew, a
-//!   cache stopped fitting), and the best single-point update available
-//!   otherwise.
-//!
-//! Each estimator exposes the *drift* of the fitted model from the
-//! static one, the residual of the fit against the measured means, and a
-//! sample-count/variance-based confidence, so consumers (the event
-//! engine, `pipemap doctor --model online`, `pipemap top`) can tell "the
-//! model moved" from "the data is noisy".
+//! `pipemap doctor --model online` keeps one window per stage and prices
+//! its fitted cost against the static model; the live observatory keeps
+//! one per stage and publishes it as `/model.json`.
 
-use pipemap_model::{PolyEcom, PolyUnary, Procs, Seconds};
+/// Samples a window needs before its mean stands as the fitted cost.
+pub const MIN_FIT_SAMPLES: u64 = 4;
 
-use crate::fit::{fit_ecom, fit_unary, FitOptions};
-
-/// Numerically-stable streaming mean/variance (Welford's algorithm).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// A new empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sd(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// Exponentially-decayed mean/variance: each new sample multiplies the
-/// weight of history by `0.5^(1/half_life)`, so behaviour from more than
-/// a few half-lives ago no longer influences the estimate. This is what
-/// lets the fit track a mid-stream cost change instead of averaging it
-/// away.
+/// Exponentially-decayed mean/variance of service seconds: each new
+/// sample multiplies the weight of history by `0.5^(1/half_life)`, so
+/// behaviour from more than a few half-lives ago no longer influences
+/// the estimate. The update is Welford's, with exponential weights.
 #[derive(Clone, Copy, Debug)]
 pub struct Decayed {
     alpha: f64,
@@ -109,8 +47,12 @@ impl Decayed {
         }
     }
 
-    /// Absorb one observation.
+    /// Absorb one service time. Non-finite or negative observations are
+    /// ignored.
     pub fn push(&mut self, x: f64) {
+        if !x.is_finite() || x < 0.0 {
+            return;
+        }
         self.weight = self.weight * self.alpha + 1.0;
         let eta = 1.0 / self.weight;
         let d = x - self.mean;
@@ -124,473 +66,41 @@ impl Decayed {
         self.n
     }
 
-    /// Effective (decayed) sample weight; converges to ~1.44 ×
-    /// half-life under steady input.
-    pub fn effective_weight(&self) -> f64 {
-        self.weight
-    }
-
     /// Decay-weighted mean (0 when empty).
     pub fn mean(&self) -> f64 {
         self.mean
     }
 
-    /// Decay-weighted variance.
-    pub fn variance(&self) -> f64 {
-        self.var.max(0.0)
-    }
-
     /// Decay-weighted standard deviation.
     pub fn sd(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// Configuration shared by the per-stage and per-edge estimators.
-#[derive(Clone, Copy, Debug)]
-pub struct OnlineConfig {
-    /// Half-life of the decayed window, in samples.
-    pub half_life: f64,
-    /// Refit the polynomial after this many new samples per estimator.
-    pub refit_every: u64,
-    /// Minimum (decayed-window) samples at a processor count before it
-    /// participates in a full least-squares refit.
-    pub min_samples_per_point: u64,
-}
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        Self {
-            half_life: 64.0,
-            refit_every: 32,
-            min_samples_per_point: 4,
-        }
-    }
-}
-
-/// A point-in-time view of one estimator, ready for rendering.
-#[derive(Clone, Copy, Debug)]
-pub struct EstimatorSnapshot {
-    /// The static (offline-fitted) model the estimator started from.
-    pub static_model: PolyUnary,
-    /// The current online-fitted model.
-    pub fitted: PolyUnary,
-    /// Total samples absorbed.
-    pub samples: u64,
-    /// The processor count carrying the most sample weight.
-    pub p: Procs,
-    /// Decayed mean service time at that count.
-    pub mean_s: f64,
-    /// Decayed standard deviation at that count.
-    pub sd_s: f64,
-    /// Relative deviation of the fitted model from the static one at the
-    /// dominant count: `|fitted(p) − static(p)| / static(p)`.
-    pub drift: f64,
-    /// Signed drift factor `fitted(p) / static(p)` at the dominant count
-    /// (`1.0` when the static model is non-positive). This is the γ the
-    /// solver's exact stability margins are expressed in: the mapping is
-    /// provably still optimal while `exec_down < factor < exec_up`.
-    pub factor: f64,
-    /// Relative error of the fitted model against the measured decayed
-    /// mean at the dominant count.
-    pub fit_rel_err: f64,
-    /// Sample-count/variance confidence in `[0, 1]`.
-    pub confidence: f64,
-}
-
-/// Per-count accumulators for one stage (or one identified edge count).
-#[derive(Clone, Debug)]
-struct PointStats {
-    welford: Welford,
-    decayed: Decayed,
-}
-
-/// Online estimator for one stage's three-term `f_exec` model.
-#[derive(Clone, Debug)]
-pub struct StageEstimator {
-    static_model: PolyUnary,
-    fitted: PolyUnary,
-    points: Vec<(Procs, PointStats)>,
-    cfg: OnlineConfig,
-    since_refit: u64,
-    refits: u64,
-}
-
-impl StageEstimator {
-    /// A new estimator seeded with the static model.
-    pub fn new(static_model: PolyUnary, cfg: OnlineConfig) -> Self {
-        Self {
-            static_model,
-            fitted: static_model,
-            points: Vec::new(),
-            cfg,
-            since_refit: 0,
-            refits: 0,
-        }
+        self.var.max(0.0).sqrt()
     }
 
-    /// Absorb one measured service time at `p` processors, refitting
-    /// when due. Non-finite or negative observations are ignored.
-    pub fn observe(&mut self, p: Procs, seconds: Seconds) {
-        if p == 0 || !seconds.is_finite() || seconds < 0.0 {
-            return;
-        }
-        let half_life = self.cfg.half_life;
-        let stats = match self.points.iter_mut().find(|(q, _)| *q == p) {
-            Some((_, s)) => s,
-            None => {
-                self.points.push((
-                    p,
-                    PointStats {
-                        welford: Welford::new(),
-                        decayed: Decayed::new(half_life),
-                    },
-                ));
-                &mut self.points.last_mut().expect("just pushed").1
-            }
-        };
-        stats.welford.push(seconds);
-        stats.decayed.push(seconds);
-        self.since_refit += 1;
-        if self.since_refit >= self.cfg.refit_every {
-            self.refit();
-        }
-    }
-
-    /// Re-derive the fitted model from the current decayed means.
-    pub fn refit(&mut self) {
-        self.since_refit = 0;
-        let usable: Vec<(Procs, Seconds)> = self
-            .points
-            .iter()
-            .filter(|(_, s)| s.decayed.count() >= self.cfg.min_samples_per_point)
-            .map(|(p, s)| (*p, s.decayed.mean()))
-            .collect();
-        if usable.is_empty() {
-            return;
-        }
-        self.refits += 1;
-        if usable.len() >= 3 {
-            // Enough distinct processor counts to determine all three
-            // coefficients: run the offline least-squares solver on the
-            // decayed means.
-            self.fitted = fit_unary(&usable, FitOptions::default()).model;
-            return;
-        }
-        // Under-determined (the running system executes this stage at a
-        // fixed count): scale the static shape to the measured level.
-        let (p, mean) = *usable
-            .iter()
-            .max_by(|a, b| {
-                let wa = self.weight_at(a.0);
-                let wb = self.weight_at(b.0);
-                wa.total_cmp(&wb)
-            })
-            .expect("non-empty");
-        let predicted = self.static_model.eval(p);
-        if predicted.is_finite() && predicted > 0.0 {
-            self.fitted = self.static_model.scale(mean / predicted);
+    /// The fitted cost against a static prediction `static_s`: the static
+    /// cost scaled by `mean / static_s`, or the mean itself when the
+    /// static cost is not positive. Until [`MIN_FIT_SAMPLES`] samples are
+    /// in, the static cost stands.
+    pub fn fitted(&self, static_s: f64) -> f64 {
+        if self.n < MIN_FIT_SAMPLES {
+            static_s
+        } else if static_s.is_finite() && static_s > 0.0 {
+            static_s * (self.mean / static_s)
         } else {
-            self.fitted = PolyUnary::new(mean, 0.0, 0.0);
+            self.mean
         }
     }
 
-    fn weight_at(&self, p: Procs) -> f64 {
-        self.points
-            .iter()
-            .find(|(q, _)| *q == p)
-            .map(|(_, s)| s.decayed.effective_weight())
-            .unwrap_or(0.0)
-    }
-
-    /// The processor count carrying the most decayed sample weight.
-    fn dominant(&self) -> Option<(Procs, &PointStats)> {
-        self.points
-            .iter()
-            .max_by(|a, b| {
-                a.1.decayed
-                    .effective_weight()
-                    .total_cmp(&b.1.decayed.effective_weight())
-            })
-            .map(|(p, s)| (*p, s))
-    }
-
-    /// The current online-fitted model.
-    pub fn fitted(&self) -> PolyUnary {
-        self.fitted
-    }
-
-    /// The static model the estimator started from.
-    pub fn static_model(&self) -> PolyUnary {
-        self.static_model
-    }
-
-    /// Total samples absorbed across all counts.
-    pub fn samples(&self) -> u64 {
-        self.points.iter().map(|(_, s)| s.welford.count()).sum()
-    }
-
-    /// Completed refits.
-    pub fn refits(&self) -> u64 {
-        self.refits
-    }
-
-    /// Snapshot for rendering; `None` until the first observation.
-    pub fn snapshot(&self) -> Option<EstimatorSnapshot> {
-        let (p, stats) = self.dominant()?;
-        let mean = stats.decayed.mean();
-        let sd = stats.decayed.sd();
-        let stat = self.static_model.eval(p);
-        let fit = self.fitted.eval(p);
-        let (drift, factor) = if stat.is_finite() && stat > 0.0 {
-            ((fit - stat).abs() / stat, fit / stat)
-        } else {
-            (0.0, 1.0)
-        };
-        let fit_rel_err = if mean > 0.0 {
-            (fit - mean).abs() / mean
+    /// Confidence in the mean, in `[0, 1]`: it grows with samples and
+    /// shrinks with relative spread — about 0.5 after 8 quiet samples,
+    /// towards 1 as the window fills.
+    pub fn confidence(&self) -> f64 {
+        let n = self.n as f64;
+        let rel_sd = if self.mean > 0.0 {
+            self.sd() / self.mean
         } else {
             0.0
         };
-        let n = stats.decayed.count() as f64;
-        // Confidence grows with samples and shrinks with relative
-        // spread: ~0.5 after 8 quiet samples, →1 as the window fills.
-        let rel_sd = if mean > 0.0 { sd / mean } else { 0.0 };
-        let confidence = ((n / (n + 8.0)) * (1.0 / (1.0 + rel_sd))).clamp(0.0, 1.0);
-        Some(EstimatorSnapshot {
-            static_model: self.static_model,
-            fitted: self.fitted,
-            samples: self.samples(),
-            p,
-            mean_s: mean,
-            sd_s: sd,
-            drift,
-            factor,
-            fit_rel_err,
-            confidence,
-        })
-    }
-}
-
-/// Online estimator for one edge's five-term `f_ecom` model. Same
-/// regimes as [`StageEstimator`]: full [`fit_ecom`] when five distinct
-/// `(ps, pr)` pairs have enough samples, scale refit otherwise.
-#[derive(Clone, Debug)]
-pub struct EdgeEstimator {
-    static_model: PolyEcom,
-    fitted: PolyEcom,
-    points: Vec<((Procs, Procs), PointStats)>,
-    cfg: OnlineConfig,
-    since_refit: u64,
-}
-
-impl EdgeEstimator {
-    /// A new estimator seeded with the static model.
-    pub fn new(static_model: PolyEcom, cfg: OnlineConfig) -> Self {
-        Self {
-            static_model,
-            fitted: static_model,
-            points: Vec::new(),
-            cfg,
-            since_refit: 0,
-        }
-    }
-
-    /// Absorb one measured transfer time between `ps` senders and `pr`
-    /// receivers.
-    pub fn observe(&mut self, ps: Procs, pr: Procs, seconds: Seconds) {
-        if ps == 0 || pr == 0 || !seconds.is_finite() || seconds < 0.0 {
-            return;
-        }
-        let half_life = self.cfg.half_life;
-        let key = (ps, pr);
-        let stats = match self.points.iter_mut().find(|(q, _)| *q == key) {
-            Some((_, s)) => s,
-            None => {
-                self.points.push((
-                    key,
-                    PointStats {
-                        welford: Welford::new(),
-                        decayed: Decayed::new(half_life),
-                    },
-                ));
-                &mut self.points.last_mut().expect("just pushed").1
-            }
-        };
-        stats.welford.push(seconds);
-        stats.decayed.push(seconds);
-        self.since_refit += 1;
-        if self.since_refit >= self.cfg.refit_every {
-            self.refit();
-        }
-    }
-
-    /// Re-derive the fitted model from the current decayed means.
-    pub fn refit(&mut self) {
-        self.since_refit = 0;
-        let usable: Vec<((Procs, Procs), Seconds)> = self
-            .points
-            .iter()
-            .filter(|(_, s)| s.decayed.count() >= self.cfg.min_samples_per_point)
-            .map(|(k, s)| (*k, s.decayed.mean()))
-            .collect();
-        if usable.is_empty() {
-            return;
-        }
-        if usable.len() >= 5 {
-            self.fitted = fit_ecom(&usable, FitOptions::default()).model;
-            return;
-        }
-        let ((ps, pr), mean) = *usable
-            .iter()
-            .max_by(|a, b| {
-                let w = |k: (Procs, Procs)| {
-                    self.points
-                        .iter()
-                        .find(|(q, _)| *q == k)
-                        .map(|(_, s)| s.decayed.effective_weight())
-                        .unwrap_or(0.0)
-                };
-                w(a.0).total_cmp(&w(b.0))
-            })
-            .expect("non-empty");
-        let predicted = self.static_model.eval(ps, pr);
-        if predicted.is_finite() && predicted > 0.0 {
-            self.fitted = self.static_model.scale(mean / predicted);
-        } else {
-            self.fitted = PolyEcom::new(mean, 0.0, 0.0, 0.0, 0.0);
-        }
-    }
-
-    /// The current online-fitted model.
-    pub fn fitted(&self) -> PolyEcom {
-        self.fitted
-    }
-
-    /// The static model the estimator started from.
-    pub fn static_model(&self) -> PolyEcom {
-        self.static_model
-    }
-
-    /// Total samples absorbed.
-    pub fn samples(&self) -> u64 {
-        self.points.iter().map(|(_, s)| s.welford.count()).sum()
-    }
-
-    /// Relative deviation of the fitted model from the static one at the
-    /// dominant pair (0 until the first refit).
-    pub fn drift(&self) -> f64 {
-        let stat = self.static_at_dominant();
-        match stat {
-            Some((stat, fit)) => (fit - stat).abs() / stat,
-            None => 0.0,
-        }
-    }
-
-    /// Signed drift factor `fitted / static` at the dominant pair
-    /// (`1.0` until observations arrive or when the static model is
-    /// non-positive) — the γ that `ecom_in_up` / `ecom_in_down` margins
-    /// bound.
-    pub fn factor(&self) -> f64 {
-        match self.static_at_dominant() {
-            Some((stat, fit)) => fit / stat,
-            None => 1.0,
-        }
-    }
-
-    /// `(static, fitted)` evaluated at the dominant pair, when positive.
-    fn static_at_dominant(&self) -> Option<(f64, f64)> {
-        let ((ps, pr), _) = self
-            .points
-            .iter()
-            .max_by(|a, b| {
-                a.1.decayed
-                    .effective_weight()
-                    .total_cmp(&b.1.decayed.effective_weight())
-            })
-            .map(|(k, s)| (*k, s))?;
-        let stat = self.static_model.eval(ps, pr);
-        if stat.is_finite() && stat > 0.0 {
-            Some((stat, self.fitted.eval(ps, pr)))
-        } else {
-            None
-        }
-    }
-}
-
-/// The full online model of a pipeline: one [`StageEstimator`] per stage
-/// and one [`EdgeEstimator`] per inter-stage edge.
-#[derive(Clone, Debug)]
-pub struct OnlineModel {
-    stages: Vec<StageEstimator>,
-    edges: Vec<EdgeEstimator>,
-}
-
-impl OnlineModel {
-    /// Build from the static per-stage and per-edge models.
-    pub fn new(stage_models: &[PolyUnary], edge_models: &[PolyEcom], cfg: OnlineConfig) -> Self {
-        Self {
-            stages: stage_models
-                .iter()
-                .map(|m| StageEstimator::new(*m, cfg))
-                .collect(),
-            edges: edge_models
-                .iter()
-                .map(|m| EdgeEstimator::new(*m, cfg))
-                .collect(),
-        }
-    }
-
-    /// Build for a pipeline whose static knowledge is just a measured
-    /// service mean per stage (the executor case): the static model is
-    /// the constant polynomial at that mean.
-    pub fn from_service_means(means: &[Seconds], cfg: OnlineConfig) -> Self {
-        let stages: Vec<PolyUnary> = means
-            .iter()
-            .map(|&m| PolyUnary::new(m.max(0.0), 0.0, 0.0))
-            .collect();
-        Self::new(&stages, &[], cfg)
-    }
-
-    /// Number of stages.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Absorb one stage service sample.
-    pub fn observe_exec(&mut self, stage: usize, p: Procs, seconds: Seconds) {
-        if let Some(e) = self.stages.get_mut(stage) {
-            e.observe(p, seconds);
-        }
-    }
-
-    /// Absorb one edge transfer sample (edge `i` joins stage `i` to
-    /// stage `i + 1`).
-    pub fn observe_ecom(&mut self, edge: usize, ps: Procs, pr: Procs, seconds: Seconds) {
-        if let Some(e) = self.edges.get_mut(edge) {
-            e.observe(ps, pr, seconds);
-        }
-    }
-
-    /// Force a refit of every estimator (they also refit themselves
-    /// every `refit_every` samples).
-    pub fn refit(&mut self) {
-        for e in &mut self.stages {
-            e.refit();
-        }
-        for e in &mut self.edges {
-            e.refit();
-        }
-    }
-
-    /// The per-stage estimators.
-    pub fn stages(&self) -> &[StageEstimator] {
-        &self.stages
-    }
-
-    /// The per-edge estimators.
-    pub fn edges(&self) -> &[EdgeEstimator] {
-        &self.edges
+        ((n / (n + 8.0)) * (1.0 / (1.0 + rel_sd))).clamp(0.0, 1.0)
     }
 }
 
@@ -600,15 +110,18 @@ mod tests {
 
     #[test]
     fn welford_matches_direct_computation() {
+        // With no decay every sample weighs the same: the update is
+        // Welford's, so mean and (population) variance match the direct
+        // formulas.
         let xs = [1.0, 2.0, 4.0, 8.0, 16.0, 3.5];
-        let mut w = Welford::new();
+        let mut w = Decayed::new(f64::INFINITY);
         for &x in &xs {
             w.push(x);
         }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.variance() - var).abs() < 1e-12);
+        assert!((w.sd() - var.sqrt()).abs() < 1e-12);
         assert_eq!(w.count(), 6);
     }
 
@@ -624,173 +137,58 @@ mod tests {
             d.push(3.0);
         }
         assert!((d.mean() - 3.0).abs() < 0.1, "mean {}", d.mean());
-        // The all-time Welford over the same stream would still sit
-        // near 1.57 — that is exactly why the decayed window exists.
-    }
-
-    #[test]
-    fn full_refit_recovers_coefficients_from_three_counts() {
-        let truth = PolyUnary::new(0.02, 1.5, 0.001);
-        // Start from a deliberately wrong static model.
-        let mut est = StageEstimator::new(
-            PolyUnary::new(1.0, 1.0, 1.0),
-            OnlineConfig {
-                refit_every: 1_000_000, // manual refit below
-                ..OnlineConfig::default()
-            },
-        );
-        for p in [1usize, 4, 16] {
-            for _ in 0..8 {
-                est.observe(p, truth.eval(p));
-            }
-        }
-        est.refit();
-        for p in [1usize, 2, 4, 8, 16] {
-            let rel = (est.fitted().eval(p) - truth.eval(p)).abs() / truth.eval(p);
-            assert!(rel < 0.05, "p={p}: fitted {:?}", est.fitted());
-        }
+        // An all-time mean over the same stream would still sit near
+        // 1.57 — that is exactly why the window decays.
     }
 
     #[test]
     fn scale_refit_tracks_a_perturbation_at_fixed_p() {
-        let static_model = PolyUnary::new(0.02, 1.5, 0.001);
+        let static_s = 0.02 + 1.5 / 4.0 + 0.001 * 4.0;
         let g = 3.0; // the stage got 3x slower mid-stream
-        let mut est = StageEstimator::new(
-            static_model,
-            OnlineConfig {
-                half_life: 16.0,
-                refit_every: 16,
-                ..OnlineConfig::default()
-            },
-        );
-        let p = 4usize;
+        let mut w = Decayed::new(16.0);
         for _ in 0..64 {
-            est.observe(p, static_model.eval(p));
+            w.push(static_s);
         }
         for _ in 0..128 {
-            est.observe(p, static_model.eval(p) * g);
+            w.push(static_s * g);
         }
-        let fitted = est.fitted();
-        let want = static_model.eval(p) * g;
-        let rel = (fitted.eval(p) - want).abs() / want;
-        assert!(rel < 0.10, "fitted {:?} want {want}", fitted);
-        // Uniform scaling: every coefficient moved by ~g.
-        assert!((fitted.c2 / static_model.c2 - g).abs() / g < 0.10);
-        let snap = est.snapshot().unwrap();
-        assert!(snap.drift > 1.5, "drift {}", snap.drift);
+        let want = static_s * g;
+        let fitted = w.fitted(static_s);
+        assert!((fitted - want).abs() / want < 0.10, "fitted {fitted}");
         // The signed factor tracks γ itself, not just its magnitude.
-        assert!((snap.factor - g).abs() < 0.3, "factor {}", snap.factor);
-        assert!(snap.fit_rel_err < 0.05, "fit err {}", snap.fit_rel_err);
-        assert!(snap.confidence > 0.5, "confidence {}", snap.confidence);
+        assert!((fitted / static_s - g).abs() < 0.3, "fitted {fitted}");
+        assert!(w.confidence() > 0.5, "confidence {}", w.confidence());
     }
 
     #[test]
     fn snapshot_reports_quiet_stage_as_undrifted() {
-        let static_model = PolyUnary::new(0.0, 2.0, 0.0);
-        let mut est = StageEstimator::new(static_model, OnlineConfig::default());
-        for _ in 0..100 {
-            est.observe(8, static_model.eval(8));
+        let static_s = 0.25;
+        let mut w = Decayed::new(64.0);
+        for _ in 0..3 {
+            w.push(static_s * 2.0);
         }
-        let snap = est.snapshot().unwrap();
-        assert!(snap.drift < 0.01, "drift {}", snap.drift);
-        assert!((snap.factor - 1.0).abs() < 0.01, "factor {}", snap.factor);
-        assert_eq!(snap.p, 8);
-        assert_eq!(snap.samples, 100);
+        // Too few samples to fit: the static cost stands.
+        assert_eq!(w.fitted(static_s), static_s);
+        let mut w = Decayed::new(64.0);
+        for _ in 0..100 {
+            w.push(static_s);
+        }
+        assert_eq!(w.fitted(static_s).to_bits(), static_s.to_bits());
+        // Without a static model the fit is the mean itself.
+        assert_eq!(w.fitted(0.0), w.mean());
+        assert_eq!(w.count(), 100);
+        assert_eq!(w.sd(), 0.0);
+        assert!((w.confidence() - 100.0 / 108.0).abs() < 1e-12);
     }
 
     #[test]
     fn rejects_garbage_observations() {
-        let mut est = StageEstimator::new(PolyUnary::new(1.0, 0.0, 0.0), OnlineConfig::default());
-        est.observe(0, 1.0);
-        est.observe(4, f64::NAN);
-        est.observe(4, -1.0);
-        assert_eq!(est.samples(), 0);
-        assert!(est.snapshot().is_none());
-    }
-
-    #[test]
-    fn edge_estimator_full_and_scale_refits() {
-        let truth = PolyEcom::new(0.002, 0.08, 0.08, 0.0001, 0.0002);
-        let mut est = EdgeEstimator::new(
-            PolyEcom::new(1.0, 1.0, 1.0, 0.0, 0.0),
-            OnlineConfig {
-                refit_every: 1_000_000,
-                ..OnlineConfig::default()
-            },
-        );
-        for (ps, pr) in [(1usize, 1usize), (2, 4), (4, 2), (8, 8), (16, 4)] {
-            for _ in 0..8 {
-                est.observe(ps, pr, truth.eval(ps, pr));
-            }
-        }
-        est.refit();
-        for (ps, pr) in [(2usize, 2usize), (8, 4), (16, 16)] {
-            let want = truth.eval(ps, pr);
-            let got = est.fitted().eval(ps, pr);
-            assert!(
-                (got - want).abs() / want < 0.05,
-                "({ps},{pr}): {got} vs {want}"
-            );
-        }
-
-        // Single-pair stream: scale refit.
-        let static_model = PolyEcom::new(0.002, 0.08, 0.08, 0.0, 0.0);
-        let mut est = EdgeEstimator::new(
-            static_model,
-            OnlineConfig {
-                half_life: 16.0,
-                refit_every: 16,
-                ..OnlineConfig::default()
-            },
-        );
-        for _ in 0..64 {
-            est.observe(4, 4, static_model.eval(4, 4) * 2.0);
-        }
-        let rel = (est.fitted().eval(4, 4) - static_model.eval(4, 4) * 2.0).abs()
-            / static_model.eval(4, 4);
-        assert!(rel < 0.2, "fitted {:?}", est.fitted());
-        assert!(est.drift() > 0.5);
-        assert!(
-            (est.factor() - 2.0).abs() < 0.4,
-            "factor {} should sit near the 2x perturbation",
-            est.factor()
-        );
-    }
-
-    #[test]
-    fn online_model_routes_samples_and_refits() {
-        let statics = [PolyUnary::new(0.0, 1.0, 0.0), PolyUnary::new(0.0, 2.0, 0.0)];
-        let mut model = OnlineModel::new(
-            &statics,
-            &[],
-            OnlineConfig {
-                half_life: 8.0,
-                refit_every: 8,
-                ..OnlineConfig::default()
-            },
-        );
-        for _ in 0..32 {
-            model.observe_exec(0, 2, 0.5);
-            model.observe_exec(1, 2, 4.0); // 4x the static prediction of 1.0
-        }
-        model.refit();
-        let snap0 = model.stages()[0].snapshot().unwrap();
-        let snap1 = model.stages()[1].snapshot().unwrap();
-        assert!(snap0.drift < 0.01, "{snap0:?}");
-        assert!((snap1.fitted.eval(2) - 4.0).abs() < 0.2, "{snap1:?}");
-        assert!(snap1.drift > 2.0, "{snap1:?}");
-        // Out-of-range stage indices are ignored, not a panic.
-        model.observe_exec(9, 2, 1.0);
-    }
-
-    #[test]
-    fn from_service_means_builds_constant_statics() {
-        let model = OnlineModel::from_service_means(&[0.25, 0.5], OnlineConfig::default());
-        assert_eq!(model.num_stages(), 2);
-        assert_eq!(
-            model.stages()[0].static_model(),
-            PolyUnary::new(0.25, 0.0, 0.0)
-        );
-        assert!((model.stages()[1].static_model().eval(7) - 0.5).abs() < 1e-12);
+        let mut w = Decayed::new(16.0);
+        w.push(f64::NAN);
+        w.push(f64::INFINITY);
+        w.push(-1.0);
+        assert_eq!(w.count(), 0);
+        assert_eq!(w.fitted(1.0), 1.0);
+        assert_eq!(w.confidence(), 0.0);
     }
 }

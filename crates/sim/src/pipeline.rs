@@ -29,7 +29,7 @@ pub(crate) const EVENT_WINDOW: usize = 16;
 /// data sets with index `>= after` see stage `stage`'s exec time
 /// multiplied by `factor`. Both simulators apply it identically (so
 /// their 1e-9 equivalence holds under drift); it provides a known
-/// ground truth for the online estimators and the drift doctor.
+/// ground truth for the drift doctor and its online verdict.
 #[derive(Clone, Copy, Debug)]
 pub struct CostPerturbation {
     /// First data-set index affected.

@@ -881,10 +881,25 @@ fn bench_provenance_overhead(metrics: &mut Value, opts: &BenchOptions) {
     );
 }
 
-fn bench_journey_overhead(metrics: &mut Value, opts: &BenchOptions) {
-    // Longer streams than the dataplane case: the A/B delta being
-    // bounded here is a couple of percent, which runs of a few
-    // milliseconds cannot resolve above scheduler noise.
+/// Throughput tax of an observer on the sustained-load pipeline:
+/// `run_observed` runs the given load with the observer attached and
+/// returns its throughput; publishes `<prefix>.throughput`,
+/// `.baseline_throughput` and `.overhead_frac`.
+///
+/// Longer streams than the dataplane case: the A/B delta being bounded
+/// here is a couple of percent, which runs of a few milliseconds cannot
+/// resolve above scheduler noise. Paired trials with alternating order,
+/// scored by the median of per-pair throughput ratios: a single short
+/// run cannot resolve a couple-percent delta above scheduler noise on a
+/// small CI box, a pair cancels drift slower than one run, alternating
+/// order cancels warmup bias, and the median rejects the odd preempted
+/// outlier.
+fn bench_observer_overhead(
+    metrics: &mut Value,
+    opts: &BenchOptions,
+    prefix: &str,
+    run_observed: impl Fn(&LoadConfig) -> f64,
+) {
     let n = if opts.quick { 40_000 } else { 120_000 };
     let base = LoadConfig {
         duration_s: None,
@@ -893,125 +908,9 @@ fn bench_journey_overhead(metrics: &mut Value, opts: &BenchOptions) {
         size: 512,
         ..LoadConfig::default()
     };
-
-    // Paired trials with alternating order, scored by the median of
-    // per-pair throughput ratios: a single short run cannot resolve a
-    // couple-percent delta above scheduler noise on a small CI box, a
-    // pair cancels drift slower than one run, alternating order cancels
-    // warmup bias, and the median rejects the odd preempted outlier.
     let run_base = |base: &LoadConfig| {
         let r = run_configured_load(base);
         assert_eq!(r.report.completed, n);
-        r.report.throughput
-    };
-    let run_traced = |base: &LoadConfig| {
-        let journeys = pipemap_obs::JourneyCollector::new(
-            pipemap_obs::JourneyConfig::default().with_sample(32),
-        );
-        let r = run_configured_load(&LoadConfig {
-            journeys: Some(journeys.clone()),
-            ..base.clone()
-        });
-        assert_eq!(r.report.completed, n);
-        // The traced runs must actually have produced journeys, or the
-        // A/B comparison is vacuous.
-        let stitched = pipemap_obs::stitch(&journeys.drain());
-        assert!(
-            stitched.iter().any(|j| j.complete(base.stages)),
-            "traced run produced no complete journeys"
-        );
-        r.report.throughput
-    };
-
-    let mut thr_base: f64 = 0.0;
-    let mut thr_traced: f64 = 0.0;
-    let mut ratios = Vec::new();
-    for pair in 0..5 {
-        let (b, t) = if pair % 2 == 0 {
-            let b = run_base(&base);
-            (b, run_traced(&base))
-        } else {
-            let t = run_traced(&base);
-            (run_base(&base), t)
-        };
-        thr_base = thr_base.max(b);
-        thr_traced = thr_traced.max(t);
-        ratios.push(t / b.max(1e-9));
-    }
-    ratios.sort_by(f64::total_cmp);
-    let median_ratio = ratios[ratios.len() / 2];
-    let prefix = "obs.journey_overhead";
-    metrics.set(
-        format!("{prefix}.throughput"),
-        metric(thr_traced, "datasets/s", Direction::Higher, 500.0),
-    );
-    metrics.set(
-        format!("{prefix}.baseline_throughput"),
-        metric(thr_base, "datasets/s", Direction::Higher, 500.0),
-    );
-    metrics.set(
-        format!("{prefix}.overhead_frac"),
-        metric(
-            (1.0 - median_ratio).max(0.0),
-            "frac",
-            Direction::Lower,
-            0.02,
-        ),
-    );
-}
-
-/// Cost of the full live observatory — sampled journeys, SLO/alert
-/// event log, and a background thread refitting the online cost model
-/// from the stream — versus a plain run of the same load. Same paired
-/// alternating-order median-of-ratios scoring as
-/// [`bench_journey_overhead`]; the committed baseline pins the whole
-/// observatory under a 2% throughput tax.
-fn bench_estimator_overhead(metrics: &mut Value, opts: &BenchOptions) {
-    let n = if opts.quick { 40_000 } else { 120_000 };
-    let base = LoadConfig {
-        duration_s: None,
-        datasets: Some(n),
-        stages: 4,
-        size: 512,
-        ..LoadConfig::default()
-    };
-
-    let run_base = |base: &LoadConfig| {
-        let r = run_configured_load(base);
-        assert_eq!(r.report.completed, n);
-        r.report.throughput
-    };
-    let run_observed = |base: &LoadConfig| {
-        let journeys = pipemap_obs::JourneyCollector::new(
-            pipemap_obs::JourneyConfig::default().with_sample(32),
-        );
-        let events = pipemap_obs::EventLog::default();
-        let publisher = pipemap_obs::ModelPublisher::default();
-        let observatory = crate::observatory::Observatory::without_statics(
-            base.stages,
-            crate::observatory::ObservatoryConfig::default(),
-            events.clone(),
-            publisher.clone(),
-        );
-        let handle = crate::observatory::spawn_observatory(
-            journeys.clone(),
-            observatory,
-            std::time::Duration::from_millis(250),
-        );
-        let r = run_configured_load(&LoadConfig {
-            journeys: Some(journeys.clone()),
-            events: Some(events.clone()),
-            slo: Some(pipemap_obs::SloConfig::default()),
-            ..base.clone()
-        });
-        let observatory = handle.stop();
-        assert_eq!(r.report.completed, n);
-        // The observed runs must actually have exercised the estimators,
-        // or the A/B comparison is vacuous.
-        assert!(
-            observatory.ingested() > 0,
-            "observatory ingested no journeys during the observed run"
-        );
         r.report.throughput
     };
 
@@ -1032,7 +931,6 @@ fn bench_estimator_overhead(metrics: &mut Value, opts: &BenchOptions) {
     }
     ratios.sort_by(f64::total_cmp);
     let median_ratio = ratios[ratios.len() / 2];
-    let prefix = "obs.estimator_overhead";
     metrics.set(
         format!("{prefix}.throughput"),
         metric(thr_observed, "datasets/s", Direction::Higher, 500.0),
@@ -1052,11 +950,68 @@ fn bench_estimator_overhead(metrics: &mut Value, opts: &BenchOptions) {
     );
 }
 
+/// Cost of sampled journey tracing (1 in 32) versus a plain run of the
+/// same load.
+fn bench_journey_overhead(metrics: &mut Value, opts: &BenchOptions) {
+    bench_observer_overhead(metrics, opts, "obs.journey_overhead", |base| {
+        let journeys = pipemap_obs::JourneyCollector::new(
+            pipemap_obs::JourneyConfig::default().with_sample(32),
+        );
+        let r = run_configured_load(&LoadConfig {
+            journeys: Some(journeys.clone()),
+            ..base.clone()
+        });
+        assert_eq!(Some(r.report.completed), base.datasets);
+        // The traced runs must actually have produced journeys, or the
+        // A/B comparison is vacuous.
+        let stitched = pipemap_obs::stitch(&journeys.drain());
+        assert!(
+            stitched.iter().any(|j| j.complete(base.stages)),
+            "traced run produced no complete journeys"
+        );
+        r.report.throughput
+    });
+}
+
+/// Cost of the full live observatory — sampled journeys, SLO/alert
+/// event log, and a background thread keeping each stage's decayed
+/// service window from the stream — versus a plain run of the same
+/// load; the committed baseline pins it under a 2% throughput tax.
+fn bench_estimator_overhead(metrics: &mut Value, opts: &BenchOptions) {
+    bench_observer_overhead(metrics, opts, "obs.estimator_overhead", |base| {
+        let journeys = pipemap_obs::JourneyCollector::new(
+            pipemap_obs::JourneyConfig::default().with_sample(32),
+        );
+        let publisher = pipemap_obs::ModelPublisher::default();
+        let observatory = crate::observatory::Observatory::new(vec![1; base.stages], publisher);
+        let handle = crate::observatory::spawn_observatory(
+            journeys.clone(),
+            observatory,
+            std::time::Duration::from_millis(250),
+        );
+        let r = run_configured_load(&LoadConfig {
+            journeys: Some(journeys.clone()),
+            events: Some(pipemap_obs::EventLog::default()),
+            slo: Some(pipemap_obs::SloConfig::default()),
+            ..base.clone()
+        });
+        let observatory = handle.stop();
+        assert_eq!(Some(r.report.completed), base.datasets);
+        // The observed runs must actually have exercised the windows,
+        // or the A/B comparison is vacuous.
+        assert!(
+            observatory.ingested() > 0,
+            "observatory ingested no journeys during the observed run"
+        );
+        r.report.throughput
+    });
+}
+
 /// Cost of the cross-process telemetry plane on the UDS data plane:
 /// the same worker-process pipeline run with per-worker delta shipping
 /// on (at the 100ms period observed runs use) and off. Same
 /// paired alternating-order median-of-ratios scoring as
-/// [`bench_journey_overhead`]; the committed baseline pins the
+/// [`bench_observer_overhead`]; the committed baseline pins the
 /// sidecar's throughput tax — under 3% on a quiet machine, with the
 /// regression slack sized to the CI box's noise floor (see below).
 /// Probe-gated like the transport case:

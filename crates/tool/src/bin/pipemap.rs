@@ -1183,7 +1183,8 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
         col
     });
     // A served run also gets the full observatory surface: SLO/alert
-    // events at /events.jsonl and the online-fitted model at /model.json.
+    // events at /events.jsonl and the per-stage service windows at
+    // /model.json.
     let (events, publisher) = if obs_flags.serve.is_some() {
         (
             Some(pipemap_obs::EventLog::default()),
@@ -1203,23 +1204,15 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
         publisher.as_ref(),
     )?;
     // The online observatory: a background thread polling the journey
-    // collector, refitting the per-stage cost estimators, and publishing
-    // the fitted model (with residual events) while the load runs.
-    let observatory = match (&journeys, &events, &publisher) {
-        (Some(j), Some(log), Some(p)) => {
+    // collector and publishing each stage's decayed service window while
+    // the load runs.
+    let observatory = match (&journeys, &publisher) {
+        (Some(j), Some(p)) => {
             let stages = match cfg.workload {
                 Workload::Micro => cfg.stages.max(1),
                 Workload::FftHist => 3,
             };
-            let obs = pipemap_tool::Observatory::without_statics(
-                stages,
-                pipemap_tool::ObservatoryConfig {
-                    procs: vec![cfg.threads.max(1); stages],
-                    ..pipemap_tool::ObservatoryConfig::default()
-                },
-                log.clone(),
-                p.clone(),
-            );
+            let obs = pipemap_tool::Observatory::new(vec![cfg.threads.max(1); stages], p.clone());
             Some(pipemap_tool::spawn_observatory(
                 j.clone(),
                 obs,
@@ -1229,7 +1222,7 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
         _ => None,
     };
     let summary = try_run_configured_load(&cfg).map_err(|e| format!("load run failed: {e}"))?;
-    // Final ingest+refit so even a short run lands in /model.json before
+    // Final ingest and publish so even a short run lands in /model.json before
     // --hold keeps the surface up for scrapers.
     if let Some(h) = observatory {
         h.stop();
@@ -1306,8 +1299,8 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 
 fn cmd_doctor(args: &[String]) -> Result<(), String> {
     use pipemap_doctor::{
-        diagnose_log_with_margins, publish, render, report_json, DoctorOptions, JourneyLog,
-        MarginSpec, ModelPrediction,
+        diagnose_log, online_json, publish, render, render_online, report_json, DoctorOptions,
+        JourneyLog, MarginSpec, ModelPrediction,
     };
     let mut cli = Cli::new(args);
     let (mut json, mut online_mode, mut fail_on_drift) = (false, false, false);
@@ -1381,33 +1374,21 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
         None => None,
     };
     let (flight, server) = start_observability(&obs_flags, None, None, None)?;
-    let report = diagnose_log_with_margins(&log, margin_spec.as_ref(), &opts);
-    // --model online: refit the per-stage cost estimators from the
-    // journeys themselves (16-dataset half-life, so recent behaviour
-    // dominates) and price drift as the fitted-vs-static residual. This
+    let report = diagnose_log(&log, margin_spec.as_ref(), &opts);
+    // --model online: the same pass kept a decayed window of each
+    // stage's service times (16-dataset half-life, so recent behaviour
+    // dominates) and priced drift as the fitted-vs-static residual. This
     // localises a mid-stream cost change that the whole-run means the
     // static verdict averages over would dilute.
-    let online = if online_mode {
-        let cfg = pipemap_profile::OnlineConfig {
-            half_life: 16.0,
-            ..pipemap_profile::OnlineConfig::default()
-        };
-        let drift = pipemap_tool::online_drift(&log, cfg, opts.margin)
-            .ok_or("--model online found no service observations in the journeys")?;
-        Some(drift)
-    } else {
-        None
-    };
+    let online = report.online.as_ref().filter(|_| online_mode);
+    if online_mode && online.is_none() {
+        return Err("--model online found no service observations in the journeys".into());
+    }
     if obs_flags.active() {
         publish(&report, &pipemap_obs::global());
     }
     if let Some(path) = &trace_out {
-        let names: Vec<String> = match &log.model {
-            Some(m) => m.stages.iter().map(|s| s.name.clone()).collect(),
-            None => (0..report.stages.len())
-                .map(|i| format!("stage{i}"))
-                .collect(),
-        };
+        let names: Vec<String> = report.stages.iter().map(|s| s.name.clone()).collect();
         write(
             path,
             pipemap_obs::chrome_flow_trace(&log.events, &names).to_json_pretty(),
@@ -1417,13 +1398,13 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
     if json {
         let mut doc = report_json(&report);
         if let Some(d) = &online {
-            doc.set("online", pipemap_tool::online_drift_json(d));
+            doc.set("online", online_json(d));
         }
         println!("{}", doc.to_json_pretty());
     } else {
         print!("{}", render(&report));
         if let Some(d) = &online {
-            print!("{}", pipemap_tool::render_online_drift(d));
+            print!("{}", render_online(d));
         }
     }
     finish_observability(&obs_flags, flight, server)?;

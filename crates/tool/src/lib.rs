@@ -46,10 +46,7 @@ pub use load::{
     MAX_LOAD_REPLICAS, MAX_LOAD_SIZE, MAX_LOAD_THREADS,
 };
 pub use mapper::{auto_map, MapperOptions, MappingReport};
-pub use observatory::{
-    online_drift, online_drift_json, render_online_drift, spawn_observatory, Observatory,
-    ObservatoryConfig, ObservatoryHandle, OnlineDrift, OnlineStageDrift, MODEL_SCHEMA,
-};
+pub use observatory::{spawn_observatory, Observatory, ObservatoryHandle, MODEL_SCHEMA};
 pub use render::{render_mapping, render_placement, render_report};
 pub use report::{
     demo_report_json, map_report_json, mapping_json, simulate_report_json, stage_metrics_json,

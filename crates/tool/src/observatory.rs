@@ -1,305 +1,121 @@
-//! The live cost-model observatory: glue between journey tracing, the
-//! online estimators, and the event/exposition surfaces.
+//! The live cost-model observatory: one decayed service window per
+//! stage, published as `/model.json`.
 //!
-//! An [`Observatory`] ingests stitched journeys (from a live
-//! [`JourneyCollector`] or a recorded [`JourneyLog`]), feeds each hop's
-//! service time into a [`pipemap_profile::OnlineModel`], and on every
-//! refit
+//! An [`Observatory`] ingests stitched journeys from a live
+//! [`JourneyCollector`], feeds each hop's service time into its stage's
+//! [`Decayed`] window, and publishes the windows as JSON into a
+//! [`ModelPublisher`] (served at `/model.json`). It holds no static model
+//! and raises no alert: whether the model still holds is the doctor's
+//! verdict (`pipemap doctor --attach <addr> --model online`).
 //!
-//! * publishes the fitted-vs-static model as JSON into a
-//!   [`ModelPublisher`] (served at `/model.json`), and
-//! * emits `residual_high` / `residual_recovered` events (with
-//!   half-threshold hysteresis) into an [`EventLog`] as a stage's
-//!   online-fitted cost departs from its static model.
-//!
-//! [`spawn_observatory`] runs the ingest→refit loop on a background
-//! thread against a live collector, so `pipemap load --serve` exposes a
-//! continuously refitted model while the run is in flight.
-//! [`online_drift`] is the offline twin used by
-//! `pipemap doctor --model online`: it refits from a recorded journey
-//! log and localises the stage whose fitted cost drifted furthest from
-//! the static prediction.
+//! [`spawn_observatory`] runs the ingest→publish loop on a background
+//! thread against a live collector, so `pipemap load --serve` exposes the
+//! windows while the run is in flight.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pipemap_doctor::{JourneyLog, MarginSpec};
-use pipemap_model::PolyUnary;
-use pipemap_obs::{
-    stitch, EventKind, EventLog, Journey, JourneyCollector, JourneyEvent, ModelPublisher, ObsEvent,
-    Severity, Value,
-};
-use pipemap_profile::{OnlineConfig, OnlineModel};
+use pipemap_obs::{stitch, JourneyCollector, JourneyEvent, ModelPublisher, Value};
+use pipemap_profile::Decayed;
 
 /// Schema identifier stamped into `/model.json`.
 pub const MODEL_SCHEMA: &str = pipemap_obs::schema::MODEL;
 
-/// Observatory tuning.
-#[derive(Clone, Debug)]
-pub struct ObservatoryConfig {
-    /// Processor count per stage used as the `p` of every exec
-    /// observation (the executor's threads-per-instance; 1 when
-    /// unknown).
-    pub procs: Vec<usize>,
-    /// Relative fitted-vs-static residual above which a stage fires
-    /// `residual_high` (recovery at half of it).
-    pub residual_threshold: f64,
-    /// Exact per-stage stability margins from `pipemap explain` (via
-    /// [`MarginSpec`]). When set, each refit also compares the signed
-    /// fitted/static factor against the stage's `(exec_down, exec_up)`
-    /// interval and fires a `margin_crossed` event the moment the fitted
-    /// cost leaves it — i.e. the moment the deployed mapping is provably
-    /// no longer optimal, which a fixed residual threshold can neither
-    /// promise nor rule out.
-    pub margins: Option<MarginSpec>,
-    /// Estimator tuning (decay half-life, refit cadence).
-    pub online: OnlineConfig,
-}
+/// Half-life of each stage's window, in samples.
+const HALF_LIFE: f64 = 64.0;
 
-impl Default for ObservatoryConfig {
-    fn default() -> Self {
-        Self {
-            procs: Vec::new(),
-            residual_threshold: 0.25,
-            margins: None,
-            online: OnlineConfig::default(),
-        }
-    }
-}
-
-/// Continuous model refit over a stream of journeys.
+/// Decayed per-stage service windows over a stream of journeys.
 pub struct Observatory {
-    model: OnlineModel,
-    cfg: ObservatoryConfig,
-    log: EventLog,
+    windows: Vec<Decayed>,
+    procs: Vec<usize>,
     publisher: ModelPublisher,
-    residual_high: Vec<bool>,
-    margin_crossed: Vec<bool>,
     ingested: u64,
     last_seq: Option<u64>,
 }
 
 impl Observatory {
-    /// An observatory fitting against the given static per-stage models.
-    /// `cfg.procs` is padded with 1s to the stage count.
-    pub fn new(
-        statics: &[PolyUnary],
-        mut cfg: ObservatoryConfig,
-        log: EventLog,
-        publisher: ModelPublisher,
-    ) -> Self {
-        while cfg.procs.len() < statics.len() {
-            cfg.procs.push(1);
-        }
+    /// An observatory for `procs.len()` stages; `procs[s]` is stage `s`'s
+    /// processor count per instance (the executor's threads per
+    /// instance), published as its `p`.
+    pub fn new(procs: Vec<usize>, publisher: ModelPublisher) -> Self {
         Self {
-            model: OnlineModel::new(statics, &[], cfg.online),
-            residual_high: vec![false; statics.len()],
-            margin_crossed: vec![false; statics.len()],
-            cfg,
-            log,
+            windows: vec![Decayed::new(HALF_LIFE); procs.len()],
+            procs,
             publisher,
             ingested: 0,
             last_seq: None,
         }
     }
 
-    /// An observatory for `stages` stages with no static model (the
-    /// fitted model bootstraps purely from observations; residual events
-    /// stay silent because there is nothing to drift from).
-    pub fn without_statics(
-        stages: usize,
-        cfg: ObservatoryConfig,
-        log: EventLog,
-        publisher: ModelPublisher,
-    ) -> Self {
-        Self::new(
-            &vec![PolyUnary::new(0.0, 0.0, 0.0); stages],
-            cfg,
-            log,
-            publisher,
-        )
-    }
-
-    /// Ingest from a raw (possibly repeated) collector snapshot: drop
-    /// events at or below the sequence watermark *before* stitching, so
-    /// a polling loop pays for the new tail of the ring, not the whole
-    /// accumulated history every round.
+    /// Ingest a raw (possibly repeated) collector snapshot: drop events
+    /// at or below the sequence watermark *before* stitching, so a
+    /// polling loop pays for the new tail of the ring, not the whole
+    /// accumulated history every round, and each data set is ingested
+    /// once. Every new hop's service time feeds its stage's window.
+    /// Returns how many journeys were new.
     pub fn ingest_events(&mut self, events: &[JourneyEvent]) -> usize {
         let fresh: Vec<JourneyEvent> = match self.last_seq {
             None => events.to_vec(),
             Some(last) => events.iter().filter(|e| e.seq > last).copied().collect(),
         };
-        if fresh.is_empty() {
-            return 0;
-        }
-        self.ingest(&stitch(&fresh))
-    }
-
-    /// Feed every not-yet-seen journey's per-hop service times into the
-    /// estimators. Journeys are identified by sequence number, so
-    /// repeated snapshots of a growing collector ingest each data set
-    /// once. Returns how many journeys were new.
-    pub fn ingest(&mut self, journeys: &[Journey]) -> usize {
-        let mut new = 0usize;
-        for j in journeys {
-            if self.last_seq.is_some_and(|last| j.seq <= last) {
-                continue;
-            }
+        let journeys = stitch(&fresh);
+        for j in &journeys {
             self.last_seq = Some(j.seq);
-            new += 1;
-            self.ingested += 1;
             for hop in &j.hops {
                 let (Some(s0), Some(s1)) = (hop.service_start_us, hop.service_end_us) else {
                     continue;
                 };
-                let stage = hop.stage as usize;
-                if stage >= self.model.num_stages() {
-                    continue;
+                if let Some(w) = self.windows.get_mut(hop.stage as usize) {
+                    w.push((s1 - s0) / 1e6);
                 }
-                let p = self.cfg.procs.get(stage).copied().unwrap_or(1);
-                self.model.observe_exec(stage, p, (s1 - s0) / 1e6);
             }
         }
-        new
+        self.ingested += journeys.len() as u64;
+        journeys.len()
     }
 
-    /// Refit every estimator, emit residual threshold crossings, and
-    /// publish the fresh model JSON.
-    pub fn refit_and_publish(&mut self) {
-        self.model.refit();
-        let t_us = self.log.now_us();
-        for (i, est) in self.model.stages().iter().enumerate() {
-            let Some(snap) = est.snapshot() else {
-                continue;
-            };
-            // Drift is only meaningful against a positive static model.
-            if snap.static_model.eval(snap.p) <= 0.0 {
-                continue;
-            }
-            let thr = self.cfg.residual_threshold;
-            if !self.residual_high[i] && snap.drift > thr {
-                self.residual_high[i] = true;
-                self.log.emit(ObsEvent {
-                    t_us,
-                    kind: EventKind::ResidualHigh,
-                    severity: Severity::Warning,
-                    stage: Some(i as u32),
-                    value: snap.drift,
-                    message: format!(
-                        "stage {i}: online-fitted cost {:.1}% off the static model",
-                        snap.drift * 100.0
-                    ),
-                });
-            } else if self.residual_high[i] && snap.drift < thr * 0.5 {
-                self.residual_high[i] = false;
-                self.log.emit(ObsEvent {
-                    t_us,
-                    kind: EventKind::ResidualRecovered,
-                    severity: Severity::Info,
-                    stage: Some(i as u32),
-                    value: snap.drift,
-                    message: format!("stage {i}: fitted cost back within tolerance"),
-                });
-            }
-            // Margin-aware alerting: the exact stability interval from the
-            // solver, not a one-size-fits-all threshold. Crossing it means
-            // the argmin has provably flipped — a different mapping now
-            // wins under the fitted costs.
-            let spec = self
-                .cfg
-                .margins
-                .as_ref()
-                .and_then(|m| m.stages.iter().find(|ms| ms.stage == i));
-            if let Some(ms) = spec {
-                let g = snap.factor;
-                let crossed = g > ms.exec_up || g < ms.exec_down;
-                if !self.margin_crossed[i] && crossed {
-                    self.margin_crossed[i] = true;
-                    let up = if ms.exec_up.is_finite() {
-                        format!("{:.3}", ms.exec_up)
-                    } else {
-                        "inf".to_string()
-                    };
-                    self.log.emit(ObsEvent {
-                        t_us,
-                        kind: EventKind::MarginCrossed,
-                        severity: Severity::Critical,
-                        stage: Some(i as u32),
-                        value: g,
-                        message: format!(
-                            "stage {i}: fitted cost {g:.3}x its static model, outside the \
-                             exact stability interval ({:.3}, {up}) — the deployed mapping \
-                             is no longer optimal",
-                            ms.exec_down
-                        ),
-                    });
-                } else if self.margin_crossed[i] && !crossed {
-                    // Re-arm only once the factor is halfway back toward
-                    // 1.0 inside the interval, so a cost oscillating on
-                    // the margin edge fires once, not every refit.
-                    let up_rearm = if ms.exec_up.is_finite() {
-                        1.0 + 0.5 * (ms.exec_up - 1.0)
-                    } else {
-                        f64::INFINITY
-                    };
-                    let down_rearm = 1.0 - 0.5 * (1.0 - ms.exec_down);
-                    if g < up_rearm && g > down_rearm {
-                        self.margin_crossed[i] = false;
-                    }
-                }
-            }
-        }
+    /// Publish the current windows as `/model.json`.
+    pub fn publish(&self) {
         self.publisher.publish(self.model_json().to_json());
     }
 
-    /// The current model as the `/model.json` document.
+    /// The current windows as the `/model.json` document. With no static
+    /// model there is nothing to drift from: each stage's `drift` is 0,
+    /// its `factor` 1 and its `static` model zero.
     pub fn model_json(&self) -> Value {
         let mut doc = Value::object();
         doc.set("model_schema", MODEL_SCHEMA);
         doc.set("journeys_ingested", self.ingested);
         let stages: Vec<Value> = self
-            .model
-            .stages()
+            .windows
             .iter()
+            .zip(&self.procs)
             .enumerate()
-            .map(|(i, est)| {
+            .map(|(i, (w, &p))| {
                 let mut st = Value::object();
                 st.set("stage", i as u64);
-                match est.snapshot() {
-                    Some(snap) => {
-                        st.set("samples", snap.samples);
-                        st.set("p", snap.p as u64);
-                        st.set("mean_s", snap.mean_s);
-                        st.set("sd_s", snap.sd_s);
-                        st.set("drift", snap.drift);
-                        st.set("factor", snap.factor);
-                        st.set("fit_rel_err", snap.fit_rel_err);
-                        st.set("confidence", snap.confidence);
-                        st.set("static", poly_json(&snap.static_model));
-                        st.set("fitted", poly_json(&snap.fitted));
-                    }
-                    None => {
-                        st.set("samples", 0u64);
-                        st.set("static", poly_json(&est.static_model()));
-                    }
-                }
-                if let Some(ms) = self
-                    .cfg
-                    .margins
-                    .as_ref()
-                    .and_then(|m| m.stages.iter().find(|ms| ms.stage == i))
-                {
-                    // Non-finite bounds serialise as null: "no factor
-                    // ever flips the mapping in that direction".
-                    let mut margin = Value::object();
-                    margin.set("exec_up", ms.exec_up);
-                    margin.set("exec_down", ms.exec_down);
-                    margin.set("ecom_in_up", ms.ecom_in_up);
-                    margin.set("ecom_in_down", ms.ecom_in_down);
-                    st.set("margin", margin);
-                    st.set("margin_crossed", self.margin_crossed.get(i) == Some(&true));
+                st.set("samples", w.count());
+                if w.count() > 0 {
+                    let mean = w.mean();
+                    let fitted = w.fitted(0.0);
+                    st.set("p", p as u64);
+                    st.set("mean_s", mean);
+                    st.set("sd_s", w.sd());
+                    st.set("drift", 0.0);
+                    st.set("factor", 1.0);
+                    let fit_rel_err = if mean > 0.0 {
+                        (fitted - mean).abs() / mean
+                    } else {
+                        0.0
+                    };
+                    st.set("fit_rel_err", fit_rel_err);
+                    st.set("confidence", w.confidence());
+                    st.set("static", poly_json(0.0));
+                    st.set("fitted", poly_json(fitted));
+                } else {
+                    st.set("static", poly_json(0.0));
                 }
                 st
             })
@@ -308,22 +124,18 @@ impl Observatory {
         doc
     }
 
-    /// The underlying estimators.
-    pub fn model(&self) -> &OnlineModel {
-        &self.model
-    }
-
     /// Total journeys ingested so far.
     pub fn ingested(&self) -> u64 {
         self.ingested
     }
 }
 
-fn poly_json(p: &PolyUnary) -> Value {
+/// A constant cost model `c1` in the `f_exec` coefficient form.
+fn poly_json(c1: f64) -> Value {
     let mut o = Value::object();
-    o.set("c1", p.c1);
-    o.set("c2", p.c2);
-    o.set("c3", p.c3);
+    o.set("c1", c1);
+    o.set("c2", 0.0);
+    o.set("c3", 0.0);
     o
 }
 
@@ -331,24 +143,20 @@ fn poly_json(p: &PolyUnary) -> Value {
 /// it and returns the final [`Observatory`] state.
 pub struct ObservatoryHandle {
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Observatory>>,
+    handle: JoinHandle<Observatory>,
 }
 
 impl ObservatoryHandle {
-    /// Signal the loop and wait for its final ingest+refit.
-    pub fn stop(mut self) -> Observatory {
+    /// Signal the loop and wait for its final ingest and publish.
+    pub fn stop(self) -> Observatory {
         self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .take()
-            .expect("observatory joined once")
-            .join()
-            .expect("observatory thread panicked")
+        self.handle.join().expect("observatory thread panicked")
     }
 }
 
 /// Run `observatory` against a live collector on a background thread:
-/// every `period`, snapshot the collector, ingest new journeys, refit,
-/// and publish. A final round runs on stop, so short runs still land in
+/// every `period`, snapshot the collector, ingest new journeys, and
+/// publish. A final round runs on stop, so short runs still land in
 /// `/model.json`.
 pub fn spawn_observatory(
     collector: JourneyCollector,
@@ -362,12 +170,12 @@ pub fn spawn_observatory(
         loop {
             let stopping = stop_flag.load(Ordering::Relaxed);
             let new = observatory.ingest_events(&collector.snapshot());
-            // Refitting with nothing new republishes an identical model;
+            // Publishing with nothing new republishes an identical model;
             // skip it (after the first publish) to keep the idle loop
             // off the CPU — on a saturated box this thread competes with
             // the very pipeline it watches.
             if new > 0 || stopping || !published {
-                observatory.refit_and_publish();
+                observatory.publish();
                 published = true;
             }
             if stopping {
@@ -382,231 +190,25 @@ pub fn spawn_observatory(
             }
         }
     });
-    ObservatoryHandle {
-        stop,
-        handle: Some(handle),
-    }
-}
-
-/// One stage's fitted-vs-static verdict from [`online_drift`].
-#[derive(Clone, Debug)]
-pub struct OnlineStageDrift {
-    /// Stage index.
-    pub stage: usize,
-    /// Stage name from the log's model snapshot.
-    pub name: String,
-    /// Static (deployed) per-dataset service seconds.
-    pub static_s: f64,
-    /// Online-fitted service seconds at the operating point.
-    pub fitted_s: f64,
-    /// `|fitted − static| / static`.
-    pub residual: f64,
-    /// Fit confidence in `[0, 1]`.
-    pub confidence: f64,
-    /// Samples behind the fit.
-    pub samples: u64,
-}
-
-/// `pipemap doctor --model online`: the drift verdict priced against the
-/// online-fitted model.
-#[derive(Clone, Debug)]
-pub struct OnlineDrift {
-    /// Per-stage verdicts, in pipeline order.
-    pub stages: Vec<OnlineStageDrift>,
-    /// The threshold a residual must clear to localise drift.
-    pub threshold: f64,
-    /// Stage with the largest above-threshold residual, if any.
-    pub drifted: Option<usize>,
-}
-
-/// Refit an online model from a recorded journey log (exponential decay
-/// weighting recent data sets) and localise the drifted stage. The
-/// static baseline is the log's model snapshot when it carries one;
-/// otherwise the whole-run mean per stage stands in, so the residual
-/// reads "recent behaviour vs the run as a whole" — which is exactly
-/// the question on a live scrape (those logs have no model header).
-/// Returns `None` when the log has no usable service observations.
-pub fn online_drift(log: &JourneyLog, cfg: OnlineConfig, threshold: f64) -> Option<OnlineDrift> {
-    let journeys = stitch(&log.events);
-    let (names, static_means) = match log.model.as_ref() {
-        Some(m) => (
-            m.stages.iter().map(|s| s.name.clone()).collect::<Vec<_>>(),
-            m.stages.iter().map(|s| s.service_s).collect::<Vec<_>>(),
-        ),
-        None => {
-            let means = whole_run_means(&journeys);
-            if means.is_empty() {
-                return None;
-            }
-            (
-                (0..means.len()).map(|i| format!("stage{i}")).collect(),
-                means,
-            )
-        }
-    };
-    let statics: Vec<PolyUnary> = static_means
-        .iter()
-        .map(|&s| PolyUnary::new(s, 0.0, 0.0))
-        .collect();
-    let mut observatory = Observatory::new(
-        &statics,
-        ObservatoryConfig {
-            online: cfg,
-            ..ObservatoryConfig::default()
-        },
-        EventLog::default(),
-        ModelPublisher::default(),
-    );
-    observatory.ingest(&journeys);
-    observatory.refit_and_publish();
-
-    let mut stages = Vec::new();
-    let mut drifted: Option<(usize, f64)> = None;
-    for (i, est) in observatory.model().stages().iter().enumerate() {
-        let name = names.get(i).cloned().unwrap_or_else(|| format!("stage{i}"));
-        let static_s = static_means.get(i).copied().unwrap_or(0.0);
-        let (fitted_s, residual, confidence, samples) = match est.snapshot() {
-            Some(snap) => (
-                snap.fitted.eval(snap.p),
-                if static_s > 0.0 { snap.drift } else { 0.0 },
-                snap.confidence,
-                snap.samples,
-            ),
-            None => (static_s, 0.0, 0.0, 0),
-        };
-        if residual > threshold && drifted.is_none_or(|(_, r)| residual > r) {
-            drifted = Some((i, residual));
-        }
-        stages.push(OnlineStageDrift {
-            stage: i,
-            name,
-            static_s,
-            fitted_s,
-            residual,
-            confidence,
-            samples,
-        });
-    }
-    Some(OnlineDrift {
-        stages,
-        threshold,
-        drifted: drifted.map(|(i, _)| i),
-    })
-}
-
-/// Unweighted per-stage mean service seconds over every complete hop.
-fn whole_run_means(journeys: &[Journey]) -> Vec<f64> {
-    let mut sum: Vec<f64> = Vec::new();
-    let mut count: Vec<u64> = Vec::new();
-    for j in journeys {
-        for hop in &j.hops {
-            let (Some(s0), Some(s1)) = (hop.service_start_us, hop.service_end_us) else {
-                continue;
-            };
-            let stage = hop.stage as usize;
-            if sum.len() <= stage {
-                sum.resize(stage + 1, 0.0);
-                count.resize(stage + 1, 0);
-            }
-            sum[stage] += (s1 - s0) / 1e6;
-            count[stage] += 1;
-        }
-    }
-    sum.iter()
-        .zip(&count)
-        .map(|(s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
-        .collect()
-}
-
-/// JSON form of an [`OnlineDrift`] report (the `online` key of the
-/// doctor's JSON output).
-pub fn online_drift_json(d: &OnlineDrift) -> Value {
-    let mut doc = Value::object();
-    doc.set("threshold", d.threshold);
-    if let Some(s) = d.drifted {
-        doc.set("drifted_stage", s as u64);
-    }
-    let stages: Vec<Value> = d
-        .stages
-        .iter()
-        .map(|s| {
-            let mut o = Value::object();
-            o.set("stage", s.stage as u64);
-            o.set("name", s.name.as_str());
-            o.set("static_s", s.static_s);
-            o.set("fitted_s", s.fitted_s);
-            o.set("residual", s.residual);
-            o.set("confidence", s.confidence);
-            o.set("samples", s.samples);
-            o
-        })
-        .collect();
-    doc.set("stages", Value::Array(stages));
-    doc
-}
-
-/// Human-readable rendering of an [`OnlineDrift`] report.
-pub fn render_online_drift(d: &OnlineDrift) -> String {
-    let mut out = String::from("online model (decay-weighted refit from journeys):\n");
-    for s in &d.stages {
-        out.push_str(&format!(
-            "  stage {} ({}): static {:.6}s  fitted {:.6}s  residual {:>5.1}%  confidence {:.2}  ({} samples)\n",
-            s.stage,
-            s.name,
-            s.static_s,
-            s.fitted_s,
-            s.residual * 100.0,
-            s.confidence,
-            s.samples
-        ));
-    }
-    match d.drifted {
-        Some(i) => out.push_str(&format!(
-            "  drift localised: stage {i} ({}) is {:.1}% off its static model (> {:.0}% threshold) — re-solve the mapping\n",
-            d.stages[i].name,
-            d.stages[i].residual * 100.0,
-            d.threshold * 100.0
-        )),
-        None => out.push_str(&format!(
-            "  no stage exceeds the {:.0}% residual threshold — static model still holds\n",
-            d.threshold * 100.0
-        )),
-    }
-    out
+    ObservatoryHandle { stop, handle }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipemap_obs::{EventLogConfig, JourneyConfig, JourneyKind};
+    use pipemap_obs::{JourneyConfig, JourneyKind};
 
-    /// Synthesise a journey stream: `n` data sets over `service_s[stage]`
-    /// seconds each, with stage `k`'s cost multiplied by `factor` from
-    /// data set `after` onward.
-    fn synth_events(
-        n: usize,
-        service_s: &[f64],
-        after: usize,
-        k: usize,
-        factor: f64,
-    ) -> Vec<pipemap_obs::JourneyEvent> {
+    /// `n` data sets over `service_s[stage]` seconds each.
+    fn synth_events(n: usize, service_s: &[f64]) -> Vec<JourneyEvent> {
         let col = JourneyCollector::new(JourneyConfig::default().with_capacity(64 * n));
         let mut sink = col.sink();
         let mut t = 0.0f64;
         for seq in 0..n {
             sink.record_at(t, JourneyKind::Source, seq, 0, 0, 0);
             for (stage, &s) in service_s.iter().enumerate() {
-                let dur = if stage == k && seq >= after {
-                    s * factor
-                } else {
-                    s
-                };
-                sink.record_at(t, JourneyKind::Enqueue, seq, stage as u32, 0, 0);
-                sink.record_at(t, JourneyKind::Dequeue, seq, stage as u32, 0, 0);
                 sink.record_at(t, JourneyKind::ServiceStart, seq, stage as u32, 0, 0);
-                t += dur * 1e6;
+                t += s * 1e6;
                 sink.record_at(t, JourneyKind::ServiceEnd, seq, stage as u32, 0, 0);
-                sink.record_at(t, JourneyKind::Send, seq, stage as u32, 0, 0);
             }
             sink.record_at(t, JourneyKind::Sink, seq, service_s.len() as u32, 0, 0);
         }
@@ -615,53 +217,14 @@ mod tests {
     }
 
     #[test]
-    fn online_drift_without_model_header_uses_whole_run_baseline() {
-        // No model snapshot (the live-scrape case): the whole-run mean is
-        // the baseline, so a stage that triples mid-run still localises.
-        let log = JourneyLog {
-            source: "live".to_string(),
-            sample: 1,
-            dropped: 0,
-            model: None,
-            events: synth_events(120, &[0.010, 0.020], 60, 1, 3.0),
-        };
-        let cfg = OnlineConfig {
-            half_life: 16.0,
-            ..OnlineConfig::default()
-        };
-        let drift = online_drift(&log, cfg, 0.10).expect("journeys present");
-        assert_eq!(drift.drifted, Some(1), "{drift:?}");
-        assert_eq!(drift.stages[1].name, "stage1");
-        // A log with no service events at all yields None.
-        let empty = JourneyLog {
-            source: "live".to_string(),
-            sample: 1,
-            dropped: 0,
-            model: None,
-            events: Vec::new(),
-        };
-        assert!(online_drift(&empty, OnlineConfig::default(), 0.10).is_none());
-    }
-
-    #[test]
     fn ingest_is_incremental_and_publishes_model_json() {
-        let log = EventLog::default();
         let publisher = ModelPublisher::default();
-        let mut obs = Observatory::new(
-            &[
-                PolyUnary::new(0.01, 0.0, 0.0),
-                PolyUnary::new(0.02, 0.0, 0.0),
-            ],
-            ObservatoryConfig::default(),
-            log,
-            publisher.clone(),
-        );
-        let events = synth_events(50, &[0.01, 0.02], usize::MAX, 0, 1.0);
-        let journeys = stitch(&events);
-        assert_eq!(obs.ingest(&journeys), 50);
+        let mut obs = Observatory::new(vec![1, 1], publisher.clone());
+        let events = synth_events(50, &[0.01, 0.02]);
+        assert_eq!(obs.ingest_events(&events), 50);
         // Re-ingesting the same snapshot is a no-op.
-        assert_eq!(obs.ingest(&journeys), 0);
-        obs.refit_and_publish();
+        assert_eq!(obs.ingest_events(&events), 0);
+        obs.publish();
         let doc = Value::parse(&publisher.current()).expect("valid model json");
         assert_eq!(
             doc.get("model_schema").and_then(Value::as_str),
@@ -671,138 +234,5 @@ mod tests {
         assert_eq!(stages.len(), 2);
         let mean = stages[0].get("mean_s").and_then(Value::as_f64).unwrap();
         assert!((mean - 0.01).abs() < 1e-9, "mean {mean}");
-    }
-
-    #[test]
-    fn residual_events_fire_once_with_hysteresis() {
-        let log = EventLog::new(EventLogConfig::default());
-        let mut obs = Observatory::new(
-            &[PolyUnary::new(0.01, 0.0, 0.0)],
-            ObservatoryConfig::default(),
-            log.clone(),
-            ModelPublisher::default(),
-        );
-        // All samples 3x the static cost: residual ≈ 2.0 ≫ 0.25.
-        let journeys = stitch(&synth_events(60, &[0.03], 0, 0, 1.0));
-        obs.ingest(&journeys);
-        obs.refit_and_publish();
-        obs.refit_and_publish(); // second refit must not re-fire
-        let events = log.snapshot();
-        let high: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::ResidualHigh)
-            .collect();
-        assert_eq!(high.len(), 1, "{events:?}");
-        assert_eq!(high[0].stage, Some(0));
-    }
-
-    #[test]
-    fn margin_crossed_fires_once_and_lands_in_model_json() {
-        use pipemap_doctor::StageMarginSpec;
-        let margins = MarginSpec {
-            stages: vec![StageMarginSpec {
-                stage: 0,
-                exec_up: 1.5,
-                exec_down: 0.5,
-                ecom_in_up: f64::INFINITY,
-                ecom_in_down: 0.0,
-            }],
-        };
-        let log = EventLog::new(EventLogConfig::default());
-        let publisher = ModelPublisher::default();
-        let mut obs = Observatory::new(
-            &[PolyUnary::new(0.01, 0.0, 0.0)],
-            ObservatoryConfig {
-                margins: Some(margins.clone()),
-                // Park the residual threshold out of the way so this test
-                // watches only the margin path.
-                residual_threshold: 1e9,
-                ..ObservatoryConfig::default()
-            },
-            log.clone(),
-            publisher.clone(),
-        );
-        // 1.3x the static cost: 30% residual, but inside (0.5, 1.5) —
-        // the margin engine stays quiet where a fixed 10–25% threshold
-        // would have paged.
-        obs.ingest(&stitch(&synth_events(40, &[0.013], 0, 0, 1.0)));
-        obs.refit_and_publish();
-        assert!(
-            !log.snapshot()
-                .iter()
-                .any(|e| e.kind == EventKind::MarginCrossed),
-            "inside-margin drift must not fire"
-        );
-        // Drift past exec_up = 1.5: fires exactly once across refits.
-        obs.ingest(&stitch(&synth_events(200, &[0.02], 40, 0, 1.0)));
-        obs.refit_and_publish();
-        obs.refit_and_publish();
-        let crossed: Vec<_> = log
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.kind == EventKind::MarginCrossed)
-            .collect();
-        assert_eq!(crossed.len(), 1, "{crossed:?}");
-        assert_eq!(crossed[0].stage, Some(0));
-        assert_eq!(crossed[0].severity, Severity::Critical);
-        assert!(crossed[0].value > 1.5, "factor {}", crossed[0].value);
-        assert!(
-            crossed[0].message.contains("stability interval"),
-            "{}",
-            crossed[0].message
-        );
-        let doc = Value::parse(&publisher.current()).expect("valid model json");
-        let stage = &doc.get("stages").and_then(Value::as_array).unwrap()[0];
-        assert_eq!(
-            stage.get("margin_crossed").and_then(Value::as_bool),
-            Some(true)
-        );
-        let m = stage.get("margin").expect("margin block");
-        assert_eq!(m.get("exec_up").and_then(Value::as_f64), Some(1.5));
-        assert!(
-            m.get("ecom_in_up").is_some_and(Value::is_null),
-            "infinite bound serialises as null"
-        );
-        let factor = stage.get("factor").and_then(Value::as_f64).unwrap();
-        assert!(factor > 1.5, "factor {factor}");
-    }
-
-    #[test]
-    fn online_drift_localises_a_perturbed_stage() {
-        use pipemap_doctor::ModelPrediction;
-        // Static model says [10ms, 20ms, 5ms]; stage 1 triples mid-run.
-        let events = synth_events(120, &[0.010, 0.020, 0.005], 60, 1, 3.0);
-        let log = JourneyLog {
-            source: "test".to_string(),
-            sample: 1,
-            dropped: 0,
-            model: Some(ModelPrediction::from_measured(
-                &["a".into(), "b".into(), "c".into()],
-                &[1, 1, 1],
-                &[0.010, 0.020, 0.005],
-            )),
-            events,
-        };
-        // A 16-sample half-life forgets the pre-perturbation regime
-        // quickly enough for the fit to track the new cost.
-        let cfg = OnlineConfig {
-            half_life: 16.0,
-            ..OnlineConfig::default()
-        };
-        let drift = online_drift(&log, cfg, 0.10).expect("model present");
-        assert_eq!(drift.drifted, Some(1), "{drift:?}");
-        // The decayed fit tracks the *perturbed* cost within 10%.
-        let fitted = drift.stages[1].fitted_s;
-        assert!(
-            (fitted - 0.060).abs() / 0.060 < 0.10,
-            "fitted {fitted} vs perturbed truth 0.060"
-        );
-        // Unperturbed stages stay close to their statics.
-        assert!(drift.stages[0].residual < 0.05);
-        assert!(drift.stages[2].residual < 0.05);
-        let text = render_online_drift(&drift);
-        assert!(text.contains("drift localised: stage 1"), "{text}");
-        let json = online_drift_json(&drift);
-        assert_eq!(json.get("drifted_stage").and_then(Value::as_f64), Some(1.0));
     }
 }

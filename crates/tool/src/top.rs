@@ -489,36 +489,12 @@ fn render_model(model: &Value) -> String {
         let drift = st.get("drift").and_then(Value::as_f64).unwrap_or(0.0);
         let conf = st.get("confidence").and_then(Value::as_f64).unwrap_or(0.0);
         out.push_str(&format!(
-            "  stage {idx:.0}: fitted mean {:.6}s  drift {:>5.1}%  confidence {conf:.2}  (n={samples:.0}){}\n",
+            "  stage {idx:.0}: fitted mean {:.6}s  drift {:>5.1}%  confidence {conf:.2}  (n={samples:.0})\n",
             mean,
             drift * 100.0,
-            render_margin(st)
         ));
     }
     out
-}
-
-/// The margin column of one model stage: the signed drift factor against
-/// the exact stability interval, when the producer was given one.
-fn render_margin(st: &Value) -> String {
-    let Some(m) = st.get("margin") else {
-        return String::new();
-    };
-    let factor = st.get("factor").and_then(Value::as_f64).unwrap_or(1.0);
-    let bound = |key: &str, absent: f64| m.get(key).and_then(Value::as_f64).unwrap_or(absent);
-    let down = bound("exec_down", 0.0);
-    let up = bound("exec_up", f64::INFINITY);
-    let up_str = if up.is_finite() {
-        format!("{up:.2}")
-    } else {
-        "inf".to_string()
-    };
-    let verdict = if st.get("margin_crossed").and_then(Value::as_bool) == Some(true) {
-        "CROSSED"
-    } else {
-        "ok"
-    };
-    format!("  margin {factor:.2}x in ({down:.2}, {up_str}) {verdict}")
 }
 
 /// The scrolling event feed (most recent last).
@@ -631,7 +607,7 @@ fn run_attached(cfg: &TopConfig, addr: &str) -> Result<(), String> {
 /// and render it live.
 fn run_local(cfg: &TopConfig) -> Result<(), String> {
     use crate::load::{run_configured_load, LoadConfig};
-    use crate::observatory::{spawn_observatory, Observatory, ObservatoryConfig};
+    use crate::observatory::{spawn_observatory, Observatory};
     use pipemap_obs::{EventLog, JourneyCollector, JourneyConfig, ModelPublisher, SloConfig};
 
     // The executor records into the process-global registry; install one
@@ -648,12 +624,7 @@ fn run_local(cfg: &TopConfig) -> Result<(), String> {
         slo: Some(SloConfig::default()),
         ..LoadConfig::default()
     };
-    let observatory = Observatory::without_statics(
-        load_cfg.stages,
-        ObservatoryConfig::default(),
-        events.clone(),
-        publisher.clone(),
-    );
+    let observatory = Observatory::new(vec![1; load_cfg.stages], publisher.clone());
     let obs_handle = spawn_observatory(journeys, observatory, Duration::from_millis(250));
     let load = std::thread::spawn(move || run_configured_load(&load_cfg));
 
@@ -825,50 +796,26 @@ mod tests {
         .unwrap();
         let events = vec![pipemap_obs::ObsEvent {
             t_us: 1.5e6,
-            kind: pipemap_obs::EventKind::ResidualHigh,
+            kind: pipemap_obs::EventKind::BackpressureOnset,
             severity: Severity::Warning,
             stage: Some(0),
             value: 0.3,
-            message: "stage 0 drifting".to_string(),
+            message: "stage 0 blocking downstream".to_string(),
         }];
         let text = render_frame("test", &frame, &rates, &state, &model, &events);
         assert!(text.contains("pipemap top — test"), "{text}");
         assert!(text.contains("mix0"), "{text}");
         assert!(text.contains("42 journeys ingested"), "{text}");
         assert!(text.contains("drift  30.0%"), "{text}");
-        assert!(text.contains("residual_high"), "{text}");
+        assert!(text.contains("backpressure_onset"), "{text}");
         assert!(text.contains("WARN"), "{text}");
-    }
-
-    #[test]
-    fn model_margin_column_renders_interval_and_verdict() {
-        let model = Value::parse(
-            r#"{"model_schema":"pipemap-model/v1","journeys_ingested":10,
-               "stages":[
-                 {"stage":0,"samples":10,"mean_s":0.002,"drift":0.6,"confidence":0.8,
-                  "factor":1.60,"margin":{"exec_up":1.25,"exec_down":0.80},
-                  "margin_crossed":true,
-                  "static":{"c1":0.001,"c2":0,"c3":0},"fitted":{"c1":0.002,"c2":0,"c3":0}},
-                 {"stage":1,"samples":10,"mean_s":0.001,"drift":0.05,"confidence":0.8,
-                  "factor":1.05,"margin":{"exec_up":null,"exec_down":0.5},
-                  "margin_crossed":false,
-                  "static":{"c1":0.001,"c2":0,"c3":0},"fitted":{"c1":0.001,"c2":0,"c3":0}}
-               ]}"#,
-        )
-        .unwrap();
-        let text = render_model(&model);
-        assert!(
-            text.contains("margin 1.60x in (0.80, 1.25) CROSSED"),
-            "{text}"
-        );
-        assert!(text.contains("margin 1.05x in (0.50, inf) ok"), "{text}");
     }
 
     #[test]
     fn event_cursor_parser_accumulates_the_tail() {
         // A cursor-bearing dump: header next_since plus per-line seq.
         let text = "{\"event_schema\":\"pipemap-events/v1\",\"dropped\":0,\"next_since\":7}\n\
-             {\"seq\":7,\"t_us\":1000000,\"kind\":\"residual_high\",\"severity\":\"warning\",\"stage\":0,\"value\":0.5,\"message\":\"m\"}\n";
+             {\"seq\":7,\"t_us\":1000000,\"kind\":\"backpressure_onset\",\"severity\":\"warning\",\"stage\":0,\"value\":0.5,\"message\":\"m\"}\n";
         let (events, next) = parse_events_jsonl_since(text, 3).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(next, 7);

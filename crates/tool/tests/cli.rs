@@ -1143,6 +1143,108 @@ fn uds_load_admission_control_reports_rejections() {
     assert_eq!(completed + rejected, offered, "no arrival unaccounted");
 }
 
+/// Direct children of `parent`, from each process's `/proc/<pid>/stat`.
+fn children_of(parent: u32) -> Vec<u32> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir("/proc").unwrap().flatten() {
+        let Ok(pid) = entry.file_name().to_string_lossy().parse::<u32>() else {
+            continue;
+        };
+        let stat = std::fs::read_to_string(entry.path().join("stat")).unwrap_or_default();
+        // Field 4 is the parent's pid; count after the command name,
+        // which may itself hold spaces.
+        let ppid = stat
+            .rfind(')')
+            .and_then(|i| stat[i + 1..].split_whitespace().nth(1));
+        if ppid == Some(parent.to_string().as_str()) {
+            out.push(pid);
+        }
+    }
+    out
+}
+
+/// Whether `pid` still runs: a vanished pid or a zombie does not.
+fn running(pid: u32) -> bool {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap_or_default();
+    let state = stat
+        .rfind(')')
+        .and_then(|i| stat[i + 1..].split_whitespace().next());
+    state.is_some_and(|s| s != "Z")
+}
+
+#[test]
+fn killed_uds_load_leaves_no_worker_and_the_next_run_sweeps_its_directory() {
+    use std::time::{Duration, Instant};
+    let tmp = std::env::temp_dir().join(format!("pipemap-cli-test-killed-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let mut parent = pipemap()
+        .arg("load")
+        .arg("micro")
+        .args(["--transport", "uds"])
+        .args(["--duration", "30s", "--size", "256"])
+        .env("TMPDIR", &tmp)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    // Four stages, one worker each; let them stream for a moment.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let workers = loop {
+        let workers = children_of(parent.id());
+        if workers.len() >= 4 {
+            break workers;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "workers never came up: {workers:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    std::thread::sleep(Duration::from_millis(300));
+    parent.kill().unwrap(); // SIGKILL: no cleanup runs in the parent
+    parent.wait().unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while workers.iter().any(|&w| running(w)) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let survivors: Vec<u32> = workers.iter().copied().filter(|&w| running(w)).collect();
+    for w in &survivors {
+        let _ = Command::new("kill").args(["-9", &w.to_string()]).status();
+    }
+    assert!(
+        survivors.is_empty(),
+        "workers {survivors:?} outlived their killed parent by 2 s"
+    );
+
+    // The killed run left its directory behind; the next uds run in the
+    // same temporary directory removes it.
+    let dead_runs = || {
+        let prefix = format!("pipemap-wire-{}-", parent.id());
+        std::fs::read_dir(&tmp)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+            .count()
+    };
+    assert_eq!(dead_runs(), 1);
+    let out = pipemap()
+        .arg("load")
+        .arg("micro")
+        .args(["--transport", "uds"])
+        .args(["--datasets", "200", "--size", "64"])
+        .env("TMPDIR", &tmp)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(dead_runs(), 0, "the dead run's directory survived");
+    std::fs::remove_dir_all(&tmp).unwrap();
+}
+
 #[test]
 fn load_rate_sweep_reports_knee_below_saturation() {
     // Rates far below the micro pipeline's capacity: every point keeps

@@ -8,12 +8,10 @@
 use std::process::Command;
 
 use pipemap_chain::{ChainBuilder, Edge, Mapping, ModuleAssignment, Task, TaskChain};
-use pipemap_doctor::{JourneyLog, ModelPrediction};
+use pipemap_doctor::{diagnose_log, DoctorOptions, JourneyLog, ModelPrediction};
 use pipemap_model::{PolyEcom, PolyUnary};
 use pipemap_obs::{EventKind, EventLog, JourneyCollector, JourneyConfig, Value};
-use pipemap_profile::OnlineConfig;
 use pipemap_sim::{simulate_des, SimConfig};
-use pipemap_tool::online_drift;
 
 fn pipemap() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pipemap"))
@@ -80,11 +78,13 @@ fn perturbed_des_run_is_tracked_and_localised_end_to_end() {
         )),
         events: journeys.snapshot(),
     };
-    let online_cfg = OnlineConfig {
-        half_life: 16.0,
-        ..OnlineConfig::default()
+    let opts = DoctorOptions {
+        margin: 0.10,
+        ..DoctorOptions::default()
     };
-    let d = online_drift(&log, online_cfg, 0.10).expect("service observations present");
+    let d = diagnose_log(&log, None, &opts)
+        .online
+        .expect("service observations present");
     assert_eq!(d.drifted, Some(1), "drift localised to the perturbed stage");
     let fitted = d.stages[1].fitted_s;
     let truth = 3.0 * 2.2;
